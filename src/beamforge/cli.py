@@ -78,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", parents=[common], help="brute-force Galerkin solve and matching report")
     p_oracle.add_argument("--modes", type=int, default=3, help="Galerkin truncation order N")
     p_oracle.add_argument("--starts", type=int, default=2000, help="number of random starts")
-    p_oracle.add_argument("--backend", choices=("numba", "numpy"), default=None,
-                          help="kernel backend override (default: numba when available)")
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="branch coefficients over a compression grid (CSV)")
     p_sweep.add_argument("--grid", default="0:20:41", help="compression grid lo:hi:count (in -beta)")
@@ -279,7 +277,7 @@ def cmd_single(args) -> int:
 
 def cmd_oracle(args) -> int:
     p, spec = _context(args)
-    result = galerkin_solve(p, spec, args.modes, args.starts, seed=args.seed, backend=args.backend)
+    result = galerkin_solve(p, spec, args.modes, args.starts, seed=args.seed)
     # reconcile against the closed forms the truncation can represent
     closed = sorted(
         (

@@ -9,6 +9,7 @@ consulted when residuals are evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -20,14 +21,17 @@ MAX_ACTIVE_MODES = 3
 @dataclass(frozen=True)
 class Params:
     """Dimensionless drive: axial load ``beta``, extensibility ``varrho``,
-    coupling stiffness ratio ``k``.  ``beta`` is unrestricted; the other
-    two must be positive."""
+    coupling stiffness ratio ``k``.  All three must be finite; ``beta``
+    is otherwise unrestricted, the other two must be positive."""
 
     beta: float
     varrho: float
     k: float
 
     def __post_init__(self) -> None:
+        for name in ("beta", "varrho", "k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.varrho > 0.0:
             raise ValidationError("varrho must be positive")
         if not self.k > 0.0:

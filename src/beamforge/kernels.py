@@ -1,16 +1,11 @@
-"""Damped-Newton kernels for the truncated modal system.
+"""Damped-Newton kernel for the truncated modal system.
 
 This is the hot path of the brute-force verifier: thousands of random
 starts, each iterated with an analytic Jacobian and Armijo backtracking
-on the squared-residual merit.  Two interchangeable backends implement
-the same algorithm:
-
-* ``numba`` -- per-start scalar loops compiled with ``@njit`` (default
-  when numba is importable),
-* ``numpy`` -- the pure-NumPy fallback, vectorized across starts.
-
-Set ``BEAMFORGE_NUMBA=0`` in the environment to force the NumPy path;
-``benchmarks/bench_oracle.py`` compares the two.
+on the squared-residual merit ``|F|^2``.  The kernel is vectorized
+across starts: every iteration evaluates the residual, Jacobian and
+line search for all live starts at once, and a start leaves the batch
+when it converges, stalls or exhausts ``max_iter``.
 
 The unknown vector packs the two coefficient blocks as
 ``x = (alpha_1..alpha_N, gamma_1..gamma_N)`` and the residual is
@@ -21,54 +16,15 @@ The unknown vector packs the two coefficient blocks as
 with ``C_u = beta + varrho sum(lam_j a_j^2)`` and ``C_v`` alike.  The
 Jacobian is the block-diagonal linear part plus one rank-one coupling
 term per block.
-
-Shifted deflation (power 2) steers later starts away from roots that are
-already known: with ``M(x) = prod_i (1/|x - r_i|^2 + shift)`` the Newton
-direction of the deflated system ``M F`` is the plain Newton direction
-scaled by ``1 / (1 - q . d0)`` where ``q = grad(M)/M``, and the Armijo
-test runs on ``log(M^2 |F|^2)`` so the product never overflows.  The
-deflated merit has spurious local minima wedged between the walls, so
-when deflation is active a failed line search takes the full step anyway
-instead of abandoning the start (trap escape); the undeflated phase is
-exact damped Newton.  With no deflated roots both backends reduce to the
-same plain algorithm.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 ARMIJO_SLOPE = 1e-4
 DEFAULT_MAX_ITER = 200
 DEFAULT_MAX_BACKTRACK = 40
-DEFLATION_SHIFT = 64.0
-
-
-def numba_enabled() -> bool:
-    if not HAVE_NUMBA:
-        return False
-    flag = os.environ.get("BEAMFORGE_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-def active_backend() -> str:
-    return "numba" if numba_enabled() else "numpy"
 
 
 def newton_batch(
@@ -80,237 +36,75 @@ def newton_batch(
     tol: float,
     max_iter: int = DEFAULT_MAX_ITER,
     max_backtrack: int = DEFAULT_MAX_BACKTRACK,
-    deflate=None,
-    shift: float = DEFLATION_SHIFT,
-    backend: str | None = None,
 ):
     """Run damped Newton from every row of ``starts``.
 
-    ``deflate`` may hold already-known roots, shape ``(m, 2N)``; the
-    iteration then runs on the deflated residual and cannot reconverge
-    to them.  Returns ``(roots, converged, iterations)``: final iterates
-    of shape ``(S, 2N)``, a flag per start (max-abs residual of the
-    *original* system below ``tol``), and accepted Newton steps taken.
+    Returns ``(roots, converged, iterations)``: final iterates of shape
+    ``(S, 2N)``, a flag per start (max-abs residual below ``tol``), and
+    accepted Newton steps taken.  A start stops early when its Jacobian
+    is singular or no backtracked step decreases the merit.
     """
     lams = np.ascontiguousarray(lams, dtype=np.float64)
     starts = np.ascontiguousarray(starts, dtype=np.float64)
     if starts.ndim != 2 or starts.shape[1] != 2 * lams.size:
         raise ValueError("starts must have shape (S, 2N)")
-    if deflate is None:
-        deflate = np.zeros((0, starts.shape[1]))
-    deflate = np.ascontiguousarray(deflate, dtype=np.float64)
-    if deflate.ndim != 2 or deflate.shape[1] != starts.shape[1]:
-        raise ValueError("deflate must have shape (m, 2N)")
-    chosen = backend or active_backend()
-    args = (lams, float(beta), float(varrho), float(k), starts, float(tol),
-            max_iter, max_backtrack, deflate, float(shift))
-    if chosen == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        return _newton_batch_numba(*args)
-    if chosen == "numpy":
-        return _newton_batch_numpy(*args)
-    raise ValueError(f"unknown backend {chosen!r}")
-
-
-# ----------------------------------------------------------------------
-# numba backend: per-start scalar loops
-# ----------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _residual_fill(lams, beta, varrho, k, x, out):
-    n = lams.shape[0]
-    cu = beta
-    cv = beta
-    for j in range(n):
-        cu += varrho * lams[j] * x[j] * x[j]
-        cv += varrho * lams[j] * x[n + j] * x[n + j]
-    for m in range(n):
-        lam = lams[m]
-        a = x[m]
-        g = x[n + m]
-        out[m] = lam * lam * a + cu * lam * a + k * (a - g)
-        out[n + m] = lam * lam * g + cv * lam * g - k * (a - g)
-
-
-@njit(cache=True)
-def _jacobian_fill(lams, beta, varrho, k, x, J):
-    n = lams.shape[0]
-    cu = beta
-    cv = beta
-    for j in range(n):
-        cu += varrho * lams[j] * x[j] * x[j]
-        cv += varrho * lams[j] * x[n + j] * x[n + j]
-    for r in range(2 * n):
-        for c in range(2 * n):
-            J[r, c] = 0.0
-    for m in range(n):
-        lam = lams[m]
-        J[m, m] = lam * lam + cu * lam + k
-        J[n + m, n + m] = lam * lam + cv * lam + k
-        J[m, n + m] = -k
-        J[n + m, m] = -k
-    for m in range(n):
-        lam_a = lams[m] * x[m]
-        lam_g = lams[m] * x[n + m]
-        for j in range(n):
-            J[m, j] += lam_a * 2.0 * varrho * lams[j] * x[j]
-            J[n + m, n + j] += lam_g * 2.0 * varrho * lams[j] * x[n + j]
-
-
-@njit(cache=True)
-def _solve_inplace(a, b) -> bool:
-    """Gaussian elimination with partial pivoting; destroys ``a`` and
-    leaves the solution in ``b``.  Returns False on a vanishing pivot."""
-    n = a.shape[0]
-    for col in range(n):
-        piv = col
-        best = abs(a[col, col])
-        for r in range(col + 1, n):
-            mag = abs(a[r, col])
-            if mag > best:
-                best = mag
-                piv = r
-        if best == 0.0 or not np.isfinite(best):
-            return False
-        if piv != col:
-            for c in range(col, n):
-                tmp = a[col, c]
-                a[col, c] = a[piv, c]
-                a[piv, c] = tmp
-            tmp = b[col]
-            b[col] = b[piv]
-            b[piv] = tmp
-        inv = 1.0 / a[col, col]
-        for r in range(col + 1, n):
-            factor = a[r, col] * inv
-            if factor != 0.0:
-                for c in range(col + 1, n):
-                    a[r, c] -= factor * a[col, c]
-                b[r] -= factor * b[col]
-            a[r, col] = 0.0
-    for col in range(n - 1, -1, -1):
-        acc = b[col]
-        for c in range(col + 1, n):
-            acc -= a[col, c] * b[c]
-        b[col] = acc / a[col, col]
-    return True
-
-
-@njit(cache=True)
-def _deflation_terms(x, defl, shift, q_out) -> float:
-    """Fill ``q_out = grad(M)/M`` at ``x`` and return ``log M``."""
-    two_n = x.shape[0]
-    for j in range(two_n):
-        q_out[j] = 0.0
-    log_m = 0.0
-    for i in range(defl.shape[0]):
-        d2 = 0.0
-        for j in range(two_n):
-            diff = x[j] - defl[i, j]
-            d2 += diff * diff
-        if d2 < 1e-300:
-            d2 = 1e-300
-        denom = d2 * (1.0 + shift * d2)
-        for j in range(two_n):
-            q_out[j] += -2.0 * (x[j] - defl[i, j]) / denom
-        log_m += np.log1p(shift * d2) - np.log(d2)
-    return log_m
-
-
-@njit(cache=True)
-def _newton_batch_numba(lams, beta, varrho, k, starts, tol, max_iter, max_backtrack, defl, shift):
-    S = starts.shape[0]
-    two_n = starts.shape[1]
-    roots = np.empty((S, two_n))
-    converged = np.zeros(S, np.bool_)
-    iterations = np.zeros(S, np.int64)
-    x = np.empty(two_n)
-    trial = np.empty(two_n)
-    F = np.empty(two_n)
-    Ft = np.empty(two_n)
-    J = np.empty((two_n, two_n))
-    step = np.empty(two_n)
-    q = np.empty(two_n)
-    qt = np.empty(two_n)
-    for s in range(S):
-        for j in range(two_n):
-            x[j] = starts[s, j]
-        it = 0
-        ok = False
-        while True:
-            _residual_fill(lams, beta, varrho, k, x, F)
-            max_f = 0.0
-            f2 = 0.0
-            for j in range(two_n):
-                mag = abs(F[j])
-                if mag > max_f:
-                    max_f = mag
-                f2 += F[j] * F[j]
-            if max_f < tol:
-                ok = True
+    beta, varrho, k, tol = float(beta), float(varrho), float(k), float(tol)
+    x = starts.copy()
+    S = x.shape[0]
+    converged = np.zeros(S, dtype=bool)
+    done = np.zeros(S, dtype=bool)
+    iterations = np.zeros(S, dtype=np.int64)
+    while True:
+        act = np.flatnonzero(~done)
+        if act.size == 0:
+            break
+        xa = x[act]
+        F = residual(lams, beta, varrho, k, xa)
+        max_f = np.abs(F).max(axis=1)
+        hit = max_f < tol
+        converged[act[hit]] = True
+        done[act[hit]] = True
+        over = ~hit & (iterations[act] >= max_iter)
+        done[act[over]] = True
+        live = ~hit & ~over
+        li = act[live]
+        if li.size == 0:
+            continue
+        xl = xa[live]
+        Fl = F[live]
+        step = _solve_batch(jacobian(lams, beta, varrho, k, xl), -Fl)
+        bad = ~np.isfinite(step).all(axis=1)
+        done[li[bad]] = True
+        gi = li[~bad]
+        if gi.size == 0:
+            continue
+        xg = xl[~bad]
+        d = step[~bad]
+        f2 = np.einsum("ij,ij->i", Fl[~bad], Fl[~bad])
+        t = np.ones(gi.size)
+        accepted = np.zeros(gi.size, dtype=bool)
+        x_next = xg.copy()
+        for _bt in range(max_backtrack):
+            rem = np.flatnonzero(~accepted)
+            if rem.size == 0:
                 break
-            if it >= max_iter:
-                break
-            _jacobian_fill(lams, beta, varrho, k, x, J)
-            for j in range(two_n):
-                step[j] = -F[j]
-            if not _solve_inplace(J, step):
-                break
-            log_m = _deflation_terms(x, defl, shift, q)
-            qd = 0.0
-            for j in range(two_n):
-                qd += q[j] * step[j]
-            denom = 1.0 - qd
-            if abs(denom) < 1e-14:
-                break
-            for j in range(two_n):
-                step[j] /= denom
-            merit = 2.0 * log_m + np.log(f2)
-            t = 1.0
-            accepted = False
-            for _bt in range(max_backtrack):
-                for j in range(two_n):
-                    trial[j] = x[j] + t * step[j]
-                _residual_fill(lams, beta, varrho, k, trial, Ft)
-                ft2 = 0.0
-                for j in range(two_n):
-                    ft2 += Ft[j] * Ft[j]
-                log_mt = _deflation_terms(trial, defl, shift, qt)
-                merit_t = 2.0 * log_mt + np.log(ft2)
-                if merit_t <= merit + np.log(1.0 - ARMIJO_SLOPE * t):
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted and defl.shape[0] > 0 and max_f > 1e3 * tol:
-                # trap escape between deflation walls: take the full step;
-                # never kick an iterate that is already settling on a root
-                finite = True
-                for j in range(two_n):
-                    trial[j] = x[j] + step[j]
-                    if not np.isfinite(trial[j]):
-                        finite = False
-                if finite:
-                    accepted = True
-            if not accepted:
-                break
-            for j in range(two_n):
-                x[j] = trial[j]
-            it += 1
-        for j in range(two_n):
-            roots[s, j] = x[j]
-        converged[s] = ok
-        iterations[s] = it
-    return roots, converged, iterations
+            trial = xg[rem] + t[rem, None] * d[rem]
+            Ft = residual(lams, beta, varrho, k, trial)
+            ft2 = np.einsum("ij,ij->i", Ft, Ft)
+            ok = ft2 <= f2[rem] * (1.0 - ARMIJO_SLOPE * t[rem])
+            ok &= np.isfinite(trial).all(axis=1)
+            x_next[rem[ok]] = trial[ok]
+            accepted[rem[ok]] = True
+            t[rem[~ok]] *= 0.5
+        done[gi[~accepted]] = True
+        upd = gi[accepted]
+        x[upd] = x_next[accepted]
+        iterations[upd] += 1
+    return x, converged, iterations
 
 
-# ----------------------------------------------------------------------
-# numpy backend: vectorized across starts
-# ----------------------------------------------------------------------
-
-
-def _residual_numpy(lams, beta, varrho, k, x):
+def residual(lams, beta, varrho, k, x):
+    """Modal residual of every row of ``x``, shape ``(S, 2N)``."""
     n = lams.size
     a = x[:, :n]
     g = x[:, n:]
@@ -323,7 +117,8 @@ def _residual_numpy(lams, beta, varrho, k, x):
     return out
 
 
-def _jacobian_numpy(lams, beta, varrho, k, x):
+def jacobian(lams, beta, varrho, k, x):
+    """Analytic Jacobian of every row of ``x``, shape ``(S, 2N, 2N)``."""
     S, two_n = x.shape
     n = lams.size
     a = x[:, :n]
@@ -355,89 +150,3 @@ def _solve_batch(J, rhs):
             except np.linalg.LinAlgError:
                 pass
         return out
-
-
-def _deflation_terms_numpy(x, defl, shift):
-    """Per-row ``grad(M)/M`` and ``log M`` for a batch of points."""
-    if defl.shape[0] == 0:
-        return np.zeros_like(x), np.zeros(x.shape[0])
-    diff = x[:, None, :] - defl[None, :, :]
-    d2 = np.maximum(np.einsum("smj,smj->sm", diff, diff), 1e-300)
-    q = np.einsum("smj,sm->sj", -2.0 * diff, 1.0 / (d2 * (1.0 + shift * d2)))
-    log_m = (np.log1p(shift * d2) - np.log(d2)).sum(axis=1)
-    return q, log_m
-
-
-def _newton_batch_numpy(lams, beta, varrho, k, starts, tol, max_iter, max_backtrack, defl, shift):
-    x = starts.copy()
-    S = x.shape[0]
-    converged = np.zeros(S, dtype=bool)
-    done = np.zeros(S, dtype=bool)
-    iterations = np.zeros(S, dtype=np.int64)
-    while True:
-        act = np.flatnonzero(~done)
-        if act.size == 0:
-            break
-        xa = x[act]
-        F = _residual_numpy(lams, beta, varrho, k, xa)
-        max_f = np.abs(F).max(axis=1)
-        f2 = np.einsum("ij,ij->i", F, F)
-        hit = max_f < tol
-        converged[act[hit]] = True
-        done[act[hit]] = True
-        over = ~hit & (iterations[act] >= max_iter)
-        done[act[over]] = True
-        live = ~hit & ~over
-        li = act[live]
-        if li.size == 0:
-            continue
-        xl = xa[live]
-        J = _jacobian_numpy(lams, beta, varrho, k, xl)
-        d0 = _solve_batch(J, -F[live])
-        q, log_m = _deflation_terms_numpy(xl, defl, shift)
-        denom = 1.0 - np.einsum("ij,ij->i", q, d0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = d0 / denom[:, None]
-        step[np.abs(denom) < 1e-14] = np.nan
-        bad = ~np.isfinite(step).all(axis=1)
-        done[li[bad]] = True
-        gi = li[~bad]
-        if gi.size == 0:
-            continue
-        xg = xl[~bad]
-        d = step[~bad]
-        with np.errstate(divide="ignore"):
-            merit = 2.0 * log_m[~bad] + np.log(f2[live][~bad])
-        t = np.ones(gi.size)
-        accepted = np.zeros(gi.size, dtype=bool)
-        x_next = xg.copy()
-        for _bt in range(max_backtrack):
-            rem = np.flatnonzero(~accepted)
-            if rem.size == 0:
-                break
-            trial = xg[rem] + t[rem, None] * d[rem]
-            Ft = _residual_numpy(lams, beta, varrho, k, trial)
-            ft2 = np.einsum("ij,ij->i", Ft, Ft)
-            _qt, log_mt = _deflation_terms_numpy(trial, defl, shift)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                merit_t = 2.0 * log_mt + np.log(ft2)
-            ok = merit_t <= merit[rem] + np.log(1.0 - ARMIJO_SLOPE * t[rem])
-            ok &= np.isfinite(trial).all(axis=1)
-            x_next[rem[ok]] = trial[ok]
-            accepted[rem[ok]] = True
-            t[rem[~ok]] *= 0.5
-        if defl.shape[0] > 0:
-            # trap escape between deflation walls: take the full step;
-            # never kick an iterate that is already settling on a root
-            far = np.abs(F[live][~bad]).max(axis=1) > 1e3 * tol
-            rem = np.flatnonzero(~accepted & far)
-            if rem.size:
-                trial = xg[rem] + d[rem]
-                fin = np.isfinite(trial).all(axis=1)
-                x_next[rem[fin]] = trial[fin]
-                accepted[rem[fin]] = True
-        done[gi[~accepted]] = True
-        upd = gi[accepted]
-        x[upd] = x_next[accepted]
-        iterations[upd] += 1
-    return x, converged, iterations

@@ -8,8 +8,8 @@ every distinct solution found.  ``match_against`` then classifies each
 root as a known isolated solution, a point on an EE family, or
 unmatched; unmatched roots indicate a bug somewhere.
 
-Two generic devices make the search complete at desk scale without
-peeking at the closed forms:
+Two generic properties of the modal system, not of its closed forms,
+make plain multistart complete at desk scale:
 
 * support decomposition: every term of the mode-``j`` equations carries
   ``alpha_j`` or ``gamma_j``, so zeroing a mode pair satisfies its two
@@ -17,10 +17,18 @@ peeking at the closed forms:
   a root of the restricted system on that subset.  Half the start budget
   is spread over the coordinate subproblems, where small-support roots
   have fat basins; the other half probes the full-dimensional system.
-* deflation: within each subproblem the starts are processed in passes
-  and the roots already found (including those inherited from smaller
-  supports) are deflated away, so later starts either land somewhere new
-  or fail.  Plain multistart misses small basins at desk-scale budgets.
+  Each block is one multistart call over its own box.
+* symmetry: the residual is odd in each mode pair ``(alpha_j, gamma_j)``
+  and symmetric under swapping the two beams, so the images of a root
+  under these maps are roots, exactly in floating point.  Each found
+  root contributes its whole orbit; a state is missed only when every
+  state of its orbit is.
+
+Deflating known roots away (Farrell, Birkisson & Funke, SIAM J. Sci.
+Comput. 37, 2015) pays off when a solve is expensive.  With at most
+``2N`` unknowns per solve it took about 20 times as long here, and the
+symmetry closure gives the same completeness at the same budget, so the
+search does not use it.
 """
 
 from __future__ import annotations
@@ -34,15 +42,13 @@ import numpy as np
 from . import kernels
 from .core import ModalSolution, Params, solution_sort_key
 from .ee_families import EEFamily
+from .errors import ValidationError, VerificationError
 from .spectrum import Spectrum
 
 NEWTON_TOL_FACTOR = 1e-11
 DEDUP_RTOL = 1e-8
 ACTIVE_AMPLITUDE_TOL = 1e-7
 MATCH_RTOL = 1e-6
-FULL_SUPPORT_PASSES = 8
-SUBPROBLEM_PASSES = 2
-DEFLATION_CAP = 128
 
 
 def newton_scale(p: Params, spec: Spectrum, n_modes: int) -> float:
@@ -84,7 +90,7 @@ class OracleResult:
     n_modes: int
     newton_tol: float
     box_radius: float
-    backend: str
+    backend: str = "numpy"  # kept so the oracle JSON keeps its keys
     matched: int = 0
     on_family: int = 0
     unmatched: list[ModalSolution] = field(default_factory=list)
@@ -188,7 +194,7 @@ def _accurate_polish(lams, p: Params, roots: np.ndarray, iterations: int = 60) -
         fx = _accurate_residual(lam_list, p.beta, p.varrho, p.k, x)
         best = np.abs(fx).max()
         for _ in range(iterations):
-            J = kernels._jacobian_numpy(np.asarray(lams), p.beta, p.varrho, p.k, x[None, :])[0]
+            J = kernels.jacobian(np.asarray(lams), p.beta, p.varrho, p.k, x[None, :])[0]
             step, *_ = np.linalg.lstsq(J, -fx, rcond=1e-10)
             improved = False
             t = 1.0
@@ -223,6 +229,17 @@ def _dedup_merge(known: np.ndarray, roots: np.ndarray, radius: float) -> np.ndar
     return reps[:count].copy()
 
 
+def _orbit_closure(known: np.ndarray, n_modes: int, radius: float) -> np.ndarray:
+    """Add the images of every root under the sign flip of each mode
+    pair and under the beam swap ``alpha <-> gamma``, deduplicated."""
+    for j in range(n_modes):
+        flipped = known.copy()
+        flipped[:, [j, n_modes + j]] *= -1.0
+        known = _dedup_merge(known, flipped, radius)
+    swapped = np.concatenate([known[:, n_modes:], known[:, :n_modes]], axis=1)
+    return _dedup_merge(known, swapped, radius)
+
+
 def _mode_subsets(n_modes: int) -> list[tuple[int, ...]]:
     """All nonempty mode subsets, smallest supports first; the full
     support comes last."""
@@ -245,90 +262,63 @@ def galerkin_solve(
     n_modes: int,
     starts: int,
     seed: int = 0,
-    backend: str | None = None,
 ) -> OracleResult:
     """Solve the ``2 * n_modes``-unknown modal system from ``starts``
     uniform random starts and return the deduplicated roots.
 
     Half the budget is split evenly over the proper mode-support
-    subproblems (smallest supports first), each worked in deflation
-    passes over its own box ``[-R, R]^(2|S|)`` with the roots inherited
-    from smaller supports pre-deflated; the remaining budget probes the
-    full-dimensional system the same way.  Budgets too small to cover
-    the subproblems fall back to full-dimensional multistart.
+    subproblems (smallest supports first), each one damped-Newton
+    multistart over its own box ``[-R, R]^(2|S|)``; the remaining budget
+    probes the full-dimensional system the same way.  Budgets too small
+    to cover the subproblems fall back to full-dimensional multistart.
+    The polished roots are closed under the system's symmetries.
 
-    Convergence demands a max-abs residual of the *undeflated* system
-    below ``1e-11`` times the system scale.  Starts that stall are
-    discarded (counted via ``converged_count``).  Roots keep only modes
-    with amplitude above ``1e-7``; more than three such modes would
-    contradict the structure theory and raises.
+    Convergence demands a max-abs residual below ``1e-11`` times the
+    system scale.  Starts that stall are discarded (counted via
+    ``converged_count``).  Roots keep only modes with amplitude above
+    ``1e-7``; more than three such modes would contradict the structure
+    theory and raises :class:`VerificationError`.
     """
     if starts < 1:
-        raise ValueError("starts must be positive")
+        raise ValidationError(f"starts must be positive, got {starts}")
     lams = spec.eigenvalues(n_modes)
     tol = NEWTON_TOL_FACTOR * newton_scale(p, spec, n_modes)
     radius = start_box_radius(p, spec)
     rng = np.random.default_rng(seed)
-    chosen = backend or kernels.active_backend()
     subsets = _mode_subsets(n_modes)
     proper = subsets[:-1]
     share = (starts // 2) // len(proper) if proper else 0
     known = np.zeros((0, 2 * n_modes))
     converged_total = 0
 
-    def run_block(subset, budget, passes):
+    def run_block(subset, budget):
         nonlocal known, converged_total
         if budget < 1:
             return
         cols = _columns_for(subset, n_modes)
-        sub_lams = lams[[n - 1 for n in subset]]
         x0 = rng.uniform(-radius, radius, size=(budget, 2 * len(subset)))
-        # roots living inside this subspace seed the deflation walls
-        if known.shape[0]:
-            outside = np.delete(known, cols, axis=1)
-            inside = np.abs(outside).max(axis=1) <= ACTIVE_AMPLITUDE_TOL if outside.size else np.ones(known.shape[0], bool)
-            deflate = known[inside][:, cols]
-        else:
-            deflate = np.zeros((0, 2 * len(subset)))
-        for ci, chunk in enumerate(np.array_split(x0, min(passes, budget))):
-            if not chunk.shape[0]:
-                continue
-            # the first chunk of every block runs plain damped Newton so
-            # slow-converging continuum roots are reachable; the walls go
-            # up afterwards to steer later starts somewhere new
-            walls = np.zeros((0, chunk.shape[1])) if ci == 0 else deflate[:DEFLATION_CAP]
-            roots, converged, _ = kernels.newton_batch(
-                sub_lams,
-                p.beta,
-                p.varrho,
-                p.k,
-                chunk,
-                tol,
-                deflate=walls,
-                backend=chosen,
-            )
-            converged_total += int(converged.sum())
-            good = roots[converged]
-            embedded = np.zeros((good.shape[0], 2 * n_modes))
-            embedded[:, cols] = good
-            before = known.shape[0]
-            known = _dedup_merge(known, embedded, radius)
-            deflate = np.concatenate([deflate, known[before:][:, cols]])
+        roots, converged, _ = kernels.newton_batch(
+            lams[[n - 1 for n in subset]], p.beta, p.varrho, p.k, x0, tol
+        )
+        good = roots[converged]
+        converged_total += good.shape[0]
+        embedded = np.zeros((good.shape[0], 2 * n_modes))
+        embedded[:, cols] = good
+        known = _dedup_merge(known, embedded, radius)
 
     for subset in proper:
-        run_block(subset, share, SUBPROBLEM_PASSES)
-    run_block(subsets[-1], starts - share * len(proper), FULL_SUPPORT_PASSES)
+        run_block(subset, share)
+    run_block(subsets[-1], starts - share * len(proper))
 
     if known.shape[0]:
         # polish to the numerical floor: near junctions of solution
         # continua an extra near-null Jacobian direction lets iterates
         # park ~sqrt(tol) off the manifold, so finish with compensated
         # residuals that are not limited by cancellation noise
-        polished, _, _ = kernels.newton_batch(
-            lams, p.beta, p.varrho, p.k, known, 0.0, max_iter=25, backend=chosen
-        )
+        polished, _, _ = kernels.newton_batch(lams, p.beta, p.varrho, p.k, known, 0.0, max_iter=25)
         polished = _accurate_polish(lams, p, polished)
         known = _dedup_merge(np.zeros((0, 2 * n_modes)), polished, radius)
+        known = _orbit_closure(known, n_modes, radius)
 
     found: list[ModalSolution] = []
     for row in known:
@@ -340,7 +330,7 @@ def galerkin_solve(
             if max(abs(alphas[j]), abs(gammas[j])) > ACTIVE_AMPLITUDE_TOL
         ]
         if len(active) > 3:
-            raise RuntimeError(
+            raise VerificationError(
                 f"oracle root with {len(active)} active modes contradicts the "
                 f"three-mode bound: {row.tolist()}"
             )
@@ -354,7 +344,6 @@ def galerkin_solve(
         n_modes=n_modes,
         newton_tol=tol,
         box_radius=radius,
-        backend=chosen,
     )
 
 

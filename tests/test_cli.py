@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from beamforge.cli import main
@@ -191,3 +192,42 @@ def test_oracle_command(capsys):
     assert doc["oracle"]["found_count"] == 3  # trivial and two in-phase states
     assert doc["matching"]["unmatched_count"] == 0
     assert doc["matching"]["missed_closed_count"] == 0
+
+
+@pytest.mark.parametrize("starts", ["0", "-3"])
+def test_oracle_nonpositive_starts_exit_code(capsys, starts):
+    code, out = run_cli(capsys, "oracle", *COMMON, "--modes", "1", f"--starts={starts}")
+    assert code == 2
+    assert out == ""
+
+
+def test_oracle_root_with_four_modes_exit_code(capsys, monkeypatch):
+    # a root with four active modes contradicts the structure theory, so
+    # it is an internal inconsistency (exit 3), not a crash (exit 1)
+    from beamforge import oracle
+
+    def fake_newton(lams, beta, varrho, k, starts, tol, max_iter=200):
+        starts = np.asarray(starts)
+        return np.full_like(starts, 0.5), np.ones(starts.shape[0], bool), np.zeros(starts.shape[0], int)
+
+    monkeypatch.setattr(oracle.kernels, "newton_batch", fake_newton)
+    monkeypatch.setattr(oracle, "_accurate_polish", lambda lams, p, roots: roots)
+    code, out = run_cli(capsys, "oracle", *COMMON, "--modes", "4", "--starts", "40")
+    assert code == 3
+    assert out == ""
+
+
+@pytest.mark.parametrize("name", ["beta", "varrho", "k"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_params_exit_code(capsys, monkeypatch, name, value):
+    # rejected by Params before any enumeration work is done
+    from beamforge import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration ran on non-finite input")
+
+    for stage in ("effective_modes", "enumerate_unimodal"):
+        monkeypatch.setattr(cli, stage, no_work)
+    code, out = run_cli(capsys, "enumerate", "--spectrum", "scaled", f"--{name}={value}")
+    assert code == 2
+    assert out == ""

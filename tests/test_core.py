@@ -22,6 +22,10 @@ def test_params_validation():
         Params(beta=0.0, varrho=0.0, k=1.0)
     with pytest.raises(ValidationError):
         Params(beta=0.0, varrho=1.0, k=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for kwargs in ({"beta": bad}, {"varrho": bad}, {"k": bad}):
+            with pytest.raises(ValidationError):
+                Params(**{"beta": -1.0, "varrho": 1.0, "k": 1.0, **kwargs})
 
 
 def test_trivial_axial_coefficients(scaled):

@@ -19,26 +19,13 @@ def problem():
 
 
 def _max_residual(lams, p, roots):
-    F = kernels._residual_numpy(lams, p.beta, p.varrho, p.k, roots)
+    F = kernels.residual(lams, p.beta, p.varrho, p.k, roots)
     return np.abs(F).max(axis=1)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree(problem):
-    p, lams, tol, starts = problem
-    rb, cb, ib = kernels.newton_batch(lams, p.beta, p.varrho, p.k, starts, tol, backend="numba")
-    rn, cn, in_ = kernels.newton_batch(lams, p.beta, p.varrho, p.k, starts, tol, backend="numpy")
-    assert (cb == cn).mean() > 0.99  # borderline starts may differ
-    both = cb & cn
-    assert both.sum() > 300
-    assert np.abs(rb[both] - rn[both]).max() < 1e-9
 
 
 def test_converged_roots_have_small_residual(problem):
     p, lams, tol, starts = problem
-    roots, conv, iters = kernels.newton_batch(
-        lams, p.beta, p.varrho, p.k, starts, tol, backend="numpy"
-    )
+    roots, conv, iters = kernels.newton_batch(lams, p.beta, p.varrho, p.k, starts, tol)
     assert conv.sum() > 350
     assert (_max_residual(lams, p, roots[conv]) < tol).all()
     assert (iters[conv] <= 200).all()
@@ -46,66 +33,13 @@ def test_converged_roots_have_small_residual(problem):
 
 def test_zero_start_is_the_trivial_root(problem):
     p, lams, tol, _ = problem
-    roots, conv, iters = kernels.newton_batch(
-        lams, p.beta, p.varrho, p.k, np.zeros((1, 6)), tol, backend="numpy"
-    )
+    roots, conv, iters = kernels.newton_batch(lams, p.beta, p.varrho, p.k, np.zeros((1, 6)), tol)
     assert conv[0] and iters[0] == 0
     assert np.all(roots[0] == 0.0)
-
-
-def test_deflation_blocks_known_roots(problem):
-    p, lams, tol, starts = problem
-    roots, conv, _ = kernels.newton_batch(
-        lams, p.beta, p.varrho, p.k, starts[:100], tol, backend="numpy"
-    )
-    known = roots[conv][:5]
-    roots2, conv2, _ = kernels.newton_batch(
-        lams, p.beta, p.varrho, p.k, starts[:100], tol, deflate=known, backend="numpy"
-    )
-    hit_known = 0
-    for row in roots2[conv2]:
-        if (np.abs(known - row).max(axis=1) < 1e-7).any():
-            hit_known += 1
-    assert hit_known == 0  # deflated roots are never reconverged to
-    # deflated runs still satisfy the undeflated system
-    assert (_max_residual(lams, p, roots2[conv2]) < tol).all()
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_deflated_backends_equivalent(problem):
-    # deflated trajectories bounce chaotically, so per-start agreement is
-    # not meaningful; instead both backends must deliver verified roots
-    # of the undeflated system that avoid the deflated points
-    p, lams, tol, starts = problem
-    roots, conv, _ = kernels.newton_batch(
-        lams, p.beta, p.varrho, p.k, starts[:200], tol, backend="numpy"
-    )
-    known = roots[conv][:8]
-    for backend in ("numba", "numpy"):
-        rb, cb, _ = kernels.newton_batch(
-            lams, p.beta, p.varrho, p.k, starts[200:], tol, deflate=known, backend=backend
-        )
-        got = rb[cb]
-        assert got.shape[0] > 0
-        assert (_max_residual(lams, p, got) < tol).all()
-        for row in got:
-            assert (np.abs(known - row).max(axis=1) > 1e-7).all()
-
-
-def test_backend_selection(monkeypatch):
-    monkeypatch.setenv("BEAMFORGE_NUMBA", "0")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv("BEAMFORGE_NUMBA", "1")
-    assert kernels.active_backend() == ("numba" if kernels.HAVE_NUMBA else "numpy")
-    monkeypatch.delenv("BEAMFORGE_NUMBA")
-    with pytest.raises(ValueError):
-        kernels.newton_batch(np.array([1.0]), 0.0, 1.0, 1.0, np.zeros((1, 2)), 1e-9, backend="fortran")
 
 
 def test_shape_validation():
     with pytest.raises(ValueError):
         kernels.newton_batch(np.array([1.0, 4.0]), 0.0, 1.0, 1.0, np.zeros((3, 3)), 1e-9)
     with pytest.raises(ValueError):
-        kernels.newton_batch(
-            np.array([1.0]), 0.0, 1.0, 1.0, np.zeros((3, 2)), 1e-9, deflate=np.zeros((1, 4))
-        )
+        kernels.newton_batch(np.array([1.0]), 0.0, 1.0, 1.0, np.zeros(2), 1e-9)

@@ -4,6 +4,7 @@ from beamforge import (
     ModalSolution,
     Params,
     Spectrum,
+    ValidationError,
     enumerate_ee_families,
     enumerate_general_bimodal,
     enumerate_unimodal,
@@ -118,18 +119,28 @@ def test_deduplication(scaled):
     assert all(t == "oracle" for t in tags)
 
 
-def test_backend_override_matches(scaled):
-    p = Params(beta=-5.0, varrho=1.0, k=3.0)
-    a = galerkin_solve(p, scaled, 1, 200, seed=6, backend="numpy")
-    b = galerkin_solve(p, scaled, 1, 200, seed=6)
-    assert len(a.found) == len(b.found)
-    for sa, sb in zip(a.found, b.found):
-        assert sa.active == sb.active
-        for n in sa.active:
-            assert sa.modes[n][0] == pytest.approx(sb.modes[n][0], abs=1e-9)
+@pytest.mark.parametrize("seed", range(8))
+def test_paper_case_full_inventory_every_seed(scaled, seed):
+    # all 48 isolated states plus the trivial one on every seed, not
+    # just on a lucky one
+    p = Params(beta=-15.5, varrho=1.0, k=3.0)
+    result = galerkin_solve(p, scaled, 3, 3000, seed=seed)
+    report = match_against(closed_inventory(p, scaled), [], result.found)
+    assert report.missed_closed == []
+    assert report.unmatched == []
+    assert len(result.found) == 49
+
+
+def test_fixed_seed_is_repeatable(scaled):
+    p = Params(beta=-15.5, varrho=1.0, k=3.0)
+    a = galerkin_solve(p, scaled, 3, 1000, seed=9)
+    b = galerkin_solve(p, scaled, 3, 1000, seed=9)
+    assert a.converged_count == b.converged_count
+    assert [s.modes for s in a.found] == [s.modes for s in b.found]
 
 
 def test_starts_validation(scaled):
     p = Params(beta=-5.0, varrho=1.0, k=3.0)
-    with pytest.raises(ValueError):
-        galerkin_solve(p, scaled, 1, 0)
+    for starts in (0, -3):
+        with pytest.raises(ValidationError):
+            galerkin_solve(p, scaled, 1, starts)
