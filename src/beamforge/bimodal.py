@@ -24,15 +24,21 @@ four sign-symmetric roots exist per system exactly when
 The equality seams ``lam1*lam2 == 2k`` and ``lam1*(lam2-lam1) == 2k``
 collapse ``X == Y``; there the solutions merge into the EE continua and
 are reported as ee-degenerate instead of being solved here.
+
+Everything above except the window test and ``(r, t)`` is independent
+of ``beta``: the invariants and the seam flag are memoized per
+``(spectrum, k, varrho, pair)``, so a compression sweep derives them
+once and per compression only filters on the thresholds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .core import ModalSolution, Params
-from .modesets import _rel_eq, effective_modes
+from .modesets import PAIR_CACHE_SIZE, _partition, _rel_eq
 from .spectrum import Spectrum
 
 SEAM_RTOL = 1e-12
@@ -90,18 +96,26 @@ def compute_invariants(p: Params, spec: Spectrum, pair: tuple[int, int]) -> Bimo
     """Derived algebra for a mode pair, or ``None`` when it cannot carry
     real coefficient ratios (product in ``(0, k)`` without the gap
     alternative, or the degenerate ``lam1*lam2 == k``)."""
+    return _pair_algebra(spec, p.k, p.varrho, tuple(pair))[0]
+
+
+@functools.lru_cache(maxsize=PAIR_CACHE_SIZE, typed=True)
+def _pair_algebra(
+    spec: Spectrum, k: float, varrho: float, pair: tuple[int, int]
+) -> tuple[BimodalInvariants | None, bool]:
+    """The beta-independent part of a pair: its invariants and whether
+    it sits on an EE seam."""
     n1, n2 = pair
     if not n1 < n2:
         raise ValueError("pair must be strictly increasing")
     lam1 = spec.eigenvalue(n1)
     lam2 = spec.eigenvalue(n2)
-    k = p.k
     prod = lam1 * lam2
     gap = lam1 * (lam2 - lam1)
     if _rel_eq(prod, k, SEAM_RTOL):
-        return None
+        return None, False
     if not (0.0 < prod <= 2.0 * k or gap >= 2.0 * k):
-        return None
+        return None, False
     zeta = lam2 / lam1
     sigma = (k - prod) / k
     Phi = ((zeta + 1.0) + (zeta - 1.0) * sigma * sigma) / (sigma * zeta)
@@ -109,17 +123,18 @@ def compute_invariants(p: Params, spec: Spectrum, pair: tuple[int, int]) -> Bimo
     xy = _unit_product_roots(Phi)
     wz = _unit_product_roots(Psi)
     if xy is None or wz is None:
-        return None
+        return None, False
     X, Y = xy
     W, Z = wz
     f = (k * X - lam1 * lam1 - k) / lam1
     g = (k * Y - lam1 * lam1 - k) / lam1
     m_small = (k * k + k * lam2 * (lam2 - lam1) + prod * prod) / ((prod - k) * lam2)
     m_big = (k * k - k * lam1 * (lam2 - lam1) + prod * prod) / ((prod - k) * lam1)
-    nu_shift = k * (X - Y) / (p.varrho * lam1 * lam1)
-    return BimodalInvariants(
+    nu_shift = k * (X - Y) / (varrho * lam1 * lam1)
+    inv = BimodalInvariants(
         (n1, n2), lam1, lam2, zeta, sigma, Phi, Psi, X, Y, W, Z, f, g, m_small, m_big, nu_shift
     )
+    return inv, _on_ee_seam(inv, k)
 
 
 def _on_ee_seam(inv: BimodalInvariants, k: float) -> bool:
@@ -152,6 +167,12 @@ def solve_circle_ellipse(inv: BimodalInvariants, p: Params, which: str) -> Circl
         return CircleEllipseSolutions(which, (), ee_degenerate=True)
     if not _solvable(inv, p):
         return CircleEllipseSolutions(which, ())
+    return CircleEllipseSolutions(which, _circle_ellipse_roots(inv, p, which))
+
+
+def _circle_ellipse_roots(inv: BimodalInvariants, p: Params, which: str) -> tuple:
+    """Roots ``(r, t)`` of one system inside an open window: the only
+    beta-dependent step, ``F, G -> r^2, s^2``."""
     scale = p.varrho * inv.lam1
     F = (inv.f - p.beta) / scale
     G = (inv.g - p.beta) / scale
@@ -165,17 +186,33 @@ def solve_circle_ellipse(inv: BimodalInvariants, p: Params, which: str) -> Circl
         s2 = (F - inv.Y * inv.Y * G) / den
     if not (r2 > 0.0 and s2 > 0.0):
         # only reachable by roundoff within a few ulps of the window edge
-        return CircleEllipseSolutions(which, ())
+        return ()
     r = math.sqrt(r2)
     t = math.sqrt(s2 / inv.zeta)
-    return CircleEllipseSolutions(which, ((r, t), (r, -t), (-r, t), (-r, -t)))
+    return ((r, t), (r, -t), (-r, t), (-r, -t))
+
+
+def _pair_roots(p: Params, spec: Spectrum, pair: tuple[int, int]):
+    """``(inv, SIS1 roots, SIS2 roots)`` of a pair, or ``None`` when it
+    has no invariants or sits on an EE seam.  Feeds both the solution
+    list and the solution count."""
+    inv, on_seam = _pair_algebra(spec, p.k, p.varrho, tuple(pair))
+    if inv is None or on_seam:
+        return None
+    if not _solvable(inv, p):
+        return inv, (), ()
+    return inv, _circle_ellipse_roots(inv, p, "SIS1"), _circle_ellipse_roots(inv, p, "SIS2")
+
+
+def _pairs_of(E: tuple[int, ...]):
+    return ((n1, n2) for i, n1 in enumerate(E) for n2 in E[i + 1 :])
 
 
 def bstar_kind(p: Params, spec: Spectrum, pair: tuple[int, int]) -> str | None:
     """Classify a pair as ``"B1*"`` (product window), ``"B2*"`` (gap
     window) or ``None``."""
-    inv = compute_invariants(p, spec, pair)
-    if inv is None or _on_ee_seam(inv, p.k) or not _solvable(inv, p):
+    inv, on_seam = _pair_algebra(spec, p.k, p.varrho, tuple(pair))
+    if inv is None or on_seam or not _solvable(inv, p):
         return None
     prod = inv.lam1 * inv.lam2
     return "B1*" if p.k < prod < 2.0 * p.k else "B2*"
@@ -184,13 +221,11 @@ def bstar_kind(p: Params, spec: Spectrum, pair: tuple[int, int]) -> str | None:
 def bstar_pairs(p: Params, spec: Spectrum) -> list[tuple[tuple[int, int], str]]:
     """All pairs carrying isolated non-EE bimodal solutions.  The scan is
     capped at ``n_star`` since such pairs are always effective."""
-    part = effective_modes(p, spec)
     out = []
-    for i, n1 in enumerate(part.E):
-        for n2 in part.E[i + 1 :]:
-            kind = bstar_kind(p, spec, (n1, n2))
-            if kind is not None:
-                out.append(((n1, n2), kind))
+    for pair in _pairs_of(_partition(spec, p.beta, p.k).E):
+        kind = bstar_kind(p, spec, pair)
+        if kind is not None:
+            out.append((pair, kind))
     return out
 
 
@@ -201,32 +236,35 @@ def enumerate_general_bimodal(
     eight per qualifying pair, four with v-ratios ``(X, W)`` and four
     with ``(Y, Z)``."""
     if pairs is None:
-        part = effective_modes(p, spec)
-        pairs = [
-            (n1, part.E[j])
-            for i, n1 in enumerate(part.E)
-            for j in range(i + 1, len(part.E))
-        ]
+        pairs = _pairs_of(_partition(spec, p.beta, p.k).E)
     out: list[ModalSolution] = []
     for pair in pairs:
-        inv = compute_invariants(p, spec, pair)
-        if inv is None:
+        found = _pair_roots(p, spec, pair)
+        if found is None:
             continue
-        sols1 = solve_circle_ellipse(inv, p, "SIS1")
-        if sols1.ee_degenerate:
-            continue
-        sols2 = solve_circle_ellipse(inv, p, "SIS2")
+        inv, roots1, roots2 = found
         n1, n2 = pair
-        for r, t in sols1.roots:
+        for r, t in roots1:
             out.append(
                 ModalSolution(
                     {n1: (r, r * inv.X), n2: (t, t * inv.W)}, tag="general-bimodal(XW)"
                 )
             )
-        for r, t in sols2.roots:
+        for r, t in roots2:
             out.append(
                 ModalSolution(
                     {n1: (r, r * inv.Y), n2: (t, t * inv.Z)}, tag="general-bimodal(YZ)"
                 )
             )
     return out
+
+
+def _count_general_bimodal(p: Params, spec: Spectrum, E: tuple[int, ...]) -> int:
+    """``len(enumerate_general_bimodal(p, spec))`` without building the
+    solutions, given the effective modes ``E``."""
+    count = 0
+    for pair in _pairs_of(E):
+        found = _pair_roots(p, spec, pair)
+        if found is not None:
+            count += len(found[1]) + len(found[2])
+    return count

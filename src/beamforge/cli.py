@@ -8,11 +8,12 @@ which means a bug, and is surfaced loudly).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import jsonio
-from .bimodal import bstar_pairs, enumerate_general_bimodal
+from .bimodal import _count_general_bimodal, bstar_pairs, enumerate_general_bimodal
 from .core import (
     ModalSolution,
     Params,
@@ -27,7 +28,7 @@ from .modesets import effective_modes, mu_value, nu_value, trimodal_ee_triples, 
 from .oracle import galerkin_solve, match_against
 from .single_beam import enumerate_foundation, enumerate_plain
 from .spectrum import Spectrum
-from .unimodal import amplitude_curves, enumerate_unimodal
+from .unimodal import _count_unimodal, amplitude_curves, enumerate_unimodal
 
 CUBIC_TOL = 1e-9
 
@@ -102,6 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _context(args) -> tuple[Params, Spectrum]:
+    for flag, tol in (("--tol-cond", args.tol_cond), ("--tol-res", args.tol_res)):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValidationError(f"{flag} must be a finite positive number, got {tol}")
     return (
         Params(beta=args.beta, varrho=args.varrho, k=args.k),
         Spectrum.from_token(args.spectrum, n_max=args.nmax),
@@ -172,13 +176,14 @@ def cmd_sets(args) -> int:
         "mu": [mu_value(spec.eigenvalue(n), p.k) for n in part.E],
         "nu": [nu_value(spec.eigenvalue(n), p.k) for n in part.E],
     }
+    ee_pairs = bimodal_ee_pairs(p, spec, args.tol_cond)
     doc = {
         "params": p.describe(),
         "spectrum": spec.describe(),
         "sets": part.describe(),
         "boundaries": boundaries,
-        "B1": [list(pair) for pair, kind in bimodal_ee_pairs(p, spec, args.tol_cond) if kind == "B1"],
-        "B2": [list(pair) for pair, kind in bimodal_ee_pairs(p, spec, args.tol_cond) if kind == "B2"],
+        "B1": [list(pair) for pair, kind in ee_pairs if kind == "B1"],
+        "B2": [list(pair) for pair, kind in ee_pairs if kind == "B2"],
         "T": [list(t) for t in trimodal_ee_triples(p, spec, args.tol_cond)],
         "Bstar": [{"pair": list(pair), "kind": kind} for pair, kind in bstar_pairs(p, spec)],
     }
@@ -307,12 +312,14 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _branch_rows_for_beta(p: Params, spec: Spectrum, tracked, pairs) -> list[list]:
+def _branch_rows_for_beta(p: Params, spec: Spectrum, tracked, pairs, tol_cond) -> list[list]:
     rows = []
+    # enumerate_ee_families reuses the memoized partition
+    E = effective_modes(p, spec).E
     counts = (
-        len(enumerate_unimodal(p, spec)),
-        len(enumerate_ee_families(p, spec)),
-        len(enumerate_general_bimodal(p, spec)),
+        _count_unimodal(p, spec, E),
+        len(enumerate_ee_families(p, spec, tol_cond)),
+        _count_general_bimodal(p, spec, E),
     )
     for n in tracked:
         curves = amplitude_curves(p, spec, n)
@@ -378,7 +385,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for mb in minus_betas:
         pb = Params(beta=-mb, varrho=p.varrho, k=p.k)
-        rows.extend(_branch_rows_for_beta(pb, spec, tracked, pairs))
+        rows.extend(_branch_rows_for_beta(pb, spec, tracked, pairs, args.tol_cond))
     rows.sort(key=lambda r: (r[0], r[1]))
     text = jsonio.csv_text(header, rows)
     _write(text, args.out)

@@ -6,15 +6,24 @@ effective when ``lam_n < -beta``.  Two further thresholds
 effective set into the three bands that control how many unimodal
 branches exist.  The right edges use ``<=`` so boundary hits land in the
 lower band.
+
+The resonance equalities depend on the spectrum and ``k`` only, never on
+``beta``; they are memoized per index pair, so a sweep over compressions
+pays for them once and then only filters on ``-beta``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .core import Params
+from .errors import VerificationError
 from .spectrum import Spectrum
+
+# bound on memoized index pairs: every pair of 181 effective modes fits
+PAIR_CACHE_SIZE = 1 << 14
 
 
 def mu_value(lam: float, k: float) -> float:
@@ -52,24 +61,32 @@ def dirichlet_mode_count(beta: float) -> int:
     ``ceil(sqrt(-beta/pi^2)) - 1``, valid for ``beta < 0``."""
     if beta >= 0.0:
         return 0
-    return math.ceil(math.sqrt(-beta / math.pi ** 2)) - 1
+    # a subnormal -beta/pi^2 underflows to 0, where ceil() - 1 would be -1
+    return max(0, math.ceil(math.sqrt(-beta / math.pi ** 2)) - 1)
 
 
 def effective_modes(p: Params, spec: Spectrum) -> ModeSetPartition:
     """Partition ``{n <= n_max : lam_n < -beta}`` into the three bands.
 
     The scan is truncated at ``spec.n_max``; membership requires
-    ``lam_n < -beta`` so the sets are finite regardless.
+    ``lam_n < -beta`` so the sets are finite regardless.  The partition is
+    memoized, so the enumerators that each need it compute it once per
+    compression.
     """
-    mb = -p.beta
+    return _partition(spec, p.beta, p.k)
+
+
+@functools.lru_cache(maxsize=4, typed=True)
+def _partition(spec: Spectrum, beta: float, k: float) -> ModeSetPartition:
+    mb = -beta
     E, E1, E2, E3 = [], [], [], []
     for n in range(1, spec.n_max + 1):
         lam = spec.eigenvalue(n)
         if not lam < mb:
             break
         E.append(n)
-        mu = mu_value(lam, p.k)
-        nu = nu_value(lam, p.k)
+        mu = mu_value(lam, k)
+        nu = nu_value(lam, k)
         if mb <= mu:
             E1.append(n)
         elif mb <= nu:
@@ -77,16 +94,20 @@ def effective_modes(p: Params, spec: Spectrum) -> ModeSetPartition:
         else:
             E3.append(n)
     part = ModeSetPartition(tuple(E), tuple(E1), tuple(E2), tuple(E3), E[-1] if E else 0)
-    if spec.generator == "dirichlet" and p.beta < 0.0 and part.n_star < spec.n_max:
+    if spec.generator == "dirichlet" and beta < 0.0 and part.n_star < spec.n_max:
         # closed-form count cross-check; skipped within roundoff of an
-        # eigenvalue boundary where ceil() is unstable
+        # eigenvalue boundary where ceil() is unstable.  Eigenvalues
+        # increase strictly, so only lam_{n*} and lam_{n*+1} can be that
+        # close to -beta.
         near_boundary = any(
-            _rel_eq(mb, spec.eigenvalue(n), 1e-12) for n in range(1, spec.n_max + 1)
+            _rel_eq(mb, spec.eigenvalue(n), 1e-12)
+            for n in (part.n_star, part.n_star + 1)
+            if n >= 1
         )
-        if not near_boundary and len(part.E) != dirichlet_mode_count(p.beta):
-            raise RuntimeError(
+        if not near_boundary and len(part.E) != dirichlet_mode_count(beta):
+            raise VerificationError(
                 f"effective-mode count {len(part.E)} disagrees with closed form "
-                f"{dirichlet_mode_count(p.beta)} at beta={p.beta}"
+                f"{dirichlet_mode_count(beta)} at beta={beta}"
             )
     return part
 
@@ -104,14 +125,25 @@ def ee_bimodal_membership(
     n1, n2 = pair
     if not n1 < n2:
         raise ValueError("pair must be strictly increasing")
+    on_b1, on_b2 = _pair_resonance(spec, p.k, tol, (n1, n2))
     lam1 = spec.eigenvalue(n1)
     lam2 = spec.eigenvalue(n2)
     mb = -p.beta
-    if _rel_eq(lam1 * lam2, 2.0 * p.k, tol) and lam1 + lam2 < mb:
+    if on_b1 and lam1 + lam2 < mb:
         return "B1"
-    if _rel_eq(lam1 * (lam2 - lam1), 2.0 * p.k, tol) and lam2 < mb:
+    if on_b2 and lam2 < mb:
         return "B2"
     return None
+
+
+@functools.lru_cache(maxsize=PAIR_CACHE_SIZE, typed=True)
+def _pair_resonance(spec: Spectrum, k: float, tol: float, pair: tuple[int, int]) -> tuple[bool, bool]:
+    """The beta-independent B1 and B2 equalities of a pair:
+    ``lam1*lam2 == 2k`` and ``lam1*(lam2-lam1) == 2k``."""
+    n1, n2 = pair
+    lam1 = spec.eigenvalue(n1)
+    lam2 = spec.eigenvalue(n2)
+    return _rel_eq(lam1 * lam2, 2.0 * k, tol), _rel_eq(lam1 * (lam2 - lam1), 2.0 * k, tol)
 
 
 def ee_trimodal_membership(
@@ -167,10 +199,10 @@ def required_k(spec: Spectrum, indices, family: str) -> float | None:
 
 def bimodal_ee_pairs(p: Params, spec: Spectrum, tol: float = 1e-9):
     """All B1/B2 pairs with both indices effective, as (pair, kind)."""
-    part = effective_modes(p, spec)
+    E = _partition(spec, p.beta, p.k).E
     out = []
-    for i, n1 in enumerate(part.E):
-        for n2 in part.E[i + 1 :]:
+    for i, n1 in enumerate(E):
+        for n2 in E[i + 1 :]:
             kind = ee_bimodal_membership(p, spec, (n1, n2), tol)
             if kind is not None:
                 out.append(((n1, n2), kind))
@@ -178,15 +210,23 @@ def bimodal_ee_pairs(p: Params, spec: Spectrum, tol: float = 1e-9):
 
 
 def trimodal_ee_triples(p: Params, spec: Spectrum, tol: float = 1e-9):
-    """All triples carrying a trimodal EE family at these parameters."""
-    part = effective_modes(p, spec)
+    """All triples carrying a trimodal EE family at these parameters.
+
+    A member triple satisfies ``lam1*(lam3-lam1) == 2k``, the B2 equality
+    of its outer pair, so the middle index is scanned only for outer
+    pairs that pass it: O(|E|^2) work instead of O(|E|^3).
+    ``ee_trimodal_membership`` stays the final test.
+    """
+    E = _partition(spec, p.beta, p.k).E
     out = []
-    E = part.E
     for i, n1 in enumerate(E):
-        for j in range(i + 1, len(E)):
-            for m in range(j + 1, len(E)):
+        for m in range(i + 2, len(E)):
+            if not _pair_resonance(spec, p.k, tol, (n1, E[m]))[1]:
+                continue
+            for j in range(i + 1, m):
                 if ee_trimodal_membership(p, spec, (n1, E[j], E[m]), tol):
                     out.append((n1, E[j], E[m]))
+    out.sort()
     return out
 
 

@@ -23,10 +23,11 @@ import math
 from dataclasses import dataclass
 
 from .core import ModalSolution, Params
-from .modesets import effective_modes, mu_value, nu_value, _rel_eq
+from .modesets import _partition, _rel_eq, mu_value, nu_value
 from .spectrum import Spectrum
 
 BOUNDARY_RTOL = 1e-12
+_BRANCH_COUNT = {"outside": 0, "E1": 2, "E2": 4, "E3": 8}
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,8 @@ def enumerate_unimodal(p: Params, spec: Spectrum) -> list[ModalSolution]:
 
     for a total of ``2|E1| + 4|E2| + 8|E3|`` solutions.
     """
-    part = effective_modes(p, spec)
     out: list[ModalSolution] = []
-    for n in part.E:
+    for n in _partition(spec, p.beta, p.k).E:
         amps = u_amplitudes(p, spec, n)
         if amps.klass == "outside":
             continue
@@ -157,3 +157,9 @@ def enumerate_unimodal(p: Params, spec: Spectrum) -> list[ModalSolution]:
             out.append(ModalSolution({n: (a4, -a3)}, tag="unimodal(4,+)"))
             out.append(ModalSolution({n: (-a4, a3)}, tag="unimodal(4,-)"))
     return out
+
+
+def _count_unimodal(p: Params, spec: Spectrum, E: tuple[int, ...]) -> int:
+    """``len(enumerate_unimodal(p, spec))`` without building the
+    solutions, given the effective modes ``E``."""
+    return sum(_BRANCH_COUNT[mode_class(p, spec, n)] for n in E)

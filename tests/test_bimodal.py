@@ -13,7 +13,7 @@ from beamforge import (
     modal_residual,
     solve_circle_ellipse,
 )
-from beamforge.bimodal import bstar_kind, bstar_pairs
+from beamforge.bimodal import _count_general_bimodal, bstar_kind, bstar_pairs
 from beamforge.modesets import effective_modes
 
 S3 = math.sqrt(3.0)
@@ -282,3 +282,17 @@ def test_case_sign_patterns():
         elif gap > 2.0 * k:
             seen["gap"] += 1
             assert inv.Y < -1.0 < inv.X < 0.0 < inv.Z < 1.0 < inv.W
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([Spectrum.scaled(20), Spectrum.dirichlet(12)]),
+    st.floats(min_value=-600.0, max_value=0.0),
+    st.floats(min_value=0.05, max_value=200.0),
+    st.floats(min_value=0.1, max_value=10.0),
+)
+def test_count_matches_enumeration(spec, beta, k, varrho):
+    # the sweep's count shares the per-pair roots with the enumerator
+    p = Params(beta=beta, varrho=varrho, k=k)
+    E = effective_modes(p, spec).E
+    assert _count_general_bimodal(p, spec, E) == len(enumerate_general_bimodal(p, spec))

@@ -231,3 +231,65 @@ def test_nonfinite_params_exit_code(capsys, monkeypatch, name, value):
     code, out = run_cli(capsys, "enumerate", "--spectrum", "scaled", f"--{name}={value}")
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["enumerate", "sets", "sweep"])
+@pytest.mark.parametrize("flag", ["--tol-res", "--tol-cond"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-9"])
+def test_bad_tolerance_exit_code(capsys, monkeypatch, command, flag, value):
+    # rejected in the shared context before any enumeration work is done
+    from beamforge import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("enumeration ran with a bad tolerance")
+
+    for stage in ("effective_modes", "enumerate_unimodal", "enumerate_ee_families", "_count_unimodal"):
+        monkeypatch.setattr(cli, stage, no_work)
+    code, out = run_cli(capsys, command, "--spectrum", "scaled", "--k", "3", "--beta=-15.5", f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+
+
+def test_effective_mode_count_mismatch_exit_code(capsys, monkeypatch):
+    # a disagreement with the closed-form Dirichlet count is an internal
+    # inconsistency (exit 3), not a crash (exit 1)
+    from beamforge import modesets
+
+    monkeypatch.setattr(modesets, "dirichlet_mode_count", lambda beta: -1)
+    modesets._partition.cache_clear()
+    code, out = run_cli(capsys, "sets", "--spectrum", "dirichlet", "--beta", "-100")
+    assert code == 3
+    assert out == ""
+
+
+def test_sweep_honours_tol_cond(capsys, tmp_path):
+    # (1, 2) misses lam1*lam2 == 2k by a relative 5e-8: no B1 family at
+    # the default tolerance, one at --tol-cond 1e-6
+    def ee_counts(*extra):
+        out = tmp_path / "sweep.csv"
+        code, _ = run_cli(
+            capsys, "sweep", "--spectrum", "scaled", "--k", "2.0000001", "--grid", "10:10:1",
+            "--track", "1", *extra, "--out", str(out),
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        return {r[8] for r in rows}
+
+    assert ee_counts() == {"0"}
+    assert ee_counts("--tol-cond", "1e-6") == {"1"}
+
+
+def test_sets_scans_ee_pairs_once(capsys, monkeypatch):
+    from beamforge import cli
+
+    calls = []
+    real = cli.bimodal_ee_pairs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bimodal_ee_pairs", counted)
+    doc = run_json(capsys, "sets", "--spectrum", "scaled", "--k", "2", "--beta", "-10")
+    assert doc["B1"] == [[1, 2]]
+    assert len(calls) == 1

@@ -1,15 +1,19 @@
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from beamforge import (
     Params,
     Spectrum,
+    VerificationError,
     dirichlet_mode_count,
     ee_bimodal_membership,
     ee_trimodal_membership,
     effective_modes,
     required_k,
 )
+from beamforge import modesets
 from beamforge.modesets import (
     bimodal_ee_pairs,
     mu_value,
@@ -24,6 +28,13 @@ def test_dirichlet_count_example(dirichlet):
     part = effective_modes(p, dirichlet)
     assert len(part.E) == 2
     assert dirichlet_mode_count(-50.0) == 2
+
+
+def test_dirichlet_count_at_subnormal_compression(dirichlet):
+    # -beta / pi^2 underflows to 0 here
+    p = Params(beta=-5e-324, varrho=1.0, k=1.0)
+    assert dirichlet_mode_count(p.beta) == 0
+    assert effective_modes(p, dirichlet).E == ()
 
 
 def test_scaled_all_deep_compression(scaled):
@@ -131,3 +142,56 @@ def test_mode_thresholds_ordering(scaled):
         lam = scaled.eigenvalue(n)
         for k in (0.5, 3.0, 72.0):
             assert lam < mu_value(lam, k) < nu_value(lam, k)
+
+
+def test_effective_modes_evaluates_few_eigenvalues(monkeypatch):
+    # |E| = 3 at beta = -100; the boundary cross-check must not walk all
+    # 10**6 eigenvalues up to n_max
+    calls = []
+    real = Spectrum.eigenvalue
+
+    def counted(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(Spectrum, "eigenvalue", counted)
+    modesets._partition.cache_clear()
+    part = effective_modes(Params(-100, 1, 1), Spectrum.dirichlet(10**6))
+    assert part.E == (1, 2, 3)
+    assert len(calls) <= 6
+
+
+def test_effective_mode_count_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(modesets, "dirichlet_mode_count", lambda beta: -1)
+    modesets._partition.cache_clear()
+    with pytest.raises(VerificationError):
+        effective_modes(Params(-100.0, 1.0, 1.0), Spectrum.dirichlet())
+
+
+SCALED30 = Spectrum.scaled(n_max=30)
+RESONANT_K = sorted({k for _triple, k in trimodal_candidates(SCALED30)})
+
+
+def _outcome(scan):
+    try:
+        return scan()
+    except RuntimeError as exc:  # the lam1 + lam2 == lam3 cross-check
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(RESONANT_K),
+    st.floats(min_value=-1000.0, max_value=-1.0),
+    st.sampled_from([1e-9, 1e-3, 3e-2]),
+)
+def test_trimodal_scan_matches_brute_force(k, beta, tol):
+    # loose tolerances can trip the lam1 + lam2 == lam3 cross-check, so
+    # raised errors are compared too
+    p = Params(beta=beta, varrho=1.0, k=k)
+    E = effective_modes(p, SCALED30).E
+    brute = _outcome(
+        lambda: [t for t in itertools.combinations(E, 3) if ee_trimodal_membership(p, SCALED30, t, tol)]
+    )
+    assert _outcome(lambda: trimodal_ee_triples(p, SCALED30, tol)) == brute
+

@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -85,3 +88,66 @@ def test_from_file(tmp_path):
 def test_eigenvalues_array(scaled):
     vals = scaled.eigenvalues(4)
     assert list(vals) == [1.0, 4.0, 9.0, 16.0]
+
+
+def test_table_sized_by_modes_used(monkeypatch):
+    # n_max only caps the index; a lookup near the bottom of a 10**6-mode
+    # spectrum computes a handful of eigenvalues
+    generated = []
+    real = Spectrum._generate
+
+    def counted(self, n):
+        generated.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(Spectrum, "_generate", counted)
+    spec = Spectrum.dirichlet(10**6)
+    assert spec.eigenvalue(3) == (3 * math.pi) ** 2
+    assert spec.eigenvalue(1) == math.pi ** 2
+    assert len(generated) <= 4
+
+
+@pytest.mark.parametrize("spec", [Spectrum.dirichlet(), Spectrum.scaled(), Spectrum.power(2)])
+def test_table_matches_closed_forms_in_any_order(spec):
+    def closed_form(n):
+        if spec.generator == "dirichlet":
+            return (n * math.pi) ** 2
+        if spec.generator == "scaled":
+            return float(n * n)
+        return (n * math.pi) ** 3
+
+    for n in (40, 3, 64, 1, 17, 33, 2):
+        assert spec.eigenvalue(n) == closed_form(n)
+    assert [spec.eigenvalue(n) for n in range(1, 65)] == [closed_form(n) for n in range(1, 65)]
+    assert spec == type(spec)(spec.generator, spec.n_max, spec.p)
+
+
+def test_table_growth_is_thread_safe():
+    # threads grow fresh shared tables side by side; a lost or misplaced
+    # entry would return the wrong eigenvalue
+    wrong = []
+
+    def reader(spec, seed, start):
+        rng = random.Random(seed)
+        start.wait(timeout=60)
+        for n in list(range(1, 400)) + [rng.randint(1, spec.n_max) for _ in range(400)]:
+            if spec.eigenvalue(n) != (n * math.pi) ** 2:
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rnd in range(10):
+            spec = Spectrum.dirichlet(4000)
+            start = threading.Barrier(6)
+            threads = [
+                threading.Thread(target=reader, args=(spec, 10 * rnd + i, start)) for i in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []

@@ -1,11 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from beamforge import Params, cubic_check, modal_residual
+from beamforge import Params, Spectrum, cubic_check, modal_residual
 from beamforge.modesets import effective_modes, mu_value, nu_value
 from beamforge.unimodal import (
+    _count_unimodal,
     amplitude_curves,
     enumerate_unimodal,
     eta_omega,
@@ -180,3 +181,20 @@ def test_mode_class_thresholds(scaled):
     assert mode_class(Params(-5.0, 1.0, k), scaled, 1) == "E1"
     assert mode_class(Params(-8.0, 1.0, k), scaled, 1) == "E2"
     assert mode_class(Params(-15.5, 1.0, k), scaled, 1) == "E3"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([mu_value, nu_value]),
+    st.sampled_from([0.0, -4e-13, 4e-13, -1e-3, 1e-3]),
+    st.floats(min_value=0.05, max_value=50.0),
+)
+def test_count_matches_enumeration(n, threshold, nudge, k):
+    # compressions on, and within roundoff of, a band boundary, where the
+    # boundary collapse decides the band
+    spec = Spectrum.scaled(20)
+    mb = threshold(spec.eigenvalue(n), k) * (1.0 + nudge)
+    p = Params(beta=-mb, varrho=1.0, k=k)
+    E = effective_modes(p, spec).E
+    assert _count_unimodal(p, spec, E) == len(enumerate_unimodal(p, spec))
