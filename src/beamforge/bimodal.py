@@ -29,6 +29,8 @@ Everything above except the window test and ``(r, t)`` is independent
 of ``beta``: the invariants and the seam flag are memoized per
 ``(spectrum, k, varrho, pair)``, so a compression sweep derives them
 once and per compression only filters on the thresholds.
+:func:`pair_branches` turns one pair into its branch rows; the solution
+list, the solution count and the sweep's pair rows all read them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .modesets import PAIR_CACHE_SIZE, _partition, _rel_eq
 from .spectrum import Spectrum
 
 SEAM_RTOL = 1e-12
+# one shared tag string per kind, not one per solution
+_TAGS = {"XW": "general-bimodal(XW)", "YZ": "general-bimodal(YZ)"}
 
 
 @dataclass(frozen=True)
@@ -143,15 +147,17 @@ def _on_ee_seam(inv: BimodalInvariants, k: float) -> bool:
     return _rel_eq(prod, 2.0 * k, SEAM_RTOL) or _rel_eq(gap, 2.0 * k, SEAM_RTOL)
 
 
-def _solvable(inv: BimodalInvariants, p: Params) -> bool:
+def _solvable(inv: BimodalInvariants, p: Params) -> str | None:
+    """The open solvability window: ``"B1*"`` (product window),
+    ``"B2*"`` (gap window) or ``None`` when closed."""
     prod = inv.lam1 * inv.lam2
     gap = inv.lam1 * (inv.lam2 - inv.lam1)
     mb = -p.beta
     if p.k < prod < 2.0 * p.k:
-        return inv.m_small < mb < inv.m_big
+        return "B1*" if inv.m_small < mb < inv.m_big else None
     if gap > 2.0 * p.k:
-        return inv.m_big < mb
-    return False
+        return "B2*" if inv.m_big < mb else None
+    return None
 
 
 def solve_circle_ellipse(inv: BimodalInvariants, p: Params, which: str) -> CircleEllipseSolutions:
@@ -165,43 +171,56 @@ def solve_circle_ellipse(inv: BimodalInvariants, p: Params, which: str) -> Circl
         raise ValueError("which must be 'SIS1' or 'SIS2'")
     if _on_ee_seam(inv, p.k):
         return CircleEllipseSolutions(which, (), ee_degenerate=True)
-    if not _solvable(inv, p):
+    if _solvable(inv, p) is None:
         return CircleEllipseSolutions(which, ())
-    return CircleEllipseSolutions(which, _circle_ellipse_roots(inv, p, which))
+    root = _circle_ellipse_roots(inv, p)[0 if which == "SIS1" else 1]
+    if root is None:
+        return CircleEllipseSolutions(which, ())
+    r, t = root
+    return CircleEllipseSolutions(which, ((r, t), (r, -t), (-r, t), (-r, -t)))
 
 
-def _circle_ellipse_roots(inv: BimodalInvariants, p: Params, which: str) -> tuple:
-    """Roots ``(r, t)`` of one system inside an open window: the only
+def _circle_ellipse_roots(inv: BimodalInvariants, p: Params):
+    """The positive root ``(r, t)`` of SIS1 and of SIS2 inside an open
+    window, whose sign flips give the other three: the only
     beta-dependent step, ``F, G -> r^2, s^2``."""
     scale = p.varrho * inv.lam1
     F = (inv.f - p.beta) / scale
     G = (inv.g - p.beta) / scale
-    if which == "SIS1":
-        den = inv.W * inv.W - inv.X * inv.X
-        r2 = (inv.W * inv.W * F - G) / den
-        s2 = (G - inv.X * inv.X * F) / den
-    else:
-        den = inv.Z * inv.Z - inv.Y * inv.Y
-        r2 = (inv.Z * inv.Z * G - F) / den
-        s2 = (F - inv.Y * inv.Y * G) / den
+    X2, Y2, W2, Z2 = inv.X * inv.X, inv.Y * inv.Y, inv.W * inv.W, inv.Z * inv.Z
+    return (
+        _positive_root((W2 * F - G) / (W2 - X2), (G - X2 * F) / (W2 - X2), inv.zeta),
+        _positive_root((Z2 * G - F) / (Z2 - Y2), (F - Y2 * G) / (Z2 - Y2), inv.zeta),
+    )
+
+
+def _positive_root(r2: float, s2: float, zeta: float) -> tuple[float, float] | None:
     if not (r2 > 0.0 and s2 > 0.0):
         # only reachable by roundoff within a few ulps of the window edge
-        return ()
-    r = math.sqrt(r2)
-    t = math.sqrt(s2 / inv.zeta)
-    return ((r, t), (r, -t), (-r, t), (-r, -t))
-
-
-def _pair_roots(p: Params, spec: Spectrum, pair: tuple[int, int]):
-    """``(inv, SIS1 roots, SIS2 roots)`` of a pair, or ``None`` when it
-    has no invariants or sits on an EE seam.  Feeds both the solution
-    list and the solution count."""
-    inv, on_seam = _pair_algebra(spec, p.k, p.varrho, tuple(pair))
-    if inv is None or on_seam:
         return None
-    if not _solvable(inv, p):
-        return inv, (), ()
-    return inv, _circle_ellipse_roots(inv, p, "SIS1"), _circle_ellipse_roots(inv, p, "SIS2")
+    return math.sqrt(r2), math.sqrt(s2 / zeta)
+
+
+def pair_branches(
+    p: Params, spec: Spectrum, pair: tuple[int, int]
+) -> list[tuple[str, tuple[float, float], tuple[float, float]]]:
+    """The isolated states of one pair as ``(kind, (a1, g1), (a2, g2))``
+    rows: four of kind ``"XW"`` (v-ratios ``X, W``) then four of kind
+    ``"YZ"``, or none when the pair has no invariants, sits on an EE
+    seam or its window is closed.  Every per-pair consumer reads these
+    rows."""
+    inv, on_seam = _pair_algebra(spec, p.k, p.varrho, tuple(pair))
+    if inv is None or on_seam or _solvable(inv, p) is None:
+        return []
+    sis1, sis2 = _circle_ellipse_roots(inv, p)
+    rows = []
+    for kind, root, x, w in (("XW", sis1, inv.X, inv.W), ("YZ", sis2, inv.Y, inv.Z)):
+        if root is not None:
+            r, t = root
+            plus1, minus1 = (r, r * x), (-r, -r * x)
+            plus2, minus2 = (t, t * w), (-t, -t * w)
+            rows += [(kind, plus1, plus2), (kind, plus1, minus2), (kind, minus1, plus2), (kind, minus1, minus2)]
+    return rows
 
 
 def _pairs_of(E: tuple[int, ...]):
@@ -212,10 +231,9 @@ def bstar_kind(p: Params, spec: Spectrum, pair: tuple[int, int]) -> str | None:
     """Classify a pair as ``"B1*"`` (product window), ``"B2*"`` (gap
     window) or ``None``."""
     inv, on_seam = _pair_algebra(spec, p.k, p.varrho, tuple(pair))
-    if inv is None or on_seam or not _solvable(inv, p):
+    if inv is None or on_seam:
         return None
-    prod = inv.lam1 * inv.lam2
-    return "B1*" if p.k < prod < 2.0 * p.k else "B2*"
+    return _solvable(inv, p)
 
 
 def bstar_pairs(p: Params, spec: Spectrum) -> list[tuple[tuple[int, int], str]]:
@@ -237,34 +255,14 @@ def enumerate_general_bimodal(
     with ``(Y, Z)``."""
     if pairs is None:
         pairs = _pairs_of(_partition(spec, p.beta, p.k).E)
-    out: list[ModalSolution] = []
-    for pair in pairs:
-        found = _pair_roots(p, spec, pair)
-        if found is None:
-            continue
-        inv, roots1, roots2 = found
-        n1, n2 = pair
-        for r, t in roots1:
-            out.append(
-                ModalSolution(
-                    {n1: (r, r * inv.X), n2: (t, t * inv.W)}, tag="general-bimodal(XW)"
-                )
-            )
-        for r, t in roots2:
-            out.append(
-                ModalSolution(
-                    {n1: (r, r * inv.Y), n2: (t, t * inv.Z)}, tag="general-bimodal(YZ)"
-                )
-            )
-    return out
+    return [
+        ModalSolution({n1: mode1, n2: mode2}, tag=_TAGS[kind])
+        for n1, n2 in pairs
+        for kind, mode1, mode2 in pair_branches(p, spec, (n1, n2))
+    ]
 
 
 def _count_general_bimodal(p: Params, spec: Spectrum, E: tuple[int, ...]) -> int:
     """``len(enumerate_general_bimodal(p, spec))`` without building the
     solutions, given the effective modes ``E``."""
-    count = 0
-    for pair in _pairs_of(E):
-        found = _pair_roots(p, spec, pair)
-        if found is not None:
-            count += len(found[1]) + len(found[2])
-    return count
+    return sum(len(pair_branches(p, spec, pair)) for pair in _pairs_of(E))

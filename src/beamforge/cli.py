@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .bimodal import _count_general_bimodal, bstar_pairs, enumerate_general_bimodal
+from .bimodal import _count_general_bimodal, bstar_pairs, enumerate_general_bimodal, pair_branches
 from .core import (
     ModalSolution,
     Params,
@@ -28,7 +28,7 @@ from .modesets import effective_modes, mu_value, nu_value, trimodal_ee_triples, 
 from .oracle import galerkin_solve, match_against
 from .single_beam import enumerate_foundation, enumerate_plain
 from .spectrum import Spectrum
-from .unimodal import _count_unimodal, amplitude_curves, enumerate_unimodal
+from .unimodal import GAMMA_PARTNER, amplitude_curves, enumerate_unimodal
 
 CUBIC_TOL = 1e-9
 
@@ -315,21 +315,21 @@ def cmd_oracle(args) -> int:
 def _branch_rows_for_beta(p: Params, spec: Spectrum, tracked, pairs, tol_cond) -> list[list]:
     rows = []
     # enumerate_ee_families reuses the memoized partition
-    E = effective_modes(p, spec).E
+    part = effective_modes(p, spec)
     counts = (
-        _count_unimodal(p, spec, E),
+        2 * len(part.E1) + 4 * len(part.E2) + 8 * len(part.E3),
         len(enumerate_ee_families(p, spec, tol_cond)),
-        _count_general_bimodal(p, spec, E),
+        _count_general_bimodal(p, spec, part.E),
     )
     for n in tracked:
         curves = amplitude_curves(p, spec, n)
-        partner = {1: 1, 2: 2, 3: 4, 4: 3}  # gamma pairs with the partner family
         for i in (1, 2, 3, 4):
             a = curves[i]
             if a is None:
                 continue
-            b = curves[partner[i]]
-            gamma_mag = a if i == 1 else (-b if b is not None else None)
+            # families 3 and 4 are defined together, so the partner is too
+            partner, partner_sign = GAMMA_PARTNER[i]
+            gamma_mag = partner_sign * curves[partner]
             for sign, sig in ((+1, "+"), (-1, "-")):
                 rows.append(
                     [
@@ -337,18 +337,14 @@ def _branch_rows_for_beta(p: Params, spec: Spectrum, tracked, pairs, tol_cond) -
                         f"n{n}:alpha{i}{sig}",
                         str(n),
                         sign * a,
-                        sign * gamma_mag if gamma_mag is not None else None,
+                        sign * gamma_mag,
                         None,
                         None,
                         *counts,
                     ]
                 )
-    for pair in pairs or []:
-        for sol in enumerate_general_bimodal(p, spec, [pair]):
-            n1, n2 = pair
-            a1, g1 = sol.modes[n1]
-            a2, g2 = sol.modes[n2]
-            kind = "XW" if sol.tag.endswith("(XW)") else "YZ"
+    for n1, n2 in pairs or []:
+        for kind, (a1, g1), (a2, g2) in pair_branches(p, spec, (n1, n2)):
             sig = ("+" if a1 > 0 else "-") + ("+" if a2 > 0 else "-")
             rows.append(
                 [p.beta, f"b{n1}-{n2}:{kind}{sig}", f"{n1};{n2}", a1, g1, a2, g2, *counts]

@@ -173,18 +173,15 @@ def modal_residual(sol: ModalSolution, p: Params, spec: Spectrum) -> ResidualRep
     return ResidualReport(per_mode, max_abs, max_abs / max(1.0, term_scale))
 
 
-def residual_scale(sol: ModalSolution, p: Params, spec: Spectrum) -> float:
-    """Scale ``max(1, lam_max^2, k, |beta| lam_max)`` over the active modes."""
-    lam_max = max((spec.eigenvalue(n) for n in sol.active), default=0.0)
-    return max(1.0, lam_max * lam_max, p.k, abs(p.beta) * lam_max)
-
-
 def is_ee(sol: ModalSolution, p: Params, spec: Spectrum, tol: float = 1e-9) -> bool:
     """True when the energy is equidistributed: ``C_u == C_v`` within
     ``tol`` relative to ``max(1, |C_u|, |C_v|)``."""
+    return _equidistributed(*axial_coefficients(sol, p, spec), tol)
+
+
+def _equidistributed(cu: float, cv: float, tol: float) -> bool:
     if not tol > 0.0:
         raise ValidationError("tolerance must be positive")
-    cu, cv = axial_coefficients(sol, p, spec)
     return abs(cu - cv) <= tol * max(1.0, abs(cu), abs(cv))
 
 
@@ -211,7 +208,7 @@ def cubic_check(sol: ModalSolution, p: Params, spec: Spectrum, ee_tol: float = 1
         max_rel = max(max_rel, abs(val) / scale)
     factored = None
     agreement = None
-    if is_ee(sol, p, spec, ee_tol):
+    if _equidistributed(cu, cv, ee_tol):
         factored = []
         agreement = 0.0
         for lam, val in values:

@@ -16,7 +16,12 @@ import numpy as np
 
 from .core import ModalSolution, Params
 from .errors import ValidationError
-from .modesets import ee_bimodal_membership, ee_trimodal_membership
+from .modesets import (
+    bimodal_ee_pairs,
+    ee_bimodal_membership,
+    ee_trimodal_membership,
+    trimodal_ee_triples,
+)
 from .spectrum import Spectrum
 
 NONZERO_MARGIN = 1e-6
@@ -62,37 +67,26 @@ def ee_family(p: Params, spec: Spectrum, indices, tol: float = 1e-9) -> EEFamily
     indices = tuple(indices)
     if len(indices) == 2:
         kind = ee_bimodal_membership(p, spec, indices, tol)
-        if kind is None:
-            return None
-        lam1 = spec.eigenvalue(indices[0])
-        lam2 = spec.eigenvalue(indices[1])
-        constant = lam1 + lam2 + p.beta if kind == "B1" else lam2 + p.beta
-        coeffs = (p.varrho * lam1, p.varrho * lam2)
     elif len(indices) == 3:
-        if not ee_trimodal_membership(p, spec, indices, tol):
-            return None
-        kind = "T"
-        lams = [spec.eigenvalue(n) for n in indices]
-        constant = lams[2] + p.beta
-        coeffs = tuple(p.varrho * lam for lam in lams)
+        kind = "T" if ee_trimodal_membership(p, spec, indices, tol) else None
     else:
         raise ValidationError("EE families have two or three modes")
+    return None if kind is None else _family(p, spec, kind, indices)
+
+
+def _family(p: Params, spec: Spectrum, kind: str, indices: tuple[int, ...]) -> EEFamily:
+    """The family of a given kind on indices already known to carry it."""
+    lams = [spec.eigenvalue(n) for n in indices]
+    constant = (lams[0] + lams[1] if kind == "B1" else lams[-1]) + p.beta
+    coeffs = tuple(p.varrho * lam for lam in lams)
     return EEFamily(kind, indices, coeffs, constant, _SIGNS[kind])
 
 
 def enumerate_ee_families(p: Params, spec: Spectrum, tol: float = 1e-9) -> list[EEFamily]:
-    """All EE families at these parameters (pairs then triples)."""
-    from .modesets import bimodal_ee_pairs, trimodal_ee_triples
-
-    out = []
-    for pair, _kind in bimodal_ee_pairs(p, spec, tol):
-        fam = ee_family(p, spec, pair, tol)
-        if fam is not None:
-            out.append(fam)
-    for triple in trimodal_ee_triples(p, spec, tol):
-        fam = ee_family(p, spec, triple, tol)
-        if fam is not None:
-            out.append(fam)
+    """All EE families at these parameters (pairs then triples), built
+    from the kinds the membership scans decided."""
+    out = [_family(p, spec, kind, pair) for pair, kind in bimodal_ee_pairs(p, spec, tol)]
+    out += [_family(p, spec, "T", triple) for triple in trimodal_ee_triples(p, spec, tol)]
     return out
 
 

@@ -4,8 +4,11 @@ The compression threshold for mode ``n`` is its eigenvalue: ``n`` is
 effective when ``lam_n < -beta``.  Two further thresholds
 ``mu_n = 2k/lam_n + lam_n`` and ``nu_n = 3k/lam_n + lam_n`` split the
 effective set into the three bands that control how many unimodal
-branches exist.  The right edges use ``<=`` so boundary hits land in the
-lower band.
+branches exist.  The band rule lives here and nowhere else: a compression
+on, or within ``BOUNDARY_RTOL`` relative of, ``mu_n`` (or ``nu_n``) puts
+mode ``n`` in the lower band, so near-coincident branches are never
+reported twice.  Every consumer, the unimodal enumerator included, reads
+the bands from :func:`effective_modes`.
 
 The resonance equalities depend on the spectrum and ``k`` only, never on
 ``beta``; they are memoized per index pair, so a sweep over compressions
@@ -22,6 +25,7 @@ from .core import Params
 from .errors import VerificationError
 from .spectrum import Spectrum
 
+BOUNDARY_RTOL = 1e-12
 # bound on memoized index pairs: every pair of 181 effective modes fits
 PAIR_CACHE_SIZE = 1 << 14
 
@@ -45,6 +49,14 @@ class ModeSetPartition:
     E2: tuple[int, ...]
     E3: tuple[int, ...]
     n_star: int
+
+    def band(self, n: int) -> str:
+        """``"E1"``, ``"E2"`` or ``"E3"`` for an effective mode ``n``,
+        else ``"outside"``."""
+        for name in ("E1", "E2", "E3"):
+            if n in getattr(self, name):
+                return name
+        return "outside"
 
     def describe(self) -> dict:
         return {
@@ -87,9 +99,9 @@ def _partition(spec: Spectrum, beta: float, k: float) -> ModeSetPartition:
         E.append(n)
         mu = mu_value(lam, k)
         nu = nu_value(lam, k)
-        if mb <= mu:
+        if mb <= mu or _rel_eq(mb, mu, BOUNDARY_RTOL):
             E1.append(n)
-        elif mb <= nu:
+        elif mb <= nu or _rel_eq(mb, nu, BOUNDARY_RTOL):
             E2.append(n)
         else:
             E3.append(n)
@@ -126,6 +138,8 @@ def ee_bimodal_membership(
     if not n1 < n2:
         raise ValueError("pair must be strictly increasing")
     on_b1, on_b2 = _pair_resonance(spec, p.k, tol, (n1, n2))
+    if not (on_b1 or on_b2):
+        return None
     lam1 = spec.eigenvalue(n1)
     lam2 = spec.eigenvalue(n2)
     mb = -p.beta
@@ -164,7 +178,7 @@ def ee_trimodal_membership(
         lam2 * (lam3 - lam2), two_k, tol
     )
     if ok and not _rel_eq(lam1 + lam2, lam3, tol):
-        raise RuntimeError(
+        raise VerificationError(
             f"triple {triple} passes the membership equalities but violates "
             f"lam1 + lam2 == lam3"
         )

@@ -78,7 +78,11 @@ def enumerate_foundation(p: Params, spec: Spectrum, tol: float = 1e-9) -> Single
 
 def single_beam_residual(model: str, p: Params, spec: Spectrum, n: int, amplitude: float) -> float:
     """Modal residual of a unimodal single-beam state:
-    ``lam^2 a + C_u lam a`` plus ``k a`` for the foundation model."""
+    ``lam^2 a + C_u lam a`` plus ``k a`` for the foundation model.
+
+    The coupled-system residual of :mod:`beamforge.core` does not apply
+    to a single beam, so this is the only independent check of
+    :func:`enumerate_plain` and :func:`enumerate_foundation`."""
     lam = spec.eigenvalue(n)
     cu = p.beta + p.varrho * lam * amplitude * amplitude
     r = lam * lam * amplitude + cu * lam * amplitude

@@ -12,9 +12,11 @@ Four amplitude families exist (index ``i``):
 * ``i = 3, 4`` out-of-phase nonsymmetric, the two roots of a quadratic
   whose radicand is the signed product ``(beta+lam+mu-nu)(beta+nu)``.
 
-The number of distinct nontrivial amplitudes is 2, 4 or 8 according to
-the band (E1, E2, E3) the mode falls in; boundary coincidences collapse
-to the lower-multiplicity set.
+The amplitudes are written once, in :func:`amplitude_curves`.  How many
+of the families a mode carries (1, 2 or 4, hence 2, 4 or 8 signed
+amplitudes) follows from its band, E1, E2 or E3, which
+:func:`beamforge.modesets.effective_modes` decides together with the
+boundary collapse; :func:`mode_class` only looks the band up.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ import math
 from dataclasses import dataclass
 
 from .core import ModalSolution, Params
-from .modesets import _partition, _rel_eq, mu_value, nu_value
+from .modesets import _partition, mu_value, nu_value
 from .spectrum import Spectrum
 
-BOUNDARY_RTOL = 1e-12
-_BRANCH_COUNT = {"outside": 0, "E1": 2, "E2": 4, "E3": 8}
+# amplitude families each band admits
+FAMILIES = {"E1": (1,), "E2": (1, 2), "E3": (1, 2, 3, 4)}
+# the gamma of family i is sign * (amplitude of family partner)
+GAMMA_PARTNER = {1: (1, +1), 2: (2, -1), 3: (4, -1), 4: (3, -1)}
 
 
 @dataclass(frozen=True)
@@ -50,26 +54,11 @@ class UAmplitudeSet:
         raise KeyError((i, sign))
 
 
-def eta_omega(p: Params, spec: Spectrum, n: int) -> tuple[float, float]:
-    lam = spec.eigenvalue(n)
-    return 1.0 + p.beta / lam + p.k / (lam * lam), lam * lam / p.k
-
-
 def mode_class(p: Params, spec: Spectrum, n: int) -> str:
-    """Band of mode ``n`` with boundary collapse: a compression within
-    ``1e-12`` relative of ``mu_n`` (or ``nu_n``) is treated as sitting on
-    the boundary, avoiding near-duplicate branch reporting."""
-    lam = spec.eigenvalue(n)
-    mb = -p.beta
-    if not lam < mb:
-        return "outside"
-    mu = mu_value(lam, p.k)
-    if mb <= mu or _rel_eq(mb, mu, BOUNDARY_RTOL):
-        return "E1"
-    nu = nu_value(lam, p.k)
-    if mb <= nu or _rel_eq(mb, nu, BOUNDARY_RTOL):
-        return "E2"
-    return "E3"
+    """Band of mode ``n`` in the effective-mode partition, or
+    ``"outside"``.  Raises IndexError outside ``1..n_max``."""
+    spec.eigenvalue(n)  # range check only
+    return _partition(spec, p.beta, p.k).band(n)
 
 
 def u_amplitudes(p: Params, spec: Spectrum, n: int) -> UAmplitudeSet:
@@ -78,31 +67,11 @@ def u_amplitudes(p: Params, spec: Spectrum, n: int) -> UAmplitudeSet:
     klass = mode_class(p, spec, n)
     if klass == "outside":
         return UAmplitudeSet(n, (), klass)
-    lam = spec.eigenvalue(n)
-    mb = -p.beta
-    entries = []
-    a1 = math.sqrt((mb - lam) / (p.varrho * lam))
-    entries += [UAmplitude(1, +1, a1), UAmplitude(1, -1, -a1)]
-    if klass in ("E2", "E3"):
-        mu = mu_value(lam, p.k)
-        a2 = math.sqrt(max(mb - mu, 0.0) / (p.varrho * lam))
-        entries += [UAmplitude(2, +1, a2), UAmplitude(2, -1, -a2)]
-    if klass == "E3":
-        mu = mu_value(lam, p.k)
-        nu = nu_value(lam, p.k)
-        # radicand kept as a product of signed factors; both are negative
-        # strictly inside E3, so the product is positive
-        inner = (p.beta + lam + mu - nu) * (p.beta + nu)
-        a3 = math.sqrt(((mb + mu - nu - lam) + math.sqrt(inner)) / (2.0 * p.varrho * lam))
-        # smaller root via the product of roots: a3^2 a4^2 = (k/(varrho lam^2))^2
-        a4 = p.k / (p.varrho * lam * lam * a3)
-        entries += [
-            UAmplitude(3, +1, a3),
-            UAmplitude(3, -1, -a3),
-            UAmplitude(4, +1, a4),
-            UAmplitude(4, -1, -a4),
-        ]
-    return UAmplitudeSet(n, tuple(entries), klass)
+    curves = amplitude_curves(p, spec, n)
+    entries = tuple(
+        UAmplitude(i, sign, sign * curves[i]) for i in FAMILIES[klass] for sign in (+1, -1)
+    )
+    return UAmplitudeSet(n, entries, klass)
 
 
 def amplitude_curves(p: Params, spec: Spectrum, n: int) -> dict[int, float | None]:
@@ -121,9 +90,12 @@ def amplitude_curves(p: Params, spec: Spectrum, n: int) -> dict[int, float | Non
         out[2] = math.sqrt((mb - mu) / (p.varrho * lam))
     nu = nu_value(lam, p.k)
     if mb >= nu:
+        # radicand kept as a product of signed factors; both are negative
+        # strictly inside E3, so the product is positive there
         inner = (p.beta + lam + mu - nu) * (p.beta + nu)
         a3 = math.sqrt(((mb + mu - nu - lam) + math.sqrt(max(inner, 0.0))) / (2.0 * p.varrho * lam))
         out[3] = a3
+        # smaller root via the product of roots: a3^2 a4^2 = (k/(varrho lam^2))^2
         out[4] = p.k / (p.varrho * lam * lam * a3) if a3 > 0.0 else 0.0
     return out
 
@@ -137,29 +109,14 @@ def enumerate_unimodal(p: Params, spec: Spectrum) -> list[ModalSolution]:
 
     for a total of ``2|E1| + 4|E2| + 8|E3|`` solutions.
     """
+    part = _partition(spec, p.beta, p.k)
     out: list[ModalSolution] = []
-    for n in _partition(spec, p.beta, p.k).E:
-        amps = u_amplitudes(p, spec, n)
-        if amps.klass == "outside":
-            continue
-        a1 = amps.value(1, +1)
-        out.append(ModalSolution({n: (a1, a1)}, tag="unimodal(1,+)"))
-        out.append(ModalSolution({n: (-a1, -a1)}, tag="unimodal(1,-)"))
-        if amps.klass in ("E2", "E3"):
-            a2 = amps.value(2, +1)
-            out.append(ModalSolution({n: (a2, -a2)}, tag="unimodal(2,+)"))
-            out.append(ModalSolution({n: (-a2, a2)}, tag="unimodal(2,-)"))
-        if amps.klass == "E3":
-            a3 = amps.value(3, +1)
-            a4 = amps.value(4, +1)
-            out.append(ModalSolution({n: (a3, -a4)}, tag="unimodal(3,+)"))
-            out.append(ModalSolution({n: (-a3, a4)}, tag="unimodal(3,-)"))
-            out.append(ModalSolution({n: (a4, -a3)}, tag="unimodal(4,+)"))
-            out.append(ModalSolution({n: (-a4, a3)}, tag="unimodal(4,-)"))
+    for n in part.E:
+        curves = amplitude_curves(p, spec, n)
+        for i in FAMILIES[part.band(n)]:
+            a = curves[i]
+            partner, sign = GAMMA_PARTNER[i]
+            g = sign * curves[partner]
+            out.append(ModalSolution({n: (a, g)}, tag=f"unimodal({i},+)"))
+            out.append(ModalSolution({n: (-a, -g)}, tag=f"unimodal({i},-)"))
     return out
-
-
-def _count_unimodal(p: Params, spec: Spectrum, E: tuple[int, ...]) -> int:
-    """``len(enumerate_unimodal(p, spec))`` without building the
-    solutions, given the effective modes ``E``."""
-    return sum(_BRANCH_COUNT[mode_class(p, spec, n)] for n in E)

@@ -243,7 +243,7 @@ def test_bad_tolerance_exit_code(capsys, monkeypatch, command, flag, value):
     def no_work(*args, **kwargs):
         raise AssertionError("enumeration ran with a bad tolerance")
 
-    for stage in ("effective_modes", "enumerate_unimodal", "enumerate_ee_families", "_count_unimodal"):
+    for stage in ("effective_modes", "enumerate_unimodal", "enumerate_ee_families"):
         monkeypatch.setattr(cli, stage, no_work)
     code, out = run_cli(capsys, command, "--spectrum", "scaled", "--k", "3", "--beta=-15.5", f"{flag}={value}")
     assert code == 2
@@ -260,6 +260,28 @@ def test_effective_mode_count_mismatch_exit_code(capsys, monkeypatch):
     code, out = run_cli(capsys, "sets", "--spectrum", "dirichlet", "--beta", "-100")
     assert code == 3
     assert out == ""
+
+
+def test_trimodal_cross_check_exit_code(capsys):
+    # at this loose tolerance (7, 8, 11) passes both membership equalities
+    # but not lam1 + lam2 == lam3: an internal inconsistency (exit 3), not
+    # a crash (exit 1)
+    code, out = run_cli(
+        capsys, "sets", "--spectrum", "scaled", "--k", "1800", "--beta=-1000",
+        "--nmax", "30", "--tol-cond", "0.03",
+    )
+    assert code == 3
+    assert out == ""
+
+
+def test_sets_bands_agree_with_enumerate_count(capsys):
+    # -beta sits 4e-13 relative above mu_1 = 7: the boundary collapse puts
+    # mode 1 in E1 for both commands
+    argv = ("--spectrum", "scaled", "--k", "3", "--beta=-7.0000000000028")
+    sets = run_json(capsys, "sets", *argv)["sets"]
+    assert (sets["E1"], sets["E2"], sets["E3"]) == ([1], [], [2])
+    law = 2 * len(sets["E1"]) + 4 * len(sets["E2"]) + 8 * len(sets["E3"])
+    assert run_json(capsys, "enumerate", *argv)["counts"]["unimodal"] == law == 10
 
 
 def test_sweep_honours_tol_cond(capsys, tmp_path):

@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from beamforge import Params, Spectrum, cubic_check, modal_residual
 from beamforge.modesets import effective_modes, mu_value, nu_value
+from beamforge.oracle import newton_scale
 from beamforge.unimodal import (
-    _count_unimodal,
     amplitude_curves,
     enumerate_unimodal,
-    eta_omega,
     mode_class,
     u_amplitudes,
 )
@@ -59,15 +58,13 @@ def test_outside_effective_set_empty(scaled):
 
 
 def test_enumeration_count_and_residuals(scaled):
-    from beamforge.core import residual_scale
-
     p = Params(beta=-15.5, varrho=1.0, k=3.0)
     sols = enumerate_unimodal(p, scaled)
     assert len(sols) == 24  # three modes, all in the eight-branch band
     for sol in sols:
         report = modal_residual(sol, p, scaled)
         assert report.relative < 1e-10
-        assert report.max_abs < 1e-10 * residual_scale(sol, p, scaled)
+        assert report.max_abs < 1e-10 * newton_scale(p, scaled, max(sol.active))
         assert cubic_check(sol, p, scaled).max_relative < 1e-9
 
 
@@ -102,7 +99,9 @@ def test_gamma_follows_coupling_relation(scaled):
     p = Params(beta=-15.5, varrho=1.0, k=3.0)
     for sol in enumerate_unimodal(p, scaled):
         (n, (a, g)), = sol.modes.items()
-        eta, omega = eta_omega(p, scaled, n)
+        lam = scaled.eigenvalue(n)
+        eta = 1.0 + p.beta / lam + p.k / (lam * lam)
+        omega = lam * lam / p.k
         assert g == pytest.approx(omega * a * (eta + p.varrho * a * a), rel=1e-10)
 
 
@@ -191,10 +190,12 @@ def test_mode_class_thresholds(scaled):
     st.floats(min_value=0.05, max_value=50.0),
 )
 def test_count_matches_enumeration(n, threshold, nudge, k):
-    # compressions on, and within roundoff of, a band boundary, where the
+    # the counting law on the bands effective_modes reports equals the
+    # enumeration, on and within roundoff of a band boundary, where the
     # boundary collapse decides the band
     spec = Spectrum.scaled(20)
     mb = threshold(spec.eigenvalue(n), k) * (1.0 + nudge)
     p = Params(beta=-mb, varrho=1.0, k=k)
-    E = effective_modes(p, spec).E
-    assert _count_unimodal(p, spec, E) == len(enumerate_unimodal(p, spec))
+    part = effective_modes(p, spec)
+    law = 2 * len(part.E1) + 4 * len(part.E2) + 8 * len(part.E3)
+    assert law == len(enumerate_unimodal(p, spec))
