@@ -144,3 +144,18 @@ def test_starts_validation(scaled):
     for starts in (0, -3):
         with pytest.raises(ValidationError):
             galerkin_solve(p, scaled, 1, starts)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trimodal_case_full_inventory_every_seed(seed):
+    # near the junctions of the EE continua the Jacobian is nearly rank
+    # deficient; without the rank-cut polish some roots stay too far off
+    # the manifold to match and are reported as unmatched
+    p = Params(beta=-30.0, varrho=1.0, k=72.0)
+    spec = Spectrum.scaled(n_max=8)
+    result = galerkin_solve(p, spec, 5, 5000, seed=seed)
+    closed = closed_inventory_for_modes(p, spec, 5)
+    families = [f for f in enumerate_ee_families(p, spec) if max(f.modes) <= 5]
+    report = match_against(closed, families, result.found)
+    assert report.unmatched == []
+    assert report.missed_closed == []
