@@ -49,9 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-res", type=float, default=1e-10, dest="tol_res",
                         help="relative residual bound for verification")
     common.add_argument("--seed", type=int, default=0, help="random seed for sampling")
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit JSON (default)")
-    fmt.add_argument("--csv", action="store_true", help="emit CSV where supported")
     common.add_argument("--out", type=Path, default=None, help="write output here instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -64,9 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("sets", parents=[common], help="effective-mode partition and resonant index sets")
 
     p_uni = sub.add_parser("unimodal", parents=[common], help="single-mode solutions; CSV gives amplitude-vs-compression branches")
+    p_uni.add_argument("--csv", action="store_true", help="emit the branch table as CSV instead of JSON")
     p_uni.add_argument("--mode", type=int, default=1, help="mode index for the CSV branch table")
     p_uni.add_argument("--grid", default=None, help="compression grid lo:hi:count (in -beta) for the CSV")
-    p_uni.add_argument("--gnuplot", type=Path, default=None, help="also write a gnuplot script next to the CSV")
+    p_uni.add_argument("--gnuplot", type=Path, default=None,
+                       help="also write a gnuplot script for the CSV (needs --csv and --out)")
 
     p_enum = sub.add_parser("enumerate", parents=[common], help="full solution inventory with verification block")
     p_enum.add_argument("--samples", type=int, default=0, help="verified samples to draw per EE family")
@@ -86,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="modes to track (default: all effective at max compression)")
     p_sweep.add_argument("--pairs", action="append", default=None, metavar="N1,N2",
                          help="also track these bimodal pairs (repeatable)")
-    p_sweep.add_argument("--gnuplot", type=Path, default=None, help="also write a gnuplot script")
+    p_sweep.add_argument("--gnuplot", type=Path, default=None,
+                         help="also write a gnuplot script for the CSV (needs --out)")
 
     p_conv = sub.add_parser("convert", help="physical beam data -> dimensionless parameters")
     p_conv.add_argument("--ell", type=float, required=True, help="natural length")
@@ -117,6 +117,12 @@ def _write(text: str, out: Path | None) -> None:
         sys.stdout.write(text)
     else:
         out.write_text(text, encoding="utf-8")
+
+
+def _check_gnuplot(args, csv: bool) -> None:
+    """The gnuplot script plots the CSV file, so it needs one."""
+    if args.gnuplot is not None and not (csv and args.out is not None):
+        raise ValidationError("--gnuplot needs CSV output written to a file with --out")
 
 
 def _parse_grid(token: str) -> list[float]:
@@ -193,6 +199,7 @@ def cmd_sets(args) -> int:
 
 def cmd_unimodal(args) -> int:
     p, spec = _context(args)
+    _check_gnuplot(args, args.csv)
     if args.csv:
         grid_token = args.grid or f"0:{max(1.0, -p.beta)}:101"
         grid = _parse_grid(grid_token)
@@ -210,7 +217,7 @@ def cmd_unimodal(args) -> int:
             rows.append(row)
         text = jsonio.csv_text(header, rows)
         _write(text, args.out)
-        if args.gnuplot is not None and args.out is not None:
+        if args.gnuplot is not None:
             args.gnuplot.write_text(_gnuplot_script(args.out, header), encoding="utf-8")
         return 0
     sols = enumerate_unimodal(p, spec)
@@ -246,6 +253,11 @@ def cmd_enumerate(args) -> int:
     notes = []
     if not part.E:
         notes.append("E empty: only the trivial solution exists")
+    if part.truncated:
+        notes.append(
+            f"E truncated at n_max = {spec.n_max}: lam_{spec.n_max + 1} < -beta too, "
+            "so effective modes above n_max are left out; raise --nmax"
+        )
     doc = {
         "params": p.describe(),
         "spectrum": spec.describe(),
@@ -354,6 +366,7 @@ def _branch_rows_for_beta(p: Params, spec: Spectrum, tracked, pairs, tol_cond) -
 
 def cmd_sweep(args) -> int:
     p, spec = _context(args)
+    _check_gnuplot(args, True)
     grid = _parse_grid(args.grid)
     pairs = _parse_pairs(args.pairs)
     if args.track:
@@ -385,7 +398,7 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: (r[0], r[1]))
     text = jsonio.csv_text(header, rows)
     _write(text, args.out)
-    if args.gnuplot is not None and args.out is not None:
+    if args.gnuplot is not None:
         args.gnuplot.write_text(_gnuplot_script(args.out, header), encoding="utf-8")
     return 0
 

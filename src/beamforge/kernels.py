@@ -5,7 +5,7 @@ starts, each iterated with an analytic Jacobian and Armijo backtracking
 on the squared-residual merit ``|F|^2``.  The kernel is vectorized
 across starts: every iteration evaluates the residual, Jacobian and
 line search for all live starts at once, and a start leaves the batch
-when it converges, stalls or exhausts ``max_iter``.
+when it converges, stalls or exhausts ``DEFAULT_MAX_ITER`` steps.
 
 The unknown vector packs the two coefficient blocks as
 ``x = (alpha_1..alpha_N, gamma_1..gamma_N)`` and the residual is
@@ -34,8 +34,6 @@ def newton_batch(
     k: float,
     starts,
     tol: float,
-    max_iter: int = DEFAULT_MAX_ITER,
-    max_backtrack: int = DEFAULT_MAX_BACKTRACK,
 ):
     """Run damped Newton from every row of ``starts``.
 
@@ -64,7 +62,7 @@ def newton_batch(
         hit = max_f < tol
         converged[act[hit]] = True
         done[act[hit]] = True
-        over = ~hit & (iterations[act] >= max_iter)
+        over = ~hit & (iterations[act] >= DEFAULT_MAX_ITER)
         done[act[over]] = True
         live = ~hit & ~over
         li = act[live]
@@ -84,7 +82,7 @@ def newton_batch(
         t = np.ones(gi.size)
         accepted = np.zeros(gi.size, dtype=bool)
         x_next = xg.copy()
-        for _bt in range(max_backtrack):
+        for _bt in range(DEFAULT_MAX_BACKTRACK):
             rem = np.flatnonzero(~accepted)
             if rem.size == 0:
                 break

@@ -49,6 +49,8 @@ class ModeSetPartition:
     E2: tuple[int, ...]
     E3: tuple[int, ...]
     n_star: int
+    # effective modes exist above ``n_max`` (not part of ``describe``)
+    truncated: bool = False
 
     def band(self, n: int) -> str:
         """``"E1"``, ``"E2"`` or ``"E3"`` for an effective mode ``n``,
@@ -80,10 +82,12 @@ def dirichlet_mode_count(beta: float) -> int:
 def effective_modes(p: Params, spec: Spectrum) -> ModeSetPartition:
     """Partition ``{n <= n_max : lam_n < -beta}`` into the three bands.
 
-    The scan is truncated at ``spec.n_max``; membership requires
-    ``lam_n < -beta`` so the sets are finite regardless.  The partition is
-    memoized, so the enumerators that each need it compute it once per
-    compression.
+    The scan stops at ``spec.n_max``; membership requires ``lam_n <
+    -beta`` so the sets are finite regardless.  When the generator's
+    ``lam_{n_max+1}`` is below ``-beta`` too (for an explicit spectrum:
+    its list is longer than ``n_max``), effective modes were cut off and
+    ``truncated`` is set.  The partition is memoized, so the enumerators
+    that each need it compute it once per compression.
     """
     return _partition(spec, p.beta, p.k)
 
@@ -105,7 +109,10 @@ def _partition(spec: Spectrum, beta: float, k: float) -> ModeSetPartition:
             E2.append(n)
         else:
             E3.append(n)
-    part = ModeSetPartition(tuple(E), tuple(E1), tuple(E2), tuple(E3), E[-1] if E else 0)
+    n_star = E[-1] if E else 0
+    past_cap = spec.eigenvalue_past_cap() if n_star == spec.n_max else None
+    truncated = past_cap is not None and past_cap < mb
+    part = ModeSetPartition(tuple(E), tuple(E1), tuple(E2), tuple(E3), n_star, truncated)
     if spec.generator == "dirichlet" and beta < 0.0 and part.n_star < spec.n_max:
         # closed-form count cross-check; skipped within roundoff of an
         # eigenvalue boundary where ceil() is unstable.  Eigenvalues

@@ -3,10 +3,15 @@ random starts and reconcile the roots with the closed-form inventory.
 
 The oracle knows nothing about branch structure.  It draws starts
 uniformly from the amplitude box, runs damped Newton (see
-:mod:`beamforge.kernels`), deduplicates converged roots, and reports
-every distinct solution found.  ``match_against`` then classifies each
-root as a known isolated solution, a point on an EE family, or
-unmatched; unmatched roots indicate a bug somewhere.
+:mod:`beamforge.kernels`), deduplicates converged roots, polishes them
+and reports every distinct solution found.  The polish is one vectorized
+stage of rank-cut Newton steps (a pseudo-inverse that drops singular
+values below ``1e-10`` of the largest): near junctions of solution
+continua the Jacobian is nearly rank deficient, and the search's
+full-rank solves leave such roots too far off the manifold to match.
+``match_against`` then classifies each root as a known isolated
+solution, a point on an EE family, or unmatched; unmatched roots
+indicate a bug somewhere.
 
 Two generic properties of the modal system, not of its closed forms,
 make plain multistart complete at desk scale:
@@ -33,7 +38,6 @@ search does not use it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -118,99 +122,39 @@ class OracleResult:
         }
 
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
+def _accurate_polish(lams, p: Params, roots: np.ndarray) -> np.ndarray:
+    """Polish every root at once with a rank-cut Newton step.
 
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ca = _SPLITTER * a
-    a_hi = ca - (ca - a)
-    a_lo = a - a_hi
-    cb = _SPLITTER * b
-    b_hi = cb - (cb - b)
-    b_lo = b - b_hi
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, err
-
-
-def _dd_sum(terms: list[float]) -> tuple[float, float]:
-    hi = math.fsum(terms)
-    return hi, math.fsum(terms + [-hi])
-
-
-def _accurate_residual(lams, beta, varrho, k, x) -> np.ndarray:
-    """Compensated modal residual of a single point.
-
-    The standard evaluation loses ~eps times the term magnitude to
-    cancellation (the axial factor ``lam_m + C_u`` nearly vanishes on a
-    solution), which caps how far Newton can polish a root near a
-    junction of solution continua.  Exact products plus ``math.fsum``
-    bring the error down to the order of the residual itself.
+    Near junctions of solution continua an extra near-null Jacobian
+    direction lets the search park iterates ~sqrt(tol) off the manifold,
+    where a full-rank solve amplifies noise along that direction.  The
+    step here drops singular values below ``1e-10`` of the largest
+    (``pinv``).  A step is accepted when one of 8 halvings strictly lowers
+    the max-abs residual; a root stops at the first step that none does,
+    or after 60 steps.
     """
-    n = len(lams)
-    sums = ([beta], [beta])
-    for j in range(n):
-        c1, c2 = _two_prod(varrho, lams[j])
-        for block, acc in zip((x[:n], x[n:]), sums):
-            s1, s2 = _two_prod(block[j], block[j])
-            p1, p2 = _two_prod(s1, c1)
-            acc.extend((p1, p2, s1 * c2 + s2 * c1 + s2 * c2))
-    (cu_hi, cu_lo), (cv_hi, cv_lo) = _dd_sum(sums[0]), _dd_sum(sums[1])
-    out = np.empty(2 * n)
-    for m in range(n):
-        lam = lams[m]
-        a = x[m]
-        g = x[n + m]
-        d_hi, d_lo = _two_sum(a, -g)
-        r1, r2 = _two_prod(k, d_hi)
-        for row, coeff, (t_hi, t_lo), sign in (
-            (m, a, _two_sum(lam, cu_hi), 1.0),
-            (n + m, g, _two_sum(lam, cv_hi), -1.0),
-        ):
-            t_lo = t_lo + (cu_lo if sign > 0 else cv_lo)
-            g1, g2 = _two_prod(lam, coeff)
-            q1, q2 = _two_prod(g1, t_hi)
-            out[row] = math.fsum(
-                [q1, q2, g1 * t_lo, g2 * t_hi, g2 * t_lo,
-                 sign * r1, sign * r2, sign * k * d_lo]
-            )
-    return out
-
-
-def _accurate_polish(lams, p: Params, roots: np.ndarray, iterations: int = 60) -> np.ndarray:
-    """Newton-polish each root with compensated residuals and a
-    rank-cut least-squares step, so coefficients are resolved to full
-    precision even where the Jacobian is nearly rank-deficient."""
-    out = roots.copy()
-    lam_list = [float(v) for v in lams]
-    for i in range(out.shape[0]):
-        x = out[i].copy()
-        fx = _accurate_residual(lam_list, p.beta, p.varrho, p.k, x)
-        best = np.abs(fx).max()
-        for _ in range(iterations):
-            J = kernels.jacobian(np.asarray(lams), p.beta, p.varrho, p.k, x[None, :])[0]
-            step, *_ = np.linalg.lstsq(J, -fx, rcond=1e-10)
-            improved = False
-            t = 1.0
-            for _bt in range(8):
-                trial = x + t * step
-                ft = _accurate_residual(lam_list, p.beta, p.varrho, p.k, trial)
-                mag = np.abs(ft).max()
-                if np.isfinite(mag) and mag < best:
-                    x, fx, best = trial, ft, mag
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
+    x = roots.copy()
+    live = np.arange(x.shape[0])
+    for _ in range(60):
+        if live.size == 0:
+            break
+        xl = x[live]
+        F = kernels.residual(lams, p.beta, p.varrho, p.k, xl)
+        best = np.abs(F).max(axis=1)
+        J = kernels.jacobian(lams, p.beta, p.varrho, p.k, xl)
+        step = -(np.linalg.pinv(J, rcond=1e-10) @ F[:, :, None])[:, :, 0]
+        improved = np.zeros(live.size, dtype=bool)
+        for halvings in range(8):
+            rem = np.flatnonzero(~improved)
+            if rem.size == 0:
                 break
-        out[i] = x
-    return out
+            trial = xl[rem] + 0.5 ** halvings * step[rem]
+            mag = np.abs(kernels.residual(lams, p.beta, p.varrho, p.k, trial)).max(axis=1)
+            ok = mag < best[rem]  # False for NaN
+            x[live[rem[ok]]] = trial[ok]
+            improved[rem[ok]] = True
+        live = live[improved]
+    return x
 
 
 def _dedup_merge(known: np.ndarray, roots: np.ndarray, radius: float) -> np.ndarray:
@@ -311,12 +255,7 @@ def galerkin_solve(
     run_block(subsets[-1], starts - share * len(proper))
 
     if known.shape[0]:
-        # polish to the numerical floor: near junctions of solution
-        # continua an extra near-null Jacobian direction lets iterates
-        # park ~sqrt(tol) off the manifold, so finish with compensated
-        # residuals that are not limited by cancellation noise
-        polished, _, _ = kernels.newton_batch(lams, p.beta, p.varrho, p.k, known, 0.0, max_iter=25)
-        polished = _accurate_polish(lams, p, polished)
+        polished = _accurate_polish(lams, p, known)
         known = _dedup_merge(np.zeros((0, 2 * n_modes)), polished, radius)
         known = _orbit_closure(known, n_modes, radius)
 

@@ -141,6 +141,13 @@ class Spectrum:
             return (n * math.pi) ** (self.p + 1)
         return self.values[n - 1]
 
+    def eigenvalue_past_cap(self) -> float | None:
+        """``lam_{n_max+1}`` of the generator, or None for an explicit
+        list that ends at ``n_max``."""
+        if self.generator == "explicit" and len(self.values) <= self.n_max:
+            return None
+        return self._generate(self.n_max + 1)
+
     def eigenvalues(self, up_to: int | None = None) -> np.ndarray:
         """Eigenvalues ``lam_1 .. lam_up_to`` as a float array."""
         n = self.n_max if up_to is None else up_to

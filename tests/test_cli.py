@@ -60,6 +60,14 @@ def test_enumerate_no_compression(capsys):
     assert any("E empty" in note for note in doc["notes"])
 
 
+def test_enumerate_notes_truncation_at_nmax(capsys):
+    # E = {1, 2, 3} at this compression; --nmax 2 cuts mode 3 off
+    doc = run_json(capsys, "enumerate", *COMMON, "--nmax", "2")
+    assert doc["counts"]["unimodal"] == 16  # 8 per E3 mode
+    assert any("truncated at n_max = 2" in note for note in doc["notes"])
+    assert run_json(capsys, "enumerate", *COMMON, "--nmax", "3")["notes"] == []
+
+
 def test_enumerate_family_with_samples(capsys):
     doc = run_json(
         capsys, "enumerate", "--spectrum", "scaled", "--k", "2", "--beta", "-10",
@@ -115,6 +123,43 @@ def test_unimodal_csv_empty_grid(capsys):
     assert code == 0
     assert out.strip().splitlines()[0].startswith("minus_beta,")
     assert len(out.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --csv is read by unimodal alone; --json was a no-op everywhere
+        ("enumerate", "--csv"),
+        ("sets", "--csv"),
+        ("single", "--model", "plain", "--csv"),
+        ("oracle", "--modes", "1", "--starts", "10", "--csv"),
+        ("unimodal", "--json"),
+        ("sweep", "--json"),
+        # the gnuplot script plots a CSV file
+        ("sweep", "--gnuplot", "sweep.gp"),
+        ("unimodal", "--csv", "--gnuplot", "branches.gp"),
+        ("unimodal", "--gnuplot", "branches.gp", "--out", "branches.json"),
+    ],
+    ids=" ".join,
+)
+def test_ignored_format_flags_exit_code(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main([*argv, *COMMON])
+    except SystemExit as exc:  # argparse rejects an unknown option
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_gnuplot_script_plots_the_csv(capsys, tmp_path):
+    out, script = tmp_path / "sweep.csv", tmp_path / "sweep.gp"
+    code, _ = run_cli(
+        capsys, "sweep", *COMMON, "--grid", "0:20:5", "--out", str(out), "--gnuplot", str(script)
+    )
+    assert code == 0
+    assert "'sweep.csv' using 1:4" in script.read_text()
 
 
 def test_single_models(capsys):

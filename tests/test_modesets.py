@@ -137,6 +137,25 @@ def test_dirichlet_count_formula_on_random_betas(beta):
     assert len(part.E) == dirichlet_mode_count(beta)
 
 
+def test_truncation_at_n_max_is_flagged(dirichlet):
+    # lam_65 = (65 pi)^2 < 45000: three effective modes lie above n_max
+    part = effective_modes(Params(beta=-45000.0, varrho=1.0, k=1.0), dirichlet)
+    assert len(part.E) == 64 < dirichlet_mode_count(-45000.0) == 67
+    assert part.truncated
+    # every effective mode fits under the cap, the last one exactly
+    assert not effective_modes(Params(beta=-15.5, varrho=1.0, k=3.0), Spectrum.scaled(3)).truncated
+    assert effective_modes(Params(beta=-15.5, varrho=1.0, k=3.0), Spectrum.scaled(2)).truncated
+    assert "truncated" not in part.describe()
+
+
+def test_explicit_spectrum_truncated_only_past_its_list():
+    p = Params(beta=-100.0, varrho=1.0, k=1.0)
+    values = [1.0, 4.0, 9.0]
+    assert effective_modes(p, Spectrum.explicit(values, n_max=2)).truncated
+    assert not effective_modes(p, Spectrum.explicit(values, n_max=3)).truncated
+    assert not effective_modes(p, Spectrum.explicit(values, n_max=64)).truncated
+
+
 def test_mode_thresholds_ordering(scaled):
     for n in range(1, 10):
         lam = scaled.eigenvalue(n)

@@ -150,7 +150,8 @@ def test_starts_validation(scaled):
 def test_trimodal_case_full_inventory_every_seed(seed):
     # near the junctions of the EE continua the Jacobian is nearly rank
     # deficient; without the rank-cut polish some roots stay too far off
-    # the manifold to match and are reported as unmatched
+    # the manifold to match and are reported as unmatched, and the rest
+    # keep the search's residual (1e-11 of the system scale)
     p = Params(beta=-30.0, varrho=1.0, k=72.0)
     spec = Spectrum.scaled(n_max=8)
     result = galerkin_solve(p, spec, 5, 5000, seed=seed)
@@ -159,3 +160,4 @@ def test_trimodal_case_full_inventory_every_seed(seed):
     report = match_against(closed, families, result.found)
     assert report.unmatched == []
     assert report.missed_closed == []
+    assert max(modal_residual(s, p, spec).relative for s in result.found) <= 1e-14
