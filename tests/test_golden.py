@@ -5,7 +5,9 @@ that ran every pair invariant and the O(|E|^3) triple scan afresh at
 each compression.  The memoized pair algebra and the O(|E|^2) triple
 scan must reproduce them exactly.  Outputs too large to keep are frozen
 by their sha256, written by the implementation that decided each band,
-pair branch and family membership in more than one module.
+pair branch and family membership in more than one module; the digest
+of ``enumerate --beta -45000`` was renewed only for the note that reports
+truncation at ``n_max``.
 """
 
 import hashlib
