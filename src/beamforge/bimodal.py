@@ -27,10 +27,15 @@ are reported as ee-degenerate instead of being solved here.
 
 Everything above except the window test and ``(r, t)`` is independent
 of ``beta``: the invariants and the seam flag are memoized per
-``(spectrum, k, varrho, pair)``, so a compression sweep derives them
-once and per compression only filters on the thresholds.
-:func:`pair_branches` turns one pair into its branch rows; the solution
-list, the solution count and the sweep's pair rows all read them.
+``(spectrum, k, varrho, pair)``.  :func:`pair_branches` turns one pair
+into its branch rows; the solution list and the sweep's pair rows read
+them.  A compression sweep counts solutions from a :class:`PairTable`
+instead: the window kind, the window thresholds and the beta-free terms
+of ``F, G -> r^2, s^2`` of every pair, built once per sweep, so that
+:func:`count_general_bimodal` takes each compression's count in one
+array pass.  It evaluates the window test, ``F, G -> r^2, s^2`` and the
+positivity test with the same float expressions as the scalar path, so
+the two agree bit for bit, also within a few ulps of a window edge.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .core import ModalSolution, Params
 from .modesets import PAIR_CACHE_SIZE, _partition, _rel_eq
@@ -147,16 +155,27 @@ def _on_ee_seam(inv: BimodalInvariants, k: float) -> bool:
     return _rel_eq(prod, 2.0 * k, SEAM_RTOL) or _rel_eq(gap, 2.0 * k, SEAM_RTOL)
 
 
+def _window(inv: BimodalInvariants, k: float) -> str | None:
+    """The window a pair can open: ``"B1*"`` (product window),
+    ``"B2*"`` (gap window) or ``None``, whatever ``beta``."""
+    prod = inv.lam1 * inv.lam2
+    gap = inv.lam1 * (inv.lam2 - inv.lam1)
+    if k < prod < 2.0 * k:
+        return "B1*"
+    if gap > 2.0 * k:
+        return "B2*"
+    return None
+
+
 def _solvable(inv: BimodalInvariants, p: Params) -> str | None:
     """The open solvability window: ``"B1*"`` (product window),
     ``"B2*"`` (gap window) or ``None`` when closed."""
-    prod = inv.lam1 * inv.lam2
-    gap = inv.lam1 * (inv.lam2 - inv.lam1)
+    window = _window(inv, p.k)
     mb = -p.beta
-    if p.k < prod < 2.0 * p.k:
-        return "B1*" if inv.m_small < mb < inv.m_big else None
-    if gap > 2.0 * p.k:
-        return "B2*" if inv.m_big < mb else None
+    if window == "B1*":
+        return window if inv.m_small < mb < inv.m_big else None
+    if window == "B2*":
+        return window if inv.m_big < mb else None
     return None
 
 
@@ -262,7 +281,69 @@ def enumerate_general_bimodal(
     ]
 
 
-def _count_general_bimodal(p: Params, spec: Spectrum, E: tuple[int, ...]) -> int:
-    """``len(enumerate_general_bimodal(p, spec))`` without building the
-    solutions, given the effective modes ``E``."""
-    return sum(len(pair_branches(p, spec, pair)) for pair in _pairs_of(E))
+# window codes of a PairTable column
+_WINDOW_CODES = {None: 0, "B1*": 1, "B2*": 2}
+# the columns of a pair without an open-able window: finite, and no
+# denominator of count_general_bimodal is zero
+_CLOSED_COLUMNS = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+
+
+class PairTable(NamedTuple):
+    """The beta-independent count data of every pair ``n1 < n2 <= n_top``,
+    one column per pair ordered by ``(n2, n1)``, so the pairs of
+    ``E = (1..n*)`` are the first ``n*(n*-1)/2`` columns."""
+
+    window: np.ndarray  # 1 B1*, 2 B2*, 0 no invariants, EE seam or no window
+    m_small: np.ndarray
+    m_big: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    scale: np.ndarray  # varrho * lam1
+    X2: np.ndarray
+    Y2: np.ndarray
+    W2: np.ndarray
+    Z2: np.ndarray
+
+
+def pair_table(p: Params, spec: Spectrum, n_top: int) -> PairTable:
+    """The :class:`PairTable` of the pairs up to mode ``n_top`` at the
+    ``k`` and ``varrho`` of ``p`` (its ``beta`` is not read)."""
+    windows, columns = [], []
+    for n2 in range(2, n_top + 1):
+        for n1 in range(1, n2):
+            inv, on_seam = _pair_algebra(spec, p.k, p.varrho, (n1, n2))
+            window = None if inv is None or on_seam else _window(inv, p.k)
+            windows.append(_WINDOW_CODES[window])
+            columns.append(
+                _CLOSED_COLUMNS
+                if window is None
+                else (
+                    inv.m_small, inv.m_big, inv.f, inv.g, p.varrho * inv.lam1,
+                    inv.X * inv.X, inv.Y * inv.Y, inv.W * inv.W, inv.Z * inv.Z,
+                )
+            )
+    values = np.array(columns, dtype=float).reshape(-1, len(_CLOSED_COLUMNS)).T
+    return PairTable(np.array(windows, dtype=np.int8), *values)
+
+
+def count_general_bimodal(table: PairTable, beta: float, n_star: int) -> int:
+    """``len(enumerate_general_bimodal(p, spec))`` at compression
+    ``-beta``, whose effective modes are ``1..n_star``, read from a
+    table built for ``n_top >= n_star`` at the same ``k`` and ``varrho``.
+
+    Elementwise it repeats :func:`_solvable`'s window test, then
+    :func:`_circle_ellipse_roots` and :func:`_positive_root`'s sign test
+    with the same float operations in the same order, so each pair's
+    verdict is the scalar path's."""
+    m = n_star * (n_star - 1) // 2
+    window, m_small, m_big = table.window[:m], table.m_small[:m], table.m_big[:m]
+    X2, Y2, W2, Z2 = table.X2[:m], table.Y2[:m], table.W2[:m], table.Z2[:m]
+    mb = -beta
+    is_open = ((window == _WINDOW_CODES["B1*"]) & (m_small < mb) & (mb < m_big)) | (
+        (window == _WINDOW_CODES["B2*"]) & (m_big < mb)
+    )
+    F = (table.f[:m] - beta) / table.scale[:m]
+    G = (table.g[:m] - beta) / table.scale[:m]
+    sis1 = ((W2 * F - G) / (W2 - X2) > 0.0) & ((G - X2 * F) / (W2 - X2) > 0.0)
+    sis2 = ((Z2 * G - F) / (Z2 - Y2) > 0.0) & ((F - Y2 * G) / (Z2 - Y2) > 0.0)
+    return 4 * int(np.count_nonzero(is_open & sis1)) + 4 * int(np.count_nonzero(is_open & sis2))

@@ -13,7 +13,13 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .bimodal import _count_general_bimodal, bstar_pairs, enumerate_general_bimodal, pair_branches
+from .bimodal import (
+    bstar_pairs,
+    count_general_bimodal,
+    enumerate_general_bimodal,
+    pair_branches,
+    pair_table,
+)
 from .core import (
     ModalSolution,
     Params,
@@ -24,7 +30,15 @@ from .core import (
 from .convert import PhysicalParams, dimensionless_params
 from .ee_families import enumerate_ee_families, sample_family
 from .errors import ValidationError, VerificationError
-from .modesets import effective_modes, mu_value, nu_value, trimodal_ee_triples, bimodal_ee_pairs
+from .modesets import (
+    bimodal_ee_pairs,
+    count_ee_families,
+    ee_family_thresholds,
+    effective_modes,
+    mu_value,
+    nu_value,
+    trimodal_ee_triples,
+)
 from .oracle import galerkin_solve, match_against
 from .single_beam import enumerate_foundation, enumerate_plain
 from .spectrum import Spectrum
@@ -324,14 +338,15 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _branch_rows_for_beta(p: Params, spec: Spectrum, tracked, pairs, tol_cond) -> list[list]:
+def _branch_rows_for_beta(
+    p: Params, spec: Spectrum, tracked, pairs, ee_thresholds, bimodal_table
+) -> list[list]:
     rows = []
-    # enumerate_ee_families reuses the memoized partition
     part = effective_modes(p, spec)
     counts = (
         2 * len(part.E1) + 4 * len(part.E2) + 8 * len(part.E3),
-        len(enumerate_ee_families(p, spec, tol_cond)),
-        _count_general_bimodal(p, spec, part.E),
+        count_ee_families(ee_thresholds, p.beta),
+        count_general_bimodal(bimodal_table, p.beta, part.n_star),
     )
     for n in tracked:
         curves = amplitude_curves(p, spec, n)
@@ -369,13 +384,13 @@ def cmd_sweep(args) -> int:
     _check_gnuplot(args, True)
     grid = _parse_grid(args.grid)
     pairs = _parse_pairs(args.pairs)
+    top = Params(beta=-max(grid, default=0.0), varrho=p.varrho, k=p.k)
     if args.track:
         try:
             tracked = sorted({int(x) for x in args.track.split(",")})
         except ValueError as exc:
             raise ValidationError(f"bad --track {args.track!r}") from exc
     elif grid:
-        top = Params(beta=-max(grid), varrho=p.varrho, k=p.k)
         tracked = list(effective_modes(top, spec).E) or [1]
     else:
         tracked = []
@@ -391,10 +406,13 @@ def cmd_sweep(args) -> int:
         "beta", "branch_id", "modes", "alpha_1", "gamma_1", "alpha_2", "gamma_2",
         "count_unimodal", "count_ee_families", "count_general_bimodal",
     ]
+    # the count columns read tables built once, at the top compression
+    ee_thresholds = ee_family_thresholds(top, spec, args.tol_cond)
+    bimodal_table = pair_table(top, spec, effective_modes(top, spec).n_star)
     rows = []
     for mb in minus_betas:
         pb = Params(beta=-mb, varrho=p.varrho, k=p.k)
-        rows.extend(_branch_rows_for_beta(pb, spec, tracked, pairs, args.tol_cond))
+        rows.extend(_branch_rows_for_beta(pb, spec, tracked, pairs, ee_thresholds, bimodal_table))
     rows.sort(key=lambda r: (r[0], r[1]))
     text = jsonio.csv_text(header, rows)
     _write(text, args.out)
@@ -455,7 +473,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (code 2) or the help (code 0)
+        return exc.code
     try:
         return _COMMANDS[args.command](args)
     except ValidationError as exc:

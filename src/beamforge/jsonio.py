@@ -10,6 +10,9 @@ from __future__ import annotations
 import json
 import math
 
+# distinct cells csv_text keeps formatted at once
+CSV_MEMO_CELLS = 1024
+
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
@@ -85,7 +88,22 @@ def csv_cell(value) -> str:
 
 
 def csv_text(header: list[str], rows) -> str:
+    # A sweep repeats its betas, counts, empty cells and branch ids
+    # within a few hundred rows, so a value formatted once is reused from
+    # a memo.  The memo is emptied when full: kept whole, the mostly
+    # distinct amplitudes would grow it past the size of the CSV itself.
+    # The key holds the type so that True, 1 and 1.0 keep their own cells.
+    cells: dict = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(csv_cell(v) for v in row))
+        texts = []
+        for value in row:
+            key = (type(value), value)
+            text = cells.get(key)
+            if text is None:
+                if len(cells) == CSV_MEMO_CELLS:
+                    cells.clear()
+                text = cells[key] = csv_cell(value)
+            texts.append(text)
+        lines.append(",".join(texts))
     return "\n".join(lines) + "\n"

@@ -11,8 +11,10 @@ reported twice.  Every consumer, the unimodal enumerator included, reads
 the bands from :func:`effective_modes`.
 
 The resonance equalities depend on the spectrum and ``k`` only, never on
-``beta``; they are memoized per index pair, so a sweep over compressions
-pays for them once and then only filters on ``-beta``.
+``beta``; they are memoized per index pair.  Each EE family then exists
+exactly above one compression threshold, so a sweep over compressions
+collects the thresholds once (:func:`ee_family_thresholds`) and counts
+the families at each compression by bisection.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Params
 from .errors import VerificationError
@@ -249,6 +253,36 @@ def trimodal_ee_triples(p: Params, spec: Spectrum, tol: float = 1e-9):
                     out.append((n1, E[j], E[m]))
     out.sort()
     return out
+
+
+def ee_family_thresholds(p: Params, spec: Spectrum, tol: float = 1e-9) -> np.ndarray:
+    """Sorted compressions above which each EE family exists, for every
+    family whose modes are effective at ``p``.
+
+    A family exists at ``-beta`` exactly when its threshold is strictly
+    below ``-beta``: ``lam2`` for a B2 pair, else ``lam1 + lam2`` for a
+    B1 pair (a pair on both equalities is a member once ``lam2 < -beta``),
+    and ``lam3`` for a triple.  These are the floats the membership tests
+    compare, so :func:`count_ee_families` equals the length of
+    ``enumerate_ee_families`` at any ``beta >= p.beta``.
+    """
+    E = _partition(spec, p.beta, p.k).E
+    out = []
+    for i, n1 in enumerate(E):
+        for n2 in E[i + 1 :]:
+            on_b1, on_b2 = _pair_resonance(spec, p.k, tol, (n1, n2))
+            if on_b2:
+                out.append(spec.eigenvalue(n2))
+            elif on_b1:
+                out.append(spec.eigenvalue(n1) + spec.eigenvalue(n2))
+    out += [spec.eigenvalue(n3) for _, _, n3 in trimodal_ee_triples(p, spec, tol)]
+    return np.sort(np.array(out, dtype=float))
+
+
+def count_ee_families(thresholds: np.ndarray, beta: float) -> int:
+    """The number of EE families at ``beta``, from the thresholds of
+    :func:`ee_family_thresholds` built at a compression ``>= -beta``."""
+    return int(np.searchsorted(thresholds, -beta, "left"))
 
 
 def trimodal_candidates(spec: Spectrum, n_limit: int | None = None, rel_tol: float = 1e-12):

@@ -8,13 +8,14 @@ from beamforge import (
     Params,
     Spectrum,
     compute_invariants,
+    enumerate_ee_families,
     enumerate_general_bimodal,
     is_ee,
     modal_residual,
     solve_circle_ellipse,
 )
-from beamforge.bimodal import _count_general_bimodal, bstar_kind, bstar_pairs
-from beamforge.modesets import effective_modes
+from beamforge.bimodal import bstar_kind, bstar_pairs, count_general_bimodal, pair_table
+from beamforge.modesets import count_ee_families, ee_family_thresholds, effective_modes
 
 S3 = math.sqrt(3.0)
 S7 = math.sqrt(7.0)
@@ -284,15 +285,67 @@ def test_case_sign_patterns():
             assert inv.Y < -1.0 < inv.X < 0.0 < inv.Z < 1.0 < inv.W
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from([Spectrum.scaled(20), Spectrum.dirichlet(12)]),
-    st.floats(min_value=-600.0, max_value=0.0),
-    st.floats(min_value=0.05, max_value=200.0),
-    st.floats(min_value=0.1, max_value=10.0),
-)
-def test_count_matches_enumeration(spec, beta, k, varrho):
-    # the sweep's count shares the per-pair roots with the enumerator
+def count_tables(spec, k, varrho):
+    """The sweep's count tables, built at a compression where every mode
+    up to ``n_max`` is effective, so they serve every compression."""
+    top = Params(beta=-(2.0 * spec.eigenvalue(spec.n_max) + 1.0), varrho=varrho, k=k)
+    return pair_table(top, spec, spec.n_max), ee_family_thresholds(top, spec)
+
+
+def count_edges(table, ee_thresholds):
+    """The positive compressions at which a table count can step."""
+    edges = {*table.m_small[table.window == 1], *table.m_big[table.window > 0], *ee_thresholds}
+    return sorted(e for e in edges if e > 0.0)
+
+
+def ulps_from(x, steps):
+    toward = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+@st.composite
+def count_cases(draw):
+    """A random case, half the time with ``-beta`` on, or within 1..3
+    ulps of, a window edge ``m_small``/``m_big`` or an EE threshold."""
+    spec = draw(st.sampled_from([Spectrum.scaled(20), Spectrum.dirichlet(12)]))
+    # 72 and 2 make scaled pairs and a triple resonant
+    k = draw(st.one_of(st.floats(min_value=0.05, max_value=200.0), st.sampled_from([72.0, 2.0])))
+    varrho = draw(st.floats(min_value=0.1, max_value=10.0))
+    beta = draw(st.floats(min_value=-600.0, max_value=0.0))
+    if draw(st.booleans()):
+        edges = count_edges(*count_tables(spec, k, varrho))
+        if edges:
+            beta = -ulps_from(draw(st.sampled_from(edges)), draw(st.integers(-3, 3)))
+    return spec, beta, k, varrho
+
+
+@settings(max_examples=160, deadline=None)
+@given(count_cases())
+def test_count_matches_enumeration(case):
+    # the sweep's table counts equal the scalar enumerators' lengths
+    spec, beta, k, varrho = case
     p = Params(beta=beta, varrho=varrho, k=k)
-    E = effective_modes(p, spec).E
-    assert _count_general_bimodal(p, spec, E) == len(enumerate_general_bimodal(p, spec))
+    table, ee_thresholds = count_tables(spec, k, varrho)
+    n_star = effective_modes(p, spec).n_star
+    assert count_general_bimodal(table, beta, n_star) == len(enumerate_general_bimodal(p, spec))
+    assert count_ee_families(ee_thresholds, beta) == len(enumerate_ee_families(p, spec))
+
+
+@pytest.mark.parametrize(
+    "spec,k",
+    [(Spectrum.scaled(12), 72.0), (Spectrum.scaled(12), 2.0), (Spectrum.dirichlet(8), 300.0)],
+    ids=["scaled-k72", "scaled-k2", "dirichlet-k300"],
+)
+def test_count_matches_enumeration_at_every_edge(spec, k):
+    # within a few ulps of a window edge the scalar path drops systems by
+    # roundoff, and the EE counts step exactly on their thresholds
+    table, ee_thresholds = count_tables(spec, k, 0.7)
+    for edge in count_edges(table, ee_thresholds):
+        for steps in range(-3, 4):
+            beta = -ulps_from(edge, steps)
+            p = Params(beta=beta, varrho=0.7, k=k)
+            n_star = effective_modes(p, spec).n_star
+            assert count_general_bimodal(table, beta, n_star) == len(enumerate_general_bimodal(p, spec))
+            assert count_ee_families(ee_thresholds, beta) == len(enumerate_ee_families(p, spec))

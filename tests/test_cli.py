@@ -144,13 +144,15 @@ def test_unimodal_csv_empty_grid(capsys):
 )
 def test_ignored_format_flags_exit_code(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
-    try:
-        code = main([*argv, *COMMON])
-    except SystemExit as exc:  # argparse rejects an unknown option
-        code = exc.code
-    assert code == 2
+    assert main([*argv, *COMMON]) == 2
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_argparse_rejection_returns_2(capsys):
+    assert main(["enumerate", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["--help"]) == 0
 
 
 def test_sweep_gnuplot_script_plots_the_csv(capsys, tmp_path):

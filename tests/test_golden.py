@@ -3,11 +3,14 @@
 The files under ``tests/golden/`` were written by the implementation
 that ran every pair invariant and the O(|E|^3) triple scan afresh at
 each compression.  The memoized pair algebra and the O(|E|^2) triple
-scan must reproduce them exactly.  Outputs too large to keep are frozen
-by their sha256, written by the implementation that decided each band,
-pair branch and family membership in more than one module; the digest
-of ``enumerate --beta -45000`` was renewed only for the note that reports
-truncation at ``n_max``.
+scan must reproduce them exactly, and so must the sweep counts read
+from tables built once per sweep; ``sweep_scaled_k72.csv``, the one
+file with nonzero EE counts, was written by the last implementation
+that still scanned the pairs at each compression.  Outputs too large to
+keep are frozen by their sha256, written by the implementation that
+decided each band, pair branch and family membership in more than one
+module; the digest of ``enumerate --beta -45000`` was renewed only for
+the note that reports truncation at ``n_max``.
 """
 
 import hashlib
@@ -26,6 +29,12 @@ CORPUS = [
     ("enumerate_scaled.json", ["enumerate", "--spectrum", "scaled", "--k", "3", "--beta=-15.5"]),
     # the T triple (3, 4, 5) exists here
     ("sets_scaled_k72.json", ["sets", "--spectrum", "scaled", "--k", "72", "--beta", "-40"]),
+    # EE counts 0, 4 and 5: four families start strictly above -beta = 25, a grid
+    # point, and B1 (2, 6) above 40
+    (
+        "sweep_scaled_k72.csv",
+        ["sweep", "--spectrum", "scaled", "--k", "72", "--grid", "0:60:13", "--track", "3,4,5"],
+    ),
 ]
 
 DIGESTS = [
