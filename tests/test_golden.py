@@ -10,7 +10,12 @@ that still scanned the pairs at each compression.  Outputs too large to
 keep are frozen by their sha256, written by the implementation that
 decided each band, pair branch and family membership in more than one
 module; the digest of ``enumerate --beta -45000`` was renewed only for
-the note that reports truncation at ``n_max``.
+the note that reports truncation at ``n_max``.  The solution records of
+``enumerate_scaled_k72_samples.json`` (EE family samples) and
+``unimodal_scaled.json`` were written by the last implementation that
+verified each solution one object at a time and emitted it through the
+recursive emitter; the array inventory, its vectorized checks and the
+record template must reproduce them, and the digest, exactly.
 """
 
 import hashlib
@@ -35,6 +40,12 @@ CORPUS = [
         "sweep_scaled_k72.csv",
         ["sweep", "--spectrum", "scaled", "--k", "72", "--grid", "0:60:13", "--track", "3,4,5"],
     ),
+    # four EE families (B1, two B2, T) with 2- and 3-mode sample records
+    (
+        "enumerate_scaled_k72_samples.json",
+        ["enumerate", "--spectrum", "scaled", "--k", "72", "--beta=-40", "--samples", "3"],
+    ),
+    ("unimodal_scaled.json", ["unimodal", "--spectrum", "scaled", "--k", "3", "--beta=-15.5"]),
 ]
 
 DIGESTS = [
