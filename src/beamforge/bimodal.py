@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ModalSolution, Params
+from .core import Inventory, ModalSolution, Params
 from .modesets import PAIR_CACHE_SIZE, _partition, _rel_eq
 from .spectrum import Spectrum
 
@@ -266,19 +266,27 @@ def bstar_pairs(p: Params, spec: Spectrum) -> list[tuple[tuple[int, int], str]]:
     return out
 
 
-def enumerate_general_bimodal(
+def general_bimodal_inventory(
     p: Params, spec: Spectrum, pairs: list[tuple[int, int]] | None = None
-) -> list[ModalSolution]:
+) -> Inventory:
     """All isolated bimodal solutions of unevenly distributed energy:
     eight per qualifying pair, four with v-ratios ``(X, W)`` and four
     with ``(Y, Z)``."""
     if pairs is None:
         pairs = _pairs_of(_partition(spec, p.beta, p.k).E)
-    return [
-        ModalSolution({n1: mode1, n2: mode2}, tag=_TAGS[kind])
-        for n1, n2 in pairs
-        for kind, mode1, mode2 in pair_branches(p, spec, (n1, n2))
-    ]
+    rows, tags = [], []
+    for n1, n2 in pairs:
+        for kind, (a1, g1), (a2, g2) in pair_branches(p, spec, (n1, n2)):
+            rows.append(((n1, a1, g1), (n2, a2, g2)))
+            tags.append(_TAGS[kind])
+    return Inventory.from_rows(rows, tags)
+
+
+def enumerate_general_bimodal(
+    p: Params, spec: Spectrum, pairs: list[tuple[int, int]] | None = None
+) -> list[ModalSolution]:
+    """:func:`general_bimodal_inventory` as solution objects."""
+    return general_bimodal_inventory(p, spec, pairs).solutions()
 
 
 # window codes of a PairTable column

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -17,16 +18,11 @@ from .bimodal import (
     bstar_pairs,
     count_general_bimodal,
     enumerate_general_bimodal,
+    general_bimodal_inventory,
     pair_branches,
     pair_table,
 )
-from .core import (
-    ModalSolution,
-    Params,
-    cubic_check,
-    modal_residual,
-    solution_sort_key,
-)
+from .core import Inventory, Params, check_inventory, solution_sort_key
 from .convert import PhysicalParams, dimensionless_params
 from .ee_families import enumerate_ee_families, sample_family
 from .errors import ValidationError, VerificationError
@@ -42,9 +38,11 @@ from .modesets import (
 from .oracle import galerkin_solve, match_against
 from .single_beam import enumerate_foundation, enumerate_plain
 from .spectrum import Spectrum
-from .unimodal import GAMMA_PARTNER, amplitude_curves, enumerate_unimodal
+from .unimodal import GAMMA_PARTNER, amplitude_curves, enumerate_unimodal, unimodal_inventory
 
 CUBIC_TOL = 1e-9
+# a --grid value with a negative lower bound, which argparse takes for an option
+_NEGATIVE_GRID = re.compile(r"-[0-9.]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,14 +168,18 @@ def _parse_pairs(tokens) -> list[tuple[int, int]] | None:
     return pairs
 
 
-def _verify(solutions, samples, p, spec, tol_res) -> dict:
-    """Tag-blind verification block over every emitted solution."""
-    max_res = 0.0
-    max_cubic = 0.0
-    for sol in list(solutions) + list(samples):
-        max_res = max(max_res, modal_residual(sol, p, spec).relative)
-        if not sol.is_trivial:
-            max_cubic = max(max_cubic, cubic_check(sol, p, spec).max_relative)
+def _records(inv: Inventory, p: Params, spec: Spectrum, checks: list) -> jsonio.SolutionRecords:
+    """The inventory's JSON records; its checks join ``checks``."""
+    checked = check_inventory(inv, p, spec)
+    checks.append(checked)
+    return jsonio.SolutionRecords(inv, checked)
+
+
+def _verify(checks, tol_res) -> dict:
+    """Tag-blind verification block over the checks of every emitted
+    solution."""
+    max_res = max((float(c.residual.max(initial=0.0)) for c in checks), default=0.0)
+    max_cubic = max((float(c.cubic.max(initial=0.0)) for c in checks), default=0.0)
     passed = max_res <= tol_res and max_cubic <= CUBIC_TOL
     return {
         "max_relative_residual": max_res,
@@ -234,13 +236,14 @@ def cmd_unimodal(args) -> int:
         if args.gnuplot is not None:
             args.gnuplot.write_text(_gnuplot_script(args.out, header), encoding="utf-8")
         return 0
-    sols = enumerate_unimodal(p, spec)
+    sols = unimodal_inventory(p, spec)
+    checks: list = []
     doc = {
         "params": p.describe(),
         "spectrum": spec.describe(),
         "count": len(sols),
-        "solutions": [s.to_json_dict(p, spec) for s in sols],
-        "verification": _verify(sols, [], p, spec, args.tol_res),
+        "solutions": _records(sols, p, spec, checks),
+        "verification": _verify(checks, args.tol_res),
     }
     _write(jsonio.dumps(doc), args.out)
     return 0 if doc["verification"]["passed"] else _verification_failure()
@@ -250,20 +253,20 @@ def cmd_enumerate(args) -> int:
     p, spec = _context(args)
     part = effective_modes(p, spec)
     pairs = _parse_pairs(args.pairs)
-    unimodal = enumerate_unimodal(p, spec)
+    unimodal = unimodal_inventory(p, spec)
     families = enumerate_ee_families(p, spec, args.tol_cond)
-    general = enumerate_general_bimodal(p, spec, pairs)
-    samples: list[ModalSolution] = []
+    general = general_bimodal_inventory(p, spec, pairs)
+    checks: list = []
+    unimodal_records = _records(unimodal, p, spec, checks)
+    general_records = _records(general, p, spec, checks)
     family_docs = []
     for fi, fam in enumerate(families):
         fdoc = fam.to_json_dict()
         if args.samples > 0:
-            drawn = sample_family(fam, args.samples, seed=args.seed + fi)
-            samples.extend(drawn)
-            fdoc["samples"] = [s.to_json_dict(p, spec) for s in drawn]
+            drawn = Inventory.from_solutions(sample_family(fam, args.samples, seed=args.seed + fi))
+            fdoc["samples"] = _records(drawn, p, spec, checks)
         family_docs.append(fdoc)
-    isolated = sorted(unimodal + general, key=solution_sort_key)
-    verification = _verify(isolated, samples, p, spec, args.tol_res)
+    verification = _verify(checks, args.tol_res)
     notes = []
     if not part.E:
         notes.append("E empty: only the trivial solution exists")
@@ -280,9 +283,9 @@ def cmd_enumerate(args) -> int:
             "ee_families": len(families),
             "general_bimodal": len(general),
         },
-        "unimodal": [s.to_json_dict(p, spec) for s in unimodal],
+        "unimodal": unimodal_records,
         "ee_families": family_docs,
-        "general_bimodal": [s.to_json_dict(p, spec) for s in general],
+        "general_bimodal": general_records,
         "verification": verification,
         "notes": notes,
     }
@@ -471,8 +474,22 @@ _COMMANDS = {
 }
 
 
+def _attach_grid(argv: list[str]) -> list[str]:
+    """Write ``--grid -10:20:3`` as ``--grid=-10:20:3``.  argparse reads
+    a separate token that starts with ``-`` and is not a plain number as
+    an option, and would reject the grid as a missing value."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--grid" and _NEGATIVE_GRID.match(token):
+            out[-1] = f"--grid={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_grid(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -5,13 +5,25 @@ mode index ``n`` to the coefficient pair ``(alpha_n, gamma_n)`` of the two
 deflections on the eigenvector ``e_n``.  Verification is tag-blind: the
 branch tag carried by a solution is metadata for reporting and is never
 consulted when residuals are evaluated.
+
+A list of isolated solutions is held as an :class:`Inventory`: fixed-shape
+rows of up to three stored modes, which :func:`check_inventory` verifies
+in one vectorized pass.  :func:`axial_coefficients`, :func:`modal_residual`
+and :func:`cubic_check` are the scalar reference it reproduces bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
+import numpy as np
+
+from . import jsonio
 from .errors import ValidationError
 from .spectrum import Spectrum
 
@@ -87,15 +99,97 @@ class ModalSolution:
         return self.modes.get(n, (0.0, 0.0))
 
     def to_json_dict(self, p: Params, spec: Spectrum) -> dict:
-        cu, cv = axial_coefficients(self, p, spec)
-        return {
-            "modes": [
-                {"n": n, "alpha": a, "gamma": g} for n, (a, g) in self.modes.items()
-            ],
-            "tag": self.tag,
-            "C_u": cu,
-            "C_v": cv,
-        }
+        """The solution's JSON record, read back from its one-row
+        rendering by :class:`beamforge.jsonio.SolutionRecords`."""
+        inv = Inventory.from_solutions([self])
+        text = jsonio.dumps(jsonio.SolutionRecords(inv, check_inventory(inv, p, spec)))
+        return json.loads(text)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class Inventory:
+    """Solutions as fixed-shape rows: row ``i`` stores ``width[i]`` modes
+    in columns ``0 .. width[i] - 1`` in increasing ``n``, and padded
+    columns hold ``n = 0`` and zero coefficients.  ``tags`` holds one
+    string per row, shared between rows of one kind.  Construction
+    enforces the invariants of :class:`ModalSolution`."""
+
+    n: np.ndarray  # (S, W) int, W >= 3
+    alpha: np.ndarray  # (S, W)
+    gamma: np.ndarray  # (S, W)
+    width: np.ndarray  # (S,)
+    tags: list[str]
+
+    def __post_init__(self) -> None:
+        stored = self.stored
+        a_zero, g_zero = self.alpha == 0.0, self.gamma == 0.0
+        bad = np.flatnonzero((stored & (a_zero != g_zero)).any(axis=1))
+        if bad.size:
+            raise ValidationError(
+                f"row {bad[0]}: alpha and gamma must vanish together in every mode"
+            )
+        active = (stored & ~(a_zero & g_zero)).sum(axis=1)
+        if active.size and active.max() > MAX_ACTIVE_MODES:
+            raise ValidationError(
+                f"row {int(active.argmax())} has {active.max()} active modes; "
+                f"at most {MAX_ACTIVE_MODES} allowed"
+            )
+
+    @staticmethod
+    def from_rows(rows, tags) -> "Inventory":
+        """Build from one sequence of ``(n, alpha, gamma)`` triples per
+        solution, stored modes in increasing ``n``."""
+        width = max([MAX_ACTIVE_MODES, *map(len, rows)])
+        blank = ((0, 0.0, 0.0),) * width
+        padded = (tuple(row) + blank[len(row):] for row in rows)
+        table = np.fromiter(
+            itertools.chain.from_iterable(itertools.chain.from_iterable(padded)),
+            dtype=float,
+            count=len(rows) * width * 3,
+        ).reshape(len(rows), width, 3)
+        return Inventory(
+            table[:, :, 0].astype(np.int64),
+            table[:, :, 1],
+            table[:, :, 2],
+            np.array([len(row) for row in rows], dtype=np.int64),
+            list(tags),
+        )
+
+    @staticmethod
+    def from_solutions(sols) -> "Inventory":
+        return Inventory.from_rows(
+            [[(n, a, g) for n, (a, g) in s.modes.items()] for s in sols],
+            [s.tag for s in sols],
+        )
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    @property
+    def stored(self) -> np.ndarray:
+        """``(S, W)`` mask of the stored (not padded) columns."""
+        return np.arange(self.n.shape[1]) < self.width[:, None]
+
+    def solutions(self) -> list[ModalSolution]:
+        """One :class:`ModalSolution` per row, in row order."""
+        return [
+            ModalSolution(dict(zip(ns[:w], zip(alphas[:w], gammas[:w]))), tag=tag)
+            for ns, alphas, gammas, w, tag in zip(
+                self.n.tolist(), self.alpha.tolist(), self.gamma.tolist(),
+                self.width.tolist(), self.tags,
+            )
+        ]
+
+
+class InventoryChecks(NamedTuple):
+    """Per-row values of the scalar checks: ``C_u``, ``C_v``,
+    ``modal_residual(...).relative`` and ``cubic_check(...).max_relative``
+    (0 for a trivial row)."""
+
+    C_u: np.ndarray
+    C_v: np.ndarray
+    residual: np.ndarray
+    cubic: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -218,6 +312,53 @@ def cubic_check(sol: ModalSolution, p: Params, spec: Spectrum, ee_tol: float = 1
             agreement = max(agreement, abs(fval - val) / scale)
         factored = tuple(factored)
     return CubicReport(tuple(values), max_rel, factored, agreement)
+
+
+def check_inventory(inv: Inventory, p: Params, spec: Spectrum) -> InventoryChecks:
+    """:func:`axial_coefficients`, :func:`modal_residual` and
+    :func:`cubic_check` of every row at once, tag-blind.
+
+    Each value equals the scalar one bit for bit: the float operations
+    are the same and run in the same order, ``C_u`` and ``C_v`` are summed
+    column by column over the stored modes only, the cubic sees the
+    active modes only, and ``lam ** 3`` is read from a table computed
+    with Python floats (NumPy's ``pow`` can round a cube differently).
+    """
+    top = int(inv.n.max(initial=0))
+    lams = [1.0] + [spec.eigenvalue(m) for m in range(1, top + 1)]  # 0 pads
+    lam = np.array(lams)[inv.n]
+    cube = np.array([x ** 3 for x in lams])[inv.n]
+    a, g = inv.alpha, inv.gamma
+    stored = inv.stored
+    cu = np.full(len(inv), float(p.beta))
+    cv = cu.copy()
+    for j in range(a.shape[1]):
+        on = stored[:, j]
+        cu = np.where(on, cu + p.varrho * lam[:, j] * a[:, j] * a[:, j], cu)
+        cv = np.where(on, cv + p.varrho * lam[:, j] * g[:, j] * g[:, j], cv)
+    cu_c, cv_c = cu[:, None], cv[:, None]
+
+    t1, t2 = lam * lam * a, cu_c * lam * a
+    t4, t5 = lam * lam * g, cv_c * lam * g
+    coupling = p.k * (a - g)
+    r1 = t1 + t2 + coupling
+    r2 = t4 + t5 - coupling
+    max_abs = np.where(stored, np.maximum(np.abs(r1), np.abs(r2)), 0.0).max(axis=1)
+    terms = _maximum(np.abs(t1), np.abs(t2), np.abs(t4), np.abs(t5), np.abs(p.k * a), np.abs(p.k * g))
+    term_scale = np.where(stored, terms, 0.0).max(axis=1)
+    residual = max_abs / np.maximum(1.0, term_scale)
+
+    s = cu_c + cv_c
+    q = cu_c * cv_c + 2.0 * p.k
+    val = cube + s * lam * lam + q * lam + p.k * s
+    scale = _maximum(1.0, cube, np.abs(s) * lam * lam, np.abs(q) * np.abs(lam), np.abs(p.k * s))
+    active = stored & ~((a == 0.0) & (g == 0.0))
+    cubic = np.where(active, np.abs(val) / scale, 0.0).max(axis=1)
+    return InventoryChecks(cu, cv, residual, cubic)
+
+
+def _maximum(*values):
+    return functools.reduce(np.maximum, values)
 
 
 def solution_sort_key(sol: ModalSolution):

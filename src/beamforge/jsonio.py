@@ -2,11 +2,22 @@
 
 Floats are rendered with 17 significant digits, enough to round-trip any
 double exactly, so identical inputs always produce byte-identical
-output.  NaN and infinities are rejected.
+output.  NaN and infinities are rejected.  :func:`format_float` is the
+only float formatter.
+
+:func:`dumps` writes a document of dicts, lists and scalars with a
+two-space indent.  A list of solution records is one
+:class:`SolutionRecords` in the document: it is rendered from the
+columns of a :class:`beamforge.core.Inventory` by one text template per
+stored-mode count and spliced into the output, so the record layout
+(``modes`` as ``n``/``alpha``/``gamma`` dicts, then ``tag``, ``C_u`` and
+``C_v``) is written down only in :func:`_record_template`.  The bytes
+are those the recursive emitter gives the same records as dicts.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -20,6 +31,68 @@ def format_float(x: float) -> str:
     if x == 0.0:
         x = 0.0  # normalize the sign of zero
     return format(float(x), ".17g")
+
+
+class SolutionRecords:
+    """The JSON list of an inventory's solution records, with the
+    ``C_u`` and ``C_v`` of its :class:`beamforge.core.InventoryChecks`.
+    Place it in a document where the list of records goes."""
+
+    def __init__(self, inventory, checks) -> None:
+        self.inventory = inventory
+        self.checks = checks
+
+    def text(self, indent: int, level: int) -> str:
+        """The list as :func:`_emit` writes it at nesting ``level``."""
+        inv = self.inventory
+        if not len(inv):
+            return "[]"
+        # one column of text per slot; padded cells are formatted but unused
+        used = int(inv.width.max())
+        columns = []
+        for j in range(used):
+            columns += [
+                [repr(n) for n in inv.n[:, j].tolist()],
+                _format_floats(inv.alpha[:, j].tolist()),
+                _format_floats(inv.gamma[:, j].tolist()),
+            ]
+        tag_text = {tag: json.dumps(tag) for tag in set(inv.tags)}
+        columns += [
+            [tag_text[tag] for tag in inv.tags],
+            _format_floats(self.checks.C_u.tolist()),
+            _format_floats(self.checks.C_v.tolist()),
+        ]
+        templates = [_record_template(w, indent, level + 1) for w in range(used + 1)]
+        records = [
+            templates[w] % (fields if w == used else fields[: 3 * w] + fields[-3:])
+            for w, fields in zip(inv.width.tolist(), zip(*columns))
+        ]
+        return "[\n" + ",\n".join(records) + "\n" + " " * (indent * level) + "]"
+
+
+def _format_floats(values: list[float]) -> list[str]:
+    """``format_float`` of each value, each distinct value formatted
+    once: the sign images of a solution share their ``C_u`` and
+    ``C_v`` and repeat each coefficient."""
+    texts = {x: format_float(x) for x in set(values)}
+    return [texts[x] for x in values]
+
+
+@functools.lru_cache(maxsize=32)
+def _record_template(width: int, indent: int, level: int) -> str:
+    """One solution record with ``width`` stored modes at nesting
+    ``level``, indented as :func:`_emit` indents the same dict, with
+    ``%s`` slots for ``n``, ``alpha`` and ``gamma`` of each mode, then
+    for the tag, ``C_u`` and ``C_v``."""
+    pad = [" " * (indent * (level + depth)) for depth in range(4)]
+    mode = (
+        f'{pad[2]}{{\n{pad[3]}"n": %s,\n{pad[3]}"alpha": %s,\n{pad[3]}"gamma": %s\n{pad[2]}}}'
+    )
+    modes = "[\n" + ",\n".join([mode] * width) + f"\n{pad[1]}]" if width else "[]"
+    return (
+        f'{pad[0]}{{\n{pad[1]}"modes": {modes},\n{pad[1]}"tag": %s,\n'
+        f'{pad[1]}"C_u": %s,\n{pad[1]}"C_v": %s\n{pad[0]}}}'
+    )
 
 
 def _emit(obj, parts: list[str], indent: int, level: int) -> None:
@@ -51,6 +124,8 @@ def _emit(obj, parts: list[str], indent: int, level: int) -> None:
             _emit(value, parts, indent, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")
+    elif isinstance(obj, SolutionRecords):
+        parts.append(obj.text(indent, level))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")

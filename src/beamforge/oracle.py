@@ -43,8 +43,8 @@ from itertools import combinations
 
 import numpy as np
 
-from . import kernels
-from .core import ModalSolution, Params, solution_sort_key
+from . import jsonio, kernels
+from .core import Inventory, ModalSolution, Params, check_inventory, solution_sort_key
 from .ee_families import EEFamily
 from .errors import ValidationError, VerificationError
 from .spectrum import Spectrum
@@ -117,9 +117,14 @@ class OracleResult:
             "matched": self.matched,
             "on_family": self.on_family,
             "unmatched_count": len(self.unmatched),
-            "found": [s.to_json_dict(p, spec) for s in self.found],
-            "unmatched": [s.to_json_dict(p, spec) for s in self.unmatched],
+            "found": _records(self.found, p, spec),
+            "unmatched": _records(self.unmatched, p, spec),
         }
+
+
+def _records(sols: list[ModalSolution], p: Params, spec: Spectrum) -> jsonio.SolutionRecords:
+    inv = Inventory.from_solutions(sols)
+    return jsonio.SolutionRecords(inv, check_inventory(inv, p, spec))
 
 
 def _accurate_polish(lams, p: Params, roots: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ModalSolution, Params
+from .core import Inventory, ModalSolution, Params
 from .modesets import _partition, mu_value, nu_value
 from .spectrum import Spectrum
 
@@ -32,6 +32,8 @@ from .spectrum import Spectrum
 FAMILIES = {"E1": (1,), "E2": (1, 2), "E3": (1, 2, 3, 4)}
 # the gamma of family i is sign * (amplitude of family partner)
 GAMMA_PARTNER = {1: (1, +1), 2: (2, -1), 3: (4, -1), 4: (3, -1)}
+# one shared tag string per family and sign, not one per solution
+_TAGS = {(i, sig): f"unimodal({i},{sig})" for i in (1, 2, 3, 4) for sig in "+-"}
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ def amplitude_curves(p: Params, spec: Spectrum, n: int) -> dict[int, float | Non
     return out
 
 
-def enumerate_unimodal(p: Params, spec: Spectrum) -> list[ModalSolution]:
+def unimodal_inventory(p: Params, spec: Spectrum) -> Inventory:
     """All nontrivial unimodal solutions: per mode the pairings are
 
         (a1, a1) (-a1, -a1)                          in E1
@@ -110,13 +112,18 @@ def enumerate_unimodal(p: Params, spec: Spectrum) -> list[ModalSolution]:
     for a total of ``2|E1| + 4|E2| + 8|E3|`` solutions.
     """
     part = _partition(spec, p.beta, p.k)
-    out: list[ModalSolution] = []
+    rows, tags = [], []
     for n in part.E:
         curves = amplitude_curves(p, spec, n)
         for i in FAMILIES[part.band(n)]:
             a = curves[i]
             partner, sign = GAMMA_PARTNER[i]
             g = sign * curves[partner]
-            out.append(ModalSolution({n: (a, g)}, tag=f"unimodal({i},+)"))
-            out.append(ModalSolution({n: (-a, -g)}, tag=f"unimodal({i},-)"))
-    return out
+            rows += [((n, a, g),), ((n, -a, -g),)]
+            tags += [_TAGS[i, "+"], _TAGS[i, "-"]]
+    return Inventory.from_rows(rows, tags)
+
+
+def enumerate_unimodal(p: Params, spec: Spectrum) -> list[ModalSolution]:
+    """:func:`unimodal_inventory` as solution objects."""
+    return unimodal_inventory(p, spec).solutions()

@@ -116,6 +116,20 @@ def test_unimodal_csv_branch_table(capsys, tmp_path):
     assert by_mb[9.5][5] == "" and by_mb[10.0][5] != "" and by_mb[10.0][7] != ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--spectrum", "power:2", "--grid", "-10:20:3"],
+        ["unimodal", "--csv", "--grid", "-10:20:3"],
+    ],
+)
+def test_grid_with_negative_lower_bound(capsys, argv):
+    # argparse reads a separate "-10:20:3" as an option; it must be the grid
+    code, spaced = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv[:-2], f"--grid={argv[-1]}") == (0, spaced)
+
+
 def test_unimodal_csv_empty_grid(capsys):
     code, out = run_cli(
         capsys, "unimodal", "--spectrum", "scaled", "--csv", "--grid", "0:20:0"
