@@ -238,11 +238,12 @@ def cmd_unimodal(args) -> int:
         return 0
     sols = unimodal_inventory(p, spec)
     checks: list = []
+    records = _records(sols, p, spec, checks)
     doc = {
         "params": p.describe(),
         "spectrum": spec.describe(),
         "count": len(sols),
-        "solutions": _records(sols, p, spec, checks),
+        "solutions": records,
         "verification": _verify(checks, args.tol_res),
     }
     _write(jsonio.dumps(doc), args.out)
