@@ -4,11 +4,9 @@ brute-force Galerkin cross-check."""
 
 from .bimodal import (
     BimodalInvariants,
-    CircleEllipseSolutions,
     bstar_pairs,
     compute_invariants,
     enumerate_general_bimodal,
-    solve_circle_ellipse,
 )
 from .convert import ConversionDiagnostics, PhysicalParams, dimensionless_params
 from .core import (
@@ -21,7 +19,7 @@ from .core import (
     is_ee,
     modal_residual,
 )
-from .ee_families import EEFamily, ee_family, enumerate_ee_families, sample_family
+from .ee_families import EEFamily, enumerate_ee_families, sample_family
 from .errors import ValidationError, VerificationError
 from .modesets import (
     ModeSetPartition,
@@ -34,13 +32,12 @@ from .modesets import (
 from .oracle import MatchReport, OracleResult, galerkin_solve, match_against
 from .single_beam import SingleBeamSolutionSet, enumerate_foundation, enumerate_plain
 from .spectrum import Spectrum
-from .unimodal import UAmplitudeSet, enumerate_unimodal, u_amplitudes
+from .unimodal import enumerate_unimodal
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BimodalInvariants",
-    "CircleEllipseSolutions",
     "ConversionDiagnostics",
     "CubicReport",
     "EEFamily",
@@ -53,7 +50,6 @@ __all__ = [
     "ResidualReport",
     "SingleBeamSolutionSet",
     "Spectrum",
-    "UAmplitudeSet",
     "ValidationError",
     "VerificationError",
     "axial_coefficients",
@@ -63,7 +59,6 @@ __all__ = [
     "dimensionless_params",
     "dirichlet_mode_count",
     "ee_bimodal_membership",
-    "ee_family",
     "ee_trimodal_membership",
     "effective_modes",
     "enumerate_ee_families",
@@ -77,6 +72,4 @@ __all__ = [
     "modal_residual",
     "required_k",
     "sample_family",
-    "solve_circle_ellipse",
-    "u_amplitudes",
 ]

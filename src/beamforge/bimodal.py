@@ -22,8 +22,8 @@ four sign-symmetric roots exist per system exactly when
 * ``lam1*(lam2-lam1) > 2k``     and ``m_big < -beta``.
 
 The equality seams ``lam1*lam2 == 2k`` and ``lam1*(lam2-lam1) == 2k``
-collapse ``X == Y``; there the solutions merge into the EE continua and
-are reported as ee-degenerate instead of being solved here.
+collapse ``X == Y``; there the solutions merge into the EE continua of
+:mod:`beamforge.ee_families`, and :func:`pair_branches` gives no rows.
 
 Everything above except the window test and ``(r, t)`` is independent
 of ``beta``: the invariants and the seam flag are memoized per
@@ -74,13 +74,6 @@ class BimodalInvariants:
     m_small: float
     m_big: float
     nu_shift: float  # k (X - Y) / (varrho lam1^2), the circle/ellipse offset
-
-
-@dataclass(frozen=True)
-class CircleEllipseSolutions:
-    which: str  # "SIS1" | "SIS2"
-    roots: tuple[tuple[float, float], ...]
-    ee_degenerate: bool = False
 
 
 def _unit_product_roots(s: float) -> tuple[float, float] | None:
@@ -146,13 +139,7 @@ def _pair_algebra(
     inv = BimodalInvariants(
         (n1, n2), lam1, lam2, zeta, sigma, Phi, Psi, X, Y, W, Z, f, g, m_small, m_big, nu_shift
     )
-    return inv, _on_ee_seam(inv, k)
-
-
-def _on_ee_seam(inv: BimodalInvariants, k: float) -> bool:
-    prod = inv.lam1 * inv.lam2
-    gap = inv.lam1 * (inv.lam2 - inv.lam1)
-    return _rel_eq(prod, 2.0 * k, SEAM_RTOL) or _rel_eq(gap, 2.0 * k, SEAM_RTOL)
+    return inv, _rel_eq(prod, 2.0 * k, SEAM_RTOL) or _rel_eq(gap, 2.0 * k, SEAM_RTOL)
 
 
 def _window(inv: BimodalInvariants, k: float) -> str | None:
@@ -177,26 +164,6 @@ def _solvable(inv: BimodalInvariants, p: Params) -> str | None:
     if window == "B2*":
         return window if inv.m_big < mb else None
     return None
-
-
-def solve_circle_ellipse(inv: BimodalInvariants, p: Params, which: str) -> CircleEllipseSolutions:
-    """Solve the selected circle-ellipse system for ``(r, t)``.
-
-    Returns the four sign-symmetric roots when the solvability window is
-    open, an empty root list when it is closed, and an ``ee_degenerate``
-    marker on the equality seams (those belong to the EE families).
-    """
-    if which not in ("SIS1", "SIS2"):
-        raise ValueError("which must be 'SIS1' or 'SIS2'")
-    if _on_ee_seam(inv, p.k):
-        return CircleEllipseSolutions(which, (), ee_degenerate=True)
-    if _solvable(inv, p) is None:
-        return CircleEllipseSolutions(which, ())
-    root = _circle_ellipse_roots(inv, p)[0 if which == "SIS1" else 1]
-    if root is None:
-        return CircleEllipseSolutions(which, ())
-    r, t = root
-    return CircleEllipseSolutions(which, ((r, t), (r, -t), (-r, t), (-r, -t)))
 
 
 def _circle_ellipse_roots(inv: BimodalInvariants, p: Params):
@@ -246,21 +213,13 @@ def _pairs_of(E: tuple[int, ...]):
     return ((n1, n2) for i, n1 in enumerate(E) for n2 in E[i + 1 :])
 
 
-def bstar_kind(p: Params, spec: Spectrum, pair: tuple[int, int]) -> str | None:
-    """Classify a pair as ``"B1*"`` (product window), ``"B2*"`` (gap
-    window) or ``None``."""
-    inv, on_seam = _pair_algebra(spec, p.k, p.varrho, tuple(pair))
-    if inv is None or on_seam:
-        return None
-    return _solvable(inv, p)
-
-
 def bstar_pairs(p: Params, spec: Spectrum) -> list[tuple[tuple[int, int], str]]:
     """All pairs carrying isolated non-EE bimodal solutions.  The scan is
     capped at ``n_star`` since such pairs are always effective."""
     out = []
     for pair in _pairs_of(_partition(spec, p.beta, p.k).E):
-        kind = bstar_kind(p, spec, pair)
+        inv, on_seam = _pair_algebra(spec, p.k, p.varrho, pair)
+        kind = None if inv is None or on_seam else _solvable(inv, p)
         if kind is not None:
             out.append((pair, kind))
     return out

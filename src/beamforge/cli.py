@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 from pathlib import Path
 
@@ -17,12 +16,11 @@ from . import jsonio
 from .bimodal import (
     bstar_pairs,
     count_general_bimodal,
-    enumerate_general_bimodal,
     general_bimodal_inventory,
     pair_branches,
     pair_table,
 )
-from .core import Inventory, Params, check_inventory, solution_sort_key
+from .core import Inventory, ModalSolution, Params, check_inventory, solution_sort_key
 from .convert import PhysicalParams, dimensionless_params
 from .ee_families import enumerate_ee_families, sample_family
 from .errors import ValidationError, VerificationError
@@ -38,11 +36,10 @@ from .modesets import (
 from .oracle import galerkin_solve, match_against
 from .single_beam import enumerate_foundation, enumerate_plain
 from .spectrum import Spectrum
-from .unimodal import GAMMA_PARTNER, amplitude_curves, enumerate_unimodal, unimodal_inventory
+from .unimodal import GAMMA_PARTNER, amplitude_curves, unimodal_inventory
+from .unimodal import enumerate_unimodal  # noqa: F401  (the exit-code tests patch it here)
 
 CUBIC_TOL = 1e-9
-# a --grid value with a negative lower bound, which argparse takes for an option
-_NEGATIVE_GRID = re.compile(r"-[0-9.]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,16 +307,21 @@ def cmd_single(args) -> int:
     return 0
 
 
+def _solutions_up_to(inv: Inventory, n_modes: int) -> list[ModalSolution]:
+    """Solution objects for the rows whose highest stored mode is at
+    most ``n_modes`` (padding holds ``n = 0``), built for those alone."""
+    keep = inv.n.max(axis=1) <= n_modes
+    tags = [tag for tag, kept in zip(inv.tags, keep.tolist()) if kept]
+    return Inventory(inv.n[keep], inv.alpha[keep], inv.gamma[keep], inv.width[keep], tags).solutions()
+
+
 def cmd_oracle(args) -> int:
     p, spec = _context(args)
     result = galerkin_solve(p, spec, args.modes, args.starts, seed=args.seed)
     # reconcile against the closed forms the truncation can represent
     closed = sorted(
-        (
-            s
-            for s in enumerate_unimodal(p, spec) + enumerate_general_bimodal(p, spec)
-            if max(s.active) <= args.modes
-        ),
+        _solutions_up_to(unimodal_inventory(p, spec), args.modes)
+        + _solutions_up_to(general_bimodal_inventory(p, spec), args.modes),
         key=solution_sort_key,
     )
     families = [
@@ -475,22 +477,39 @@ _COMMANDS = {
 }
 
 
-def _attach_grid(argv: list[str]) -> list[str]:
-    """Write ``--grid -10:20:3`` as ``--grid=-10:20:3``.  argparse reads
-    a separate token that starts with ``-`` and is not a plain number as
-    an option, and would reject the grid as a missing value."""
+def _attach_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Write ``--beta -1e1`` as ``--beta=-1e1``: every option that takes
+    a value reads a separate next token that starts with ``-`` as that
+    value.  argparse reads such a token as an option unless it is a plain
+    decimal, and would reject ``-1e1``, ``-inf`` or ``-10:20:3`` as a
+    missing value."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    takes_value: dict[str, bool] = {}  # option strings of the subcommand
     out: list[str] = []
+    awaiting = False
     for token in argv:
-        if out and out[-1] == "--grid" and _NEGATIVE_GRID.match(token):
-            out[-1] = f"--grid={token}"
+        if awaiting:
+            awaiting = False
+            if token.startswith("-"):
+                out[-1] = f"{out[-1]}={token}"
+                continue
+        elif not takes_value and token in commands:
+            takes_value = {
+                s: a.nargs != 0 for a in commands[token]._actions for s in a.option_strings
+            }
+        elif token in takes_value:
+            awaiting = takes_value[token]
         else:
-            out.append(token)
+            # argparse also takes a unique prefix of an option
+            prefixed = [s for s in takes_value if s.startswith(token)]
+            awaiting = len(prefixed) == 1 and takes_value[prefixed[0]]
+        out.append(token)
     return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = _attach_grid(sys.argv[1:] if argv is None else list(argv))
+    argv = _attach_values(parser, sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -16,12 +16,7 @@ import numpy as np
 
 from .core import ModalSolution, Params
 from .errors import ValidationError
-from .modesets import (
-    bimodal_ee_pairs,
-    ee_bimodal_membership,
-    ee_trimodal_membership,
-    trimodal_ee_triples,
-)
+from .modesets import bimodal_ee_pairs, trimodal_ee_triples
 from .spectrum import Spectrum
 
 NONZERO_MARGIN = 1e-6
@@ -59,19 +54,6 @@ class EEFamily:
             "quadric": {"coeffs": list(self.coeffs), "constant": self.constant},
             "sign_pattern": list(self.sign_pattern),
         }
-
-
-def ee_family(p: Params, spec: Spectrum, indices, tol: float = 1e-9) -> EEFamily | None:
-    """Build the EE family on the given indices, or ``None`` when the
-    membership test fails at these parameters."""
-    indices = tuple(indices)
-    if len(indices) == 2:
-        kind = ee_bimodal_membership(p, spec, indices, tol)
-    elif len(indices) == 3:
-        kind = "T" if ee_trimodal_membership(p, spec, indices, tol) else None
-    else:
-        raise ValidationError("EE families have two or three modes")
-    return None if kind is None else _family(p, spec, kind, indices)
 
 
 def _family(p: Params, spec: Spectrum, kind: str, indices: tuple[int, ...]) -> EEFamily:

@@ -16,13 +16,13 @@ The amplitudes are written once, in :func:`amplitude_curves`.  How many
 of the families a mode carries (1, 2 or 4, hence 2, 4 or 8 signed
 amplitudes) follows from its band, E1, E2 or E3, which
 :func:`beamforge.modesets.effective_modes` decides together with the
-boundary collapse; :func:`mode_class` only looks the band up.
+boundary collapse; :func:`unimodal_inventory` reads the families of
+each band from ``FAMILIES``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import Inventory, ModalSolution, Params
 from .modesets import _partition, mu_value, nu_value
@@ -36,51 +36,13 @@ GAMMA_PARTNER = {1: (1, +1), 2: (2, -1), 3: (4, -1), 4: (3, -1)}
 _TAGS = {(i, sig): f"unimodal({i},{sig})" for i in (1, 2, 3, 4) for sig in "+-"}
 
 
-@dataclass(frozen=True)
-class UAmplitude:
-    i: int
-    sign: int
-    value: float
-
-
-@dataclass(frozen=True)
-class UAmplitudeSet:
-    n: int
-    entries: tuple[UAmplitude, ...]
-    klass: str  # "E1" | "E2" | "E3" | "outside"
-
-    def value(self, i: int, sign: int) -> float:
-        for e in self.entries:
-            if e.i == i and e.sign == sign:
-                return e.value
-        raise KeyError((i, sign))
-
-
-def mode_class(p: Params, spec: Spectrum, n: int) -> str:
-    """Band of mode ``n`` in the effective-mode partition, or
-    ``"outside"``.  Raises IndexError outside ``1..n_max``."""
-    spec.eigenvalue(n)  # range check only
-    return _partition(spec, p.beta, p.k).band(n)
-
-
-def u_amplitudes(p: Params, spec: Spectrum, n: int) -> UAmplitudeSet:
-    """Distinct nontrivial u-amplitudes of mode ``n`` (2, 4 or 8 of them,
-    or none outside the effective set)."""
-    klass = mode_class(p, spec, n)
-    if klass == "outside":
-        return UAmplitudeSet(n, (), klass)
-    curves = amplitude_curves(p, spec, n)
-    entries = tuple(
-        UAmplitude(i, sign, sign * curves[i]) for i in FAMILIES[klass] for sign in (+1, -1)
-    )
-    return UAmplitudeSet(n, entries, klass)
-
-
 def amplitude_curves(p: Params, spec: Spectrum, n: int) -> dict[int, float | None]:
     """Raw positive amplitude of each family, ``None`` where undefined.
 
-    Unlike :func:`u_amplitudes` this keeps boundary-degenerate values
-    (zeros and coincident roots); intended for branch sweeps.
+    Each family is gated on ``-beta`` against its own threshold, without
+    the boundary collapse, so boundary-degenerate values (zeros and
+    coincident roots) stay in; the families a mode carries are
+    ``FAMILIES[effective_modes(p, spec).band(n)]``.
     """
     lam = spec.eigenvalue(n)
     mb = -p.beta

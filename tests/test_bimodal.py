@@ -12,10 +12,14 @@ from beamforge import (
     enumerate_general_bimodal,
     is_ee,
     modal_residual,
-    solve_circle_ellipse,
 )
-from beamforge.bimodal import bstar_kind, bstar_pairs, count_general_bimodal, pair_table
-from beamforge.modesets import count_ee_families, ee_family_thresholds, effective_modes
+from beamforge.bimodal import bstar_pairs, count_general_bimodal, pair_branches, pair_table
+from beamforge.modesets import (
+    bimodal_ee_pairs,
+    count_ee_families,
+    ee_family_thresholds,
+    effective_modes,
+)
 
 S3 = math.sqrt(3.0)
 S7 = math.sqrt(7.0)
@@ -23,6 +27,14 @@ S7 = math.sqrt(7.0)
 
 def rel_close(a, b, tol):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def circle_ellipse_roots(p, spec, pair, kind):
+    """The ``(r, t)`` roots of one circle-ellipse system, in row order:
+    the u-amplitudes ``(a1, a2)`` of the ``pair_branches`` rows of kind
+    ``"XW"`` (SIS1) or ``"YZ"`` (SIS2)."""
+    rows = pair_branches(p, spec, pair)
+    return [(a1, a2) for row_kind, (a1, _g1), (a2, _g2) in rows if row_kind == kind]
 
 
 def random_admissible(rng):
@@ -80,8 +92,8 @@ def test_product_below_k_is_real_but_unsolvable(scaled):
     assert inv is not None
     assert inv.Phi**2 - 4.0 > 0.0
     assert inv.W > inv.X > 1.0 > inv.Y > inv.Z > 0.0
-    for which in ("SIS1", "SIS2"):
-        assert solve_circle_ellipse(inv, p, which).roots == ()
+    for kind in ("XW", "YZ"):
+        assert circle_ellipse_roots(p, scaled, (1, 2), kind) == []
 
 
 def test_sigma_zero_seam_is_none(scaled):
@@ -91,26 +103,25 @@ def test_sigma_zero_seam_is_none(scaled):
 
 def test_circle_ellipse_first_example(scaled):
     p = Params(beta=-15.5, varrho=1.0, k=3.0)
-    inv = compute_invariants(p, scaled, (1, 2))
-    sols1 = solve_circle_ellipse(inv, p, "SIS1")
+    sols1 = circle_ellipse_roots(p, scaled, (1, 2), "XW")
     # exact radicals worked out by rationalizing the printed closed forms
     r_exact = math.sqrt(2.0 + S3)
     t_exact = math.sqrt((7.0 + 4.0 * S3) / 8.0)
-    assert len(sols1.roots) == 4
-    r, t = sols1.roots[0]
+    assert len(sols1) == 4
+    r, t = sols1[0]
     assert abs(r) == pytest.approx(r_exact, abs=1e-12)
     assert abs(t) == pytest.approx(t_exact, abs=1e-12)
     assert abs(r) == pytest.approx(1.93185, abs=1e-5)
     assert abs(t) == pytest.approx(1.31948, abs=1e-5)
-    sols2 = solve_circle_ellipse(inv, p, "SIS2")
-    r, t = sols2.roots[0]
+    sols2 = circle_ellipse_roots(p, scaled, (1, 2), "YZ")
+    r, t = sols2[0]
     assert abs(r) == pytest.approx(math.sqrt(2.0 - S3), abs=1e-12)
     assert abs(t) == pytest.approx(math.sqrt((7.0 - 4.0 * S3) / 8.0), abs=1e-12)
     assert abs(r) == pytest.approx(0.51763, abs=1e-5)
     assert abs(t) == pytest.approx(0.09473, abs=1e-5)
     # sign quadruple
     expected = sorted((x, y) for x in (-r_exact, r_exact) for y in (-t_exact, t_exact))
-    for (ra, ta), (rb, tb) in zip(sorted(sols1.roots), expected):
+    for (ra, ta), (rb, tb) in zip(sorted(sols1), expected):
         assert ra == pytest.approx(rb, abs=1e-12)
         assert ta == pytest.approx(tb, abs=1e-12)
 
@@ -138,21 +149,19 @@ def test_circle_ellipse_roots_satisfy_own_system_only(scaled):
         return max(abs(lhs1 - inv.g), abs(lhs2 - inv.f))
 
     scale = max(abs(inv.f), abs(inv.g), abs(p.beta))
-    for r, t in solve_circle_ellipse(inv, p, "SIS1").roots:
+    for r, t in circle_ellipse_roots(p, scaled, (1, 2), "XW"):
         assert sis1_residual(r, t) < 1e-12 * scale
         assert sis2_residual(r, t) > 1e-2
-    for r, t in solve_circle_ellipse(inv, p, "SIS2").roots:
+    for r, t in circle_ellipse_roots(p, scaled, (1, 2), "YZ"):
         assert sis2_residual(r, t) < 1e-12 * scale
         assert sis1_residual(r, t) > 1e-2
 
 
 def test_solvability_window(scaled):
     # compression above m_big = 16 closes the product window for (1, 2)
-    inv = compute_invariants(Params(-17.0, 1.0, 3.0), scaled, (1, 2))
-    assert solve_circle_ellipse(inv, Params(-17.0, 1.0, 3.0), "SIS1").roots == ()
+    assert circle_ellipse_roots(Params(-17.0, 1.0, 3.0), scaled, (1, 2), "XW") == []
     # compression below m_small = 15.25 closes it too
-    inv = compute_invariants(Params(-10.0, 1.0, 3.0), scaled, (1, 2))
-    assert solve_circle_ellipse(inv, Params(-10.0, 1.0, 3.0), "SIS1").roots == ()
+    assert circle_ellipse_roots(Params(-10.0, 1.0, 3.0), scaled, (1, 2), "XW") == []
     assert enumerate_general_bimodal(Params(-10.0, 1.0, 3.0), scaled, pairs=[(1, 2)]) == []
     # yet the pair (2, 3) has its gap window open at the same parameters
     sols = enumerate_general_bimodal(Params(-10.0, 1.0, 3.0), scaled)
@@ -166,10 +175,10 @@ def test_ee_seam_reported(scaled):
     # lam1*lam2 = 4 = 2k: the ratio roots coincide and the pair belongs
     # to the EE family machinery
     p = Params(beta=-10.0, varrho=1.0, k=2.0)
-    inv = compute_invariants(p, scaled, (1, 2))
-    sols = solve_circle_ellipse(inv, p, "SIS1")
-    assert sols.ee_degenerate and sols.roots == ()
-    assert bstar_kind(p, scaled, (1, 2)) is None
+    assert compute_invariants(p, scaled, (1, 2)) is not None
+    assert pair_branches(p, scaled, (1, 2)) == []
+    assert (1, 2) not in [pair for pair, _kind in bstar_pairs(p, scaled)]
+    assert ((1, 2), "B1") in bimodal_ee_pairs(p, scaled)
 
 
 def test_enumerate_first_example(scaled):

@@ -130,6 +130,30 @@ def test_grid_with_negative_lower_bound(capsys, argv):
     assert run_cli(capsys, *argv[:-2], f"--grid={argv[-1]}") == (0, spaced)
 
 
+CONVERT_HEAD = ("convert", "--ell", "1", "--h", "0.1", "--E", "1", "--nu", "0")
+
+
+@pytest.mark.parametrize(
+    "head,option,value,tail,code",
+    [
+        (("sets", "--spectrum", "scaled"), "--beta", "-1e1", (), 0),
+        (CONVERT_HEAD, "--D", "-5e-2", ("--kappa", "0.05", "--area", "1"), 0),
+        (("sweep", "--spectrum", "power:2"), "--grid", "-10:20:3", (), 0),
+        (("unimodal", "--csv"), "--grid", "-10:20:3", (), 0),
+        # parsed as a value, then rejected by Params, not by argparse
+        (("sets",), "--beta", "-inf", (), 2),
+    ],
+    ids=["beta-exponent", "convert-D", "sweep-grid", "unimodal-grid", "beta-inf"],
+)
+def test_option_value_starting_with_dash(capsys, head, option, value, tail, code):
+    # a separate value that starts with "-" behaves as its "=" form
+    spaced = main([*head, option, value, *tail]), capsys.readouterr()
+    joined = main([*head, f"{option}={value}", *tail]), capsys.readouterr()
+    assert spaced == joined
+    assert spaced[0] == code
+    assert code == 0 or spaced[1].err.startswith("beamforge: ")
+
+
 def test_unimodal_csv_empty_grid(capsys):
     code, out = run_cli(
         capsys, "unimodal", "--spectrum", "scaled", "--csv", "--grid", "0:20:0"

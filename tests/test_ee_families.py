@@ -8,7 +8,6 @@ from beamforge import (
     Params,
     Spectrum,
     ValidationError,
-    ee_family,
     enumerate_ee_families,
     is_ee,
     modal_residual,
@@ -16,9 +15,14 @@ from beamforge import (
 )
 
 
+def family_on(p, spec, modes):
+    """The family of ``enumerate_ee_families`` on these modes, or ``None``."""
+    return next((f for f in enumerate_ee_families(p, spec) if f.modes == modes), None)
+
+
 def test_b1_family_constants(scaled):
     p = Params(beta=-10.0, varrho=1.0, k=2.0)
-    fam = ee_family(p, scaled, (1, 2))
+    fam = family_on(p, scaled, (1, 2))
     assert fam.kind == "B1"
     assert fam.coeffs == (1.0, 4.0)
     assert fam.constant == -5.0  # quadric x^2 + 4 y^2 = 5
@@ -32,7 +36,7 @@ def test_b1_family_constants(scaled):
 
 def test_b2_family_constants(scaled):
     p = Params(beta=-10.0, varrho=1.0, k=1.5)
-    fam = ee_family(p, scaled, (1, 2))
+    fam = family_on(p, scaled, (1, 2))
     assert fam.kind == "B2"
     assert fam.constant == -6.0  # x^2 + 4 y^2 = 6
     assert fam.sign_pattern == (-1, +1)
@@ -41,7 +45,7 @@ def test_b2_family_constants(scaled):
 def test_trimodal_family_constants():
     spec = Spectrum.scaled(n_max=8)
     p = Params(beta=-30.0, varrho=1.0, k=72.0)
-    fam = ee_family(p, spec, (3, 4, 5))
+    fam = family_on(p, spec, (3, 4, 5))
     assert fam.kind == "T"
     assert fam.coeffs == (9.0, 16.0, 25.0)
     assert fam.constant == -5.0  # 9x^2 + 16y^2 + 25z^2 = 5
@@ -52,12 +56,12 @@ def test_trimodal_family_constants():
 
 def test_non_member_is_none(scaled):
     p = Params(beta=-10.0, varrho=1.0, k=3.0)
-    assert ee_family(p, scaled, (1, 2)) is None
+    assert family_on(p, scaled, (1, 2)) is None
 
 
 def test_sampling_verifies(scaled):
     p = Params(beta=-10.0, varrho=1.0, k=2.0)
-    fam = ee_family(p, scaled, (1, 2))
+    fam = family_on(p, scaled, (1, 2))
     samples = sample_family(fam, 50, seed=7)
     assert len(samples) == 50
     radii = [math.sqrt(-fam.constant / c) for c in fam.coeffs]
@@ -77,7 +81,7 @@ def test_sampling_verifies(scaled):
 def test_trimodal_sampling(scaled):
     spec = Spectrum.scaled(n_max=8)
     p = Params(beta=-30.0, varrho=1.0, k=72.0)
-    fam = ee_family(p, spec, (3, 4, 5))
+    fam = family_on(p, spec, (3, 4, 5))
     for sol in sample_family(fam, 25, seed=3):
         assert modal_residual(sol, p, spec).relative < 1e-10
         assert is_ee(sol, p, spec, 1e-10)
@@ -86,7 +90,7 @@ def test_trimodal_sampling(scaled):
 
 def test_sampling_edge_cases(scaled):
     p = Params(beta=-10.0, varrho=1.0, k=2.0)
-    fam = ee_family(p, scaled, (1, 2))
+    fam = family_on(p, scaled, (1, 2))
     assert sample_family(fam, 0) == []
     degenerate = EEFamily("B1", (1, 2), (1.0, 4.0), 0.5, (-1, -1))
     with pytest.raises(ValidationError):
@@ -95,7 +99,7 @@ def test_sampling_edge_cases(scaled):
 
 def test_perturbation_off_quadric_breaks_residual(scaled):
     p = Params(beta=-10.0, varrho=1.0, k=2.0)
-    fam = ee_family(p, scaled, (1, 2))
+    fam = family_on(p, scaled, (1, 2))
     sol = sample_family(fam, 1, seed=11)[0]
     bumped = {
         n: (a * (1.0 + 1e-3), g * (1.0 + 1e-3)) for n, (a, g) in sol.modes.items()
@@ -116,7 +120,7 @@ def test_enumerate_families(scaled):
 
 def test_family_serialization(scaled):
     p = Params(beta=-10.0, varrho=1.0, k=2.0)
-    doc = ee_family(p, scaled, (1, 2)).to_json_dict()
+    doc = family_on(p, scaled, (1, 2)).to_json_dict()
     assert doc == {
         "kind": "B1",
         "modes": [1, 2],

@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 from beamforge import Params, Spectrum, cubic_check, modal_residual
 from beamforge.modesets import effective_modes, mu_value, nu_value
 from beamforge.oracle import newton_scale
-from beamforge.unimodal import (
-    amplitude_curves,
-    enumerate_unimodal,
-    mode_class,
-    u_amplitudes,
-)
+from beamforge.unimodal import FAMILIES, amplitude_curves, enumerate_unimodal
 
 # frozen via the closed forms and confirmed by residual substitution below
 E3_AMPLITUDES = {
@@ -22,28 +17,39 @@ E3_AMPLITUDES = {
 }
 
 
+def signed_amplitudes(p, spec, n):
+    """Band of mode ``n`` and its signed u-amplitudes keyed by
+    ``(family, sign)``: the ``alpha`` of the unimodal rows on mode ``n``."""
+    band = effective_modes(p, spec).band(n)
+    curves = amplitude_curves(p, spec, n)
+    amps = {(i, sign): sign * curves[i] for i in FAMILIES.get(band, ()) for sign in (+1, -1)}
+    rows = [s.modes[n][0] for s in enumerate_unimodal(p, spec) if s.active == (n,)]
+    assert sorted(rows) == sorted(amps.values())
+    return band, amps
+
+
 def test_e1_amplitudes(scaled):
     p = Params(beta=-5.0, varrho=1.0, k=3.0)
-    amps = u_amplitudes(p, scaled, 1)
-    assert amps.klass == "E1"
-    assert sorted((e.i, e.sign) for e in amps.entries) == [(1, -1), (1, 1)]
-    assert amps.value(1, +1) == pytest.approx(2.0, abs=1e-14)
-    assert amps.value(1, -1) == pytest.approx(-2.0, abs=1e-14)
+    band, amps = signed_amplitudes(p, scaled, 1)
+    assert band == "E1"
+    assert sorted(amps) == [(1, -1), (1, 1)]
+    assert amps[1, +1] == pytest.approx(2.0, abs=1e-14)
+    assert amps[1, -1] == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_e3_amplitudes_frozen_values(scaled):
     p = Params(beta=-15.5, varrho=1.0, k=3.0)
-    amps = u_amplitudes(p, scaled, 1)
-    assert amps.klass == "E3"
-    assert len(amps.entries) == 8
+    band, amps = signed_amplitudes(p, scaled, 1)
+    assert band == "E3"
+    assert len(amps) == 8
     for i, expected in E3_AMPLITUDES.items():
-        assert amps.value(i, +1) == pytest.approx(expected, abs=1e-12)
-        assert amps.value(i, -1) == pytest.approx(-expected, abs=1e-12)
+        assert amps[i, +1] == pytest.approx(expected, abs=1e-12)
+        assert amps[i, -1] == pytest.approx(-expected, abs=1e-12)
     # printed five-digit values
-    assert amps.value(1, +1) == pytest.approx(3.80789, abs=1e-5)
-    assert amps.value(2, +1) == pytest.approx(2.91548, abs=1e-5)
-    assert amps.value(3, +1) == pytest.approx(3.26426, abs=1e-5)
-    assert amps.value(4, +1) == pytest.approx(0.91905, abs=1e-5)
+    assert amps[1, +1] == pytest.approx(3.80789, abs=1e-5)
+    assert amps[2, +1] == pytest.approx(2.91548, abs=1e-5)
+    assert amps[3, +1] == pytest.approx(3.26426, abs=1e-5)
+    assert amps[4, +1] == pytest.approx(0.91905, abs=1e-5)
     # inner radicand is the signed product (beta+lam+mu-nu)(beta+nu) = 96.25
     lam = 1.0
     mu, nu = mu_value(lam, 3.0), nu_value(lam, 3.0)
@@ -52,9 +58,9 @@ def test_e3_amplitudes_frozen_values(scaled):
 
 def test_outside_effective_set_empty(scaled):
     p = Params(beta=-0.5, varrho=1.0, k=3.0)
-    amps = u_amplitudes(p, scaled, 1)
-    assert amps.klass == "outside"
-    assert amps.entries == ()
+    band, amps = signed_amplitudes(p, scaled, 1)
+    assert band == "outside"
+    assert amps == {}
 
 
 def test_enumeration_count_and_residuals(scaled):
@@ -150,17 +156,17 @@ def test_auxiliary_identities(lam_scale, k, depth):
 def test_boundary_collapse(scaled):
     k = 3.0
     # exactly on mu_1 = 7: two branches only
-    amps = u_amplitudes(Params(-7.0, 1.0, k), scaled, 1)
-    assert amps.klass == "E1" and len(amps.entries) == 2
+    band, amps = signed_amplitudes(Params(-7.0, 1.0, k), scaled, 1)
+    assert band == "E1" and len(amps) == 2
     # exactly on nu_1 = 10: four branches
-    amps = u_amplitudes(Params(-10.0, 1.0, k), scaled, 1)
-    assert amps.klass == "E2" and len(amps.entries) == 4
+    band, amps = signed_amplitudes(Params(-10.0, 1.0, k), scaled, 1)
+    assert band == "E2" and len(amps) == 4
     # a hair above nu_1 within 1e-12 relative: still collapsed
-    amps = u_amplitudes(Params(-10.0 * (1 + 1e-13), 1.0, k), scaled, 1)
-    assert amps.klass == "E2" and len(amps.entries) == 4
+    band, amps = signed_amplitudes(Params(-10.0 * (1 + 1e-13), 1.0, k), scaled, 1)
+    assert band == "E2" and len(amps) == 4
     # clearly above: full set
-    amps = u_amplitudes(Params(-10.1, 1.0, k), scaled, 1)
-    assert amps.klass == "E3" and len(amps.entries) == 8
+    band, amps = signed_amplitudes(Params(-10.1, 1.0, k), scaled, 1)
+    assert band == "E3" and len(amps) == 8
 
 
 def test_amplitude_curves_for_sweeps(scaled):
@@ -176,10 +182,10 @@ def test_amplitude_curves_for_sweeps(scaled):
 
 def test_mode_class_thresholds(scaled):
     k = 3.0
-    assert mode_class(Params(-0.5, 1.0, k), scaled, 1) == "outside"
-    assert mode_class(Params(-5.0, 1.0, k), scaled, 1) == "E1"
-    assert mode_class(Params(-8.0, 1.0, k), scaled, 1) == "E2"
-    assert mode_class(Params(-15.5, 1.0, k), scaled, 1) == "E3"
+    assert effective_modes(Params(-0.5, 1.0, k), scaled).band(1) == "outside"
+    assert effective_modes(Params(-5.0, 1.0, k), scaled).band(1) == "E1"
+    assert effective_modes(Params(-8.0, 1.0, k), scaled).band(1) == "E2"
+    assert effective_modes(Params(-15.5, 1.0, k), scaled).band(1) == "E3"
 
 
 @settings(max_examples=80, deadline=None)
