@@ -15,7 +15,11 @@ the note that reports truncation at ``n_max``.  The solution records of
 ``unimodal_scaled.json`` were written by the last implementation that
 verified each solution one object at a time and emitted it through the
 recursive emitter; the array inventory, its vectorized checks and the
-record template must reproduce them, and the digest, exactly.
+record template must reproduce them, and the digest, exactly.  The
+digest of the paper-case ``oracle`` run was written by the Newton
+kernel that evaluates its Armijo line search one halving per residual
+call; a faster kernel must reproduce every iterate, so neither the roots
+nor the bytes may move.
 """
 
 import hashlib
@@ -54,6 +58,15 @@ DIGESTS = [
     (
         "f9fb355bd3b7625402aaeab0f42d49fc58c3358e77556589c6a780478f7a496a",
         ["enumerate", "--beta", "-45000"],
+    ),
+    # the Galerkin oracle on the paper case: 3000 seeded Newton starts per
+    # support block, polish, symmetry closure and the matching report
+    (
+        "2a5df1d318bff7ab6ef7c8e90ffea267c56517d6506602818ca07dd0c65e1322",
+        [
+            "oracle", "--spectrum", "scaled", "--k", "3", "--beta", "-15.5",
+            "--modes", "3", "--starts", "3000", "--seed", "0",
+        ],
     ),
 ]
 
