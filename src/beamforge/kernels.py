@@ -7,6 +7,16 @@ across starts: every iteration evaluates the residual, Jacobian and
 line search for all live starts at once, and a start leaves the batch
 when it converges, stalls or exhausts ``DEFAULT_MAX_ITER`` steps.
 
+The line search tries the full Newton step for every live start in one
+residual call.  The starts that fail the Armijo test evaluate their next
+halvings in chunks of ``_HALVINGS_PER_PASS``, one residual call per
+chunk over all of them, and each takes the first halving that passes;
+a start that no halving up to ``DEFAULT_MAX_BACKTRACK`` accepts stops.
+The few stalled starts accept steps near ``2^-29`` for hundreds of
+iterations, so one call per halving would be almost all per-call
+overhead.  Grouping the halvings changes no trial point, so the iterates
+are those of the one-halving-per-call search, bit for bit.
+
 The unknown vector packs the two coefficient blocks as
 ``x = (alpha_1..alpha_N, gamma_1..gamma_N)`` and the residual is
 
@@ -25,6 +35,9 @@ import numpy as np
 ARMIJO_SLOPE = 1e-4
 DEFAULT_MAX_ITER = 200
 DEFAULT_MAX_BACKTRACK = 40
+# halvings tried per residual call once the full step fails; grouping
+# them changes no accepted step, only the number of Python-level calls
+_HALVINGS_PER_PASS = 8
 
 
 def newton_batch(
@@ -79,26 +92,47 @@ def newton_batch(
         xg = xl[~bad]
         d = step[~bad]
         f2 = np.einsum("ij,ij->i", Fl[~bad], Fl[~bad])
-        t = np.ones(gi.size)
-        accepted = np.zeros(gi.size, dtype=bool)
-        x_next = xg.copy()
-        for _bt in range(DEFAULT_MAX_BACKTRACK):
-            rem = np.flatnonzero(~accepted)
-            if rem.size == 0:
-                break
-            trial = xg[rem] + t[rem, None] * d[rem]
-            Ft = residual(lams, beta, varrho, k, trial)
-            ft2 = np.einsum("ij,ij->i", Ft, Ft)
-            ok = ft2 <= f2[rem] * (1.0 - ARMIJO_SLOPE * t[rem])
-            ok &= np.isfinite(trial).all(axis=1)
-            x_next[rem[ok]] = trial[ok]
-            accepted[rem[ok]] = True
-            t[rem[~ok]] *= 0.5
+        x_next, accepted = _line_search(lams, beta, varrho, k, xg, d, f2)
         done[gi[~accepted]] = True
         upd = gi[accepted]
         x[upd] = x_next[accepted]
         iterations[upd] += 1
     return x, converged, iterations
+
+
+def _line_search(lams, beta, varrho, k, xg, d, f2):
+    """Armijo backtracking from every row of ``xg`` along ``d``.
+
+    Each row takes the first step ``t = 2^-j``, ``j < DEFAULT_MAX_BACKTRACK``,
+    whose trial point is finite and satisfies
+    ``|F(xg + t d)|^2 <= f2 (1 - ARMIJO_SLOPE t)``; ``t = 1`` is tried
+    alone, the later halvings ``_HALVINGS_PER_PASS`` to a call.  Returns
+    ``(x_next, accepted)``; ``x_next`` holds the accepted trial point of
+    each accepted row.
+    """
+    x_next = xg + d  # t = 1; multiplying by 1.0 is exact
+    accepted = _armijo_ok(lams, beta, varrho, k, x_next, 1.0, f2)
+    for first in range(1, DEFAULT_MAX_BACKTRACK, _HALVINGS_PER_PASS):
+        rem = np.flatnonzero(~accepted)
+        if rem.size == 0:
+            break
+        last = min(first + _HALVINGS_PER_PASS, DEFAULT_MAX_BACKTRACK)
+        t = np.ldexp(1.0, -np.arange(first, last))  # exact powers of two
+        trial = xg[rem, None] + t[None, :, None] * d[rem, None]
+        ok = _armijo_ok(lams, beta, varrho, k, trial, t[None, :], f2[rem, None])
+        hit = ok.any(axis=1)
+        x_next[rem[hit]] = trial[hit, ok[hit].argmax(axis=1)]
+        accepted[rem[hit]] = True
+    return x_next, accepted
+
+
+def _armijo_ok(lams, beta, varrho, k, trial, t, f2):
+    """Armijo test of trial points of shape ``(..., 2N)`` at steps ``t``
+    from points of squared residual ``f2``, both broadcast against
+    ``trial.shape[:-1]``; one residual call for all of them."""
+    Ft = residual(lams, beta, varrho, k, trial.reshape(-1, trial.shape[-1]))
+    ft2 = np.einsum("ij,ij->i", Ft, Ft).reshape(trial.shape[:-1])
+    return (ft2 <= f2 * (1.0 - ARMIJO_SLOPE * t)) & np.isfinite(trial).all(axis=-1)
 
 
 def residual(lams, beta, varrho, k, x):

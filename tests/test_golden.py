@@ -17,9 +17,9 @@ verified each solution one object at a time and emitted it through the
 recursive emitter; the array inventory, its vectorized checks and the
 record template must reproduce them, and the digest, exactly.  The
 digest of the paper-case ``oracle`` run was written by the Newton
-kernel that evaluates its Armijo line search one halving per residual
-call; a faster kernel must reproduce every iterate, so neither the roots
-nor the bytes may move.
+kernel that evaluated its Armijo line search one halving per residual
+call; the kernel that evaluates the halvings in chunks must reproduce
+every iterate, so neither the roots nor the bytes may move.
 """
 
 import hashlib

@@ -23,6 +23,37 @@ def _max_residual(lams, p, roots):
     return np.abs(F).max(axis=1)
 
 
+def _mode_1_in_phase(p, lams, stretch):
+    """``stretch`` times the in-phase mode-1 amplitude at the fold of
+    ``(lam^2 + beta lam) s + varrho lam^2 s^3``, where the Jacobian is
+    singular along the in-phase direction and the merit is stationary."""
+    lam = lams[0]
+    s = np.sqrt(-(lam + p.beta) / (3.0 * p.varrho * lam)) * stretch
+    x = np.zeros((1, 2 * lams.size))
+    x[0, 0] = x[0, lams.size] = s
+    return x
+
+
+def _newton_step(lams, p, x):
+    F = kernels.residual(lams, p.beta, p.varrho, p.k, x)
+    d = kernels._solve_batch(kernels.jacobian(lams, p.beta, p.varrho, p.k, x), -F)
+    return d, np.einsum("ij,ij->i", F, F)
+
+
+def _first_armijo_halving(lams, p, x, d, f2):
+    """``(j, x + 2^-j d)`` for the first step ``2^-j`` that passes the
+    Armijo test, trying one halving per residual call; ``(None, None)``
+    when none up to ``DEFAULT_MAX_BACKTRACK`` does."""
+    for j in range(kernels.DEFAULT_MAX_BACKTRACK):
+        t = 0.5**j
+        trial = x + t * d
+        Ft = kernels.residual(lams, p.beta, p.varrho, p.k, trial)
+        ft2 = np.einsum("ij,ij->i", Ft, Ft)
+        if ft2[0] <= f2[0] * (1.0 - kernels.ARMIJO_SLOPE * t) and np.isfinite(trial).all():
+            return j, trial
+    return None, None
+
+
 def test_converged_roots_have_small_residual(problem):
     p, lams, tol, starts = problem
     roots, conv, iters = kernels.newton_batch(lams, p.beta, p.varrho, p.k, starts, tol)
@@ -43,3 +74,47 @@ def test_shape_validation():
         kernels.newton_batch(np.array([1.0, 4.0]), 0.0, 1.0, 1.0, np.zeros((3, 3)), 1e-9)
     with pytest.raises(ValueError):
         kernels.newton_batch(np.array([1.0]), 0.0, 1.0, 1.0, np.zeros(2), 1e-9)
+
+
+def test_batch_rows_match_rows_solved_alone(problem):
+    # random starts that converge in a few or many steps and that stall,
+    # plus a start that no halving moves and two whose first accepted
+    # steps are 2^-12 and 2^-19
+    p, lams, tol, starts = problem
+    batch = np.vstack(
+        [starts[:397]] + [_mode_1_in_phase(p, lams, 1.0 + e) for e in (0.0, 1e-4, 1e-6)]
+    )
+    roots, conv, iters = kernels.newton_batch(lams, p.beta, p.varrho, p.k, batch, tol)
+    assert conv.any() and not conv.all()
+    for i, row in enumerate(batch):
+        r1, c1, i1 = kernels.newton_batch(lams, p.beta, p.varrho, p.k, row[None], tol)
+        assert r1[0].tobytes() == roots[i].tobytes(), i
+        assert (c1[0], i1[0]) == (conv[i], iters[i]), i
+
+
+@pytest.mark.parametrize("offset,j", [(1e-3, 9), (1e-4, 12), (1e-6, 19)])
+def test_line_search_takes_a_halving_past_the_first_chunk(problem, offset, j):
+    # just off the fold the Newton step overshoots by a factor of about
+    # 1 / offset; the batched search must take the very halving that a
+    # search of one halving per residual call takes
+    p, lams, _, _ = problem
+    x = _mode_1_in_phase(p, lams, 1.0 + offset)
+    d, f2 = _newton_step(lams, p, x)
+    first, trial = _first_armijo_halving(lams, p, x, d, f2)
+    assert first == j
+    x_next, accepted = kernels._line_search(lams, p.beta, p.varrho, p.k, x, d, f2)
+    assert accepted[0]
+    assert x_next.tobytes() == trial.tobytes()
+
+
+def test_start_that_no_halving_accepts_stops_unconverged(problem):
+    # at the fold the step is finite but about 1e16 long, and even its
+    # 2^-39 part raises the merit
+    p, lams, tol, _ = problem
+    x = _mode_1_in_phase(p, lams, 1.0)
+    d, f2 = _newton_step(lams, p, x)
+    assert np.isfinite(d).all() and np.abs(d).max() > 1e15
+    assert _first_armijo_halving(lams, p, x, d, f2) == (None, None)
+    roots, conv, iters = kernels.newton_batch(lams, p.beta, p.varrho, p.k, x, tol)
+    assert not conv[0] and iters[0] == 0
+    assert roots.tobytes() == x.tobytes()
