@@ -36,8 +36,7 @@ from .modesets import (
 from .oracle import galerkin_solve, match_against
 from .single_beam import enumerate_foundation, enumerate_plain
 from .spectrum import Spectrum
-from .unimodal import GAMMA_PARTNER, amplitude_curves, unimodal_inventory
-from .unimodal import enumerate_unimodal  # noqa: F401  (the exit-code tests patch it here)
+from .unimodal import FAMILIES, GAMMA_PARTNER, amplitude_curves, unimodal_inventory
 
 CUBIC_TOL = 1e-9
 
@@ -344,6 +343,14 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _on_threshold(p: Params, spec: Spectrum, n: int, i: int) -> bool:
+    """``-beta`` exactly on the threshold where family ``i`` of mode ``n``
+    branches off (a grid point the sweep adds)."""
+    lam = spec.eigenvalue(n)
+    threshold = lam if i == 1 else mu_value(lam, p.k) if i == 2 else nu_value(lam, p.k)
+    return -p.beta == threshold
+
+
 def _branch_rows_for_beta(
     p: Params, spec: Spectrum, tracked, pairs, ee_thresholds, bimodal_table
 ) -> list[list]:
@@ -354,11 +361,16 @@ def _branch_rows_for_beta(
         count_ee_families(ee_thresholds, p.beta),
         count_general_bimodal(bimodal_table, p.beta, part.n_star),
     )
+    # the families of the band that count_unimodal counts, and a family's
+    # branch point; just above a threshold, where the band collapse keeps
+    # the lower band, the new family is not reported
+    carried = {n: FAMILIES[band] for band in FAMILIES for n in getattr(part, band)}
     for n in tracked:
         curves = amplitude_curves(p, spec, n)
+        families = carried.get(n, ())
         for i in (1, 2, 3, 4):
             a = curves[i]
-            if a is None:
+            if a is None or (i not in families and not _on_threshold(p, spec, n, i)):
                 continue
             # families 3 and 4 are defined together, so the partner is too
             partner, partner_sign = GAMMA_PARTNER[i]

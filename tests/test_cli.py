@@ -245,6 +245,21 @@ def test_sweep_inserts_noninteger_boundaries(capsys, tmp_path):
     assert 5.0 in minus_betas and 7.0 in minus_betas
 
 
+def test_sweep_rows_follow_the_band_collapse(capsys, tmp_path):
+    # -beta = 7 + 2.8e-12 lies above mu_1 = 7 by less than the band
+    # collapse tolerance, so mode 1 counts as E1 (count_unimodal 10); the
+    # tracked rows may not report the E2 family that the count excludes
+    out = tmp_path / "sweep.csv"
+    code, _ = run_cli(
+        capsys, "sweep", "--spectrum", "scaled", "--k", "3",
+        "--grid", "7.0000000000028:7.0000000000028:1", "--track", "1", "--out", str(out),
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert {r[7] for r in rows} == {"10"}
+    assert [r[1] for r in rows] == ["n1:alpha1+", "n1:alpha1-"]
+
+
 def test_convert_command(capsys):
     doc = run_json(
         capsys, "convert", "--ell", "1", "--h", "0.1", "--E", "1", "--nu", "0",
@@ -311,7 +326,7 @@ def test_nonfinite_params_exit_code(capsys, monkeypatch, name, value):
     def no_work(*args, **kwargs):
         raise AssertionError("enumeration ran on non-finite input")
 
-    for stage in ("effective_modes", "enumerate_unimodal"):
+    for stage in ("effective_modes", "unimodal_inventory"):
         monkeypatch.setattr(cli, stage, no_work)
     code, out = run_cli(capsys, "enumerate", "--spectrum", "scaled", f"--{name}={value}")
     assert code == 2
@@ -328,7 +343,7 @@ def test_bad_tolerance_exit_code(capsys, monkeypatch, command, flag, value):
     def no_work(*args, **kwargs):
         raise AssertionError("enumeration ran with a bad tolerance")
 
-    for stage in ("effective_modes", "enumerate_unimodal", "enumerate_ee_families"):
+    for stage in ("effective_modes", "unimodal_inventory", "enumerate_ee_families"):
         monkeypatch.setattr(cli, stage, no_work)
     code, out = run_cli(capsys, command, "--spectrum", "scaled", "--k", "3", "--beta=-15.5", f"{flag}={value}")
     assert code == 2
