@@ -40,18 +40,34 @@ def _newton_step(lams, p, x):
     return d, np.einsum("ij,ij->i", F, F)
 
 
-def _first_armijo_halving(lams, p, x, d, f2):
-    """``(j, x + 2^-j d)`` for the first step ``2^-j`` that passes the
-    Armijo test, trying one halving per residual call; ``(None, None)``
-    when none up to ``DEFAULT_MAX_BACKTRACK`` does."""
-    for j in range(kernels.DEFAULT_MAX_BACKTRACK):
-        t = 0.5**j
-        trial = x + t * d
-        Ft = kernels.residual(lams, p.beta, p.varrho, p.k, trial)
+def _line_search_one_halving_per_call(lams, beta, varrho, k, xg, d, f2):
+    """The Armijo backtracking as a loop of one residual call per halving,
+    the reference for the batched search.  Returns ``(x_next, accepted,
+    t)`` with ``t`` the step each accepted row took."""
+    t = np.ones(xg.shape[0])
+    accepted = np.zeros(xg.shape[0], dtype=bool)
+    x_next = xg.copy()
+    for _ in range(kernels.DEFAULT_MAX_BACKTRACK):
+        rem = np.flatnonzero(~accepted)
+        if rem.size == 0:
+            break
+        trial = xg[rem] + t[rem, None] * d[rem]
+        Ft = kernels.residual(lams, beta, varrho, k, trial)
         ft2 = np.einsum("ij,ij->i", Ft, Ft)
-        if ft2[0] <= f2[0] * (1.0 - kernels.ARMIJO_SLOPE * t) and np.isfinite(trial).all():
-            return j, trial
-    return None, None
+        ok = ft2 <= f2[rem] * (1.0 - kernels.ARMIJO_SLOPE * t[rem])
+        ok &= np.isfinite(trial).all(axis=1)
+        x_next[rem[ok]] = trial[ok]
+        accepted[rem[ok]] = True
+        t[rem[~ok]] *= 0.5
+    return x_next, accepted, t
+
+
+def _mixed_batch(p, lams, starts):
+    """Random starts that converge in a few or many steps and that stall,
+    plus a start that no halving moves and two whose first accepted
+    steps are 2^-12 and 2^-19."""
+    fold = [_mode_1_in_phase(p, lams, 1.0 + e) for e in (0.0, 1e-4, 1e-6)]
+    return np.vstack([starts[:397], *fold])
 
 
 def test_converged_roots_have_small_residual(problem):
@@ -77,19 +93,26 @@ def test_shape_validation():
 
 
 def test_batch_rows_match_rows_solved_alone(problem):
-    # random starts that converge in a few or many steps and that stall,
-    # plus a start that no halving moves and two whose first accepted
-    # steps are 2^-12 and 2^-19
     p, lams, tol, starts = problem
-    batch = np.vstack(
-        [starts[:397]] + [_mode_1_in_phase(p, lams, 1.0 + e) for e in (0.0, 1e-4, 1e-6)]
-    )
+    batch = _mixed_batch(p, lams, starts)
     roots, conv, iters = kernels.newton_batch(lams, p.beta, p.varrho, p.k, batch, tol)
     assert conv.any() and not conv.all()
     for i, row in enumerate(batch):
         r1, c1, i1 = kernels.newton_batch(lams, p.beta, p.varrho, p.k, row[None], tol)
         assert r1[0].tobytes() == roots[i].tobytes(), i
         assert (c1[0], i1[0]) == (conv[i], iters[i]), i
+
+
+def test_iterates_match_one_halving_per_call(problem, monkeypatch):
+    p, lams, tol, starts = problem
+    batch = _mixed_batch(p, lams, starts)
+    batched = kernels.newton_batch(lams, p.beta, p.varrho, p.k, batch, tol)
+    monkeypatch.setattr(
+        kernels, "_line_search", lambda *args: _line_search_one_halving_per_call(*args)[:2]
+    )
+    reference = kernels.newton_batch(lams, p.beta, p.varrho, p.k, batch, tol)
+    for got, want in zip(batched, reference):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("offset,j", [(1e-3, 9), (1e-4, 12), (1e-6, 19)])
@@ -100,11 +123,11 @@ def test_line_search_takes_a_halving_past_the_first_chunk(problem, offset, j):
     p, lams, _, _ = problem
     x = _mode_1_in_phase(p, lams, 1.0 + offset)
     d, f2 = _newton_step(lams, p, x)
-    first, trial = _first_armijo_halving(lams, p, x, d, f2)
-    assert first == j
-    x_next, accepted = kernels._line_search(lams, p.beta, p.varrho, p.k, x, d, f2)
+    want, accepted, t = _line_search_one_halving_per_call(lams, p.beta, p.varrho, p.k, x, d, f2)
+    assert accepted[0] and t[0] == 2.0**-j
+    got, accepted = kernels._line_search(lams, p.beta, p.varrho, p.k, x, d, f2)
     assert accepted[0]
-    assert x_next.tobytes() == trial.tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_start_that_no_halving_accepts_stops_unconverged(problem):
@@ -114,7 +137,8 @@ def test_start_that_no_halving_accepts_stops_unconverged(problem):
     x = _mode_1_in_phase(p, lams, 1.0)
     d, f2 = _newton_step(lams, p, x)
     assert np.isfinite(d).all() and np.abs(d).max() > 1e15
-    assert _first_armijo_halving(lams, p, x, d, f2) == (None, None)
+    assert not _line_search_one_halving_per_call(lams, p.beta, p.varrho, p.k, x, d, f2)[1][0]
+    assert not kernels._line_search(lams, p.beta, p.varrho, p.k, x, d, f2)[1][0]
     roots, conv, iters = kernels.newton_batch(lams, p.beta, p.varrho, p.k, x, tol)
     assert not conv[0] and iters[0] == 0
     assert roots.tobytes() == x.tobytes()
