@@ -50,6 +50,15 @@ CORPUS = [
         ["enumerate", "--spectrum", "scaled", "--k", "72", "--beta=-40", "--samples", "3"],
     ),
     ("unimodal_scaled.json", ["unimodal", "--spectrum", "scaled", "--k", "3", "--beta=-15.5"]),
+    # a negative beta, mode 10 ordered before mode 1 (branch ids compare as
+    # strings), several pairs and a repeated one
+    (
+        "sweep_scaled_track_pairs.csv",
+        [
+            "sweep", "--spectrum", "scaled", "--k", "3", "--grid", "-10:40:26",
+            "--track", "1,2,10,11", "--pairs", "1,2", "--pairs", "2,3", "--pairs", "1,2",
+        ],
+    ),
 ]
 
 DIGESTS = [
@@ -67,6 +76,11 @@ DIGESTS = [
             "oracle", "--spectrum", "scaled", "--k", "3", "--beta", "-15.5",
             "--modes", "3", "--starts", "3000", "--seed", "0",
         ],
+    ),
+    # the benchmark's sweep: 233 compressions, 63,744 rows of 64 tracked modes
+    (
+        "505fa20bb30d2026864699406a1cbb7dadf772e8a8487709d23a3dd5674637dd",
+        ["sweep", "--spectrum", "dirichlet", "--grid", "0:45000:41"],
     ),
 ]
 
