@@ -222,9 +222,11 @@ def cmd_unimodal(args) -> int:
         for mb in grid:
             pb = Params(beta=-mb, varrho=p.varrho, k=p.k)
             curves = amplitude_curves(pb, spec, args.mode)
+            band = effective_modes(pb, spec).band(args.mode)
+            families = _reported_families(pb, spec, args.mode, band)
             row: list = [mb]
             for i in (1, 2, 3, 4):
-                a = curves[i]
+                a = curves[i] if i in families else None
                 row += [a, -a if a is not None else None]
             rows.append(row)
         text = jsonio.csv_text(header, rows)
@@ -343,58 +345,65 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _on_threshold(p: Params, spec: Spectrum, n: int, i: int) -> bool:
-    """``-beta`` exactly on the threshold where family ``i`` of mode ``n``
-    branches off (a grid point the sweep adds)."""
+def _reported_families(p: Params, spec: Spectrum, n: int, band: str) -> list[int]:
+    """The amplitude families of mode ``n`` that ``sweep`` and ``unimodal
+    --csv`` report at ``p.beta``: those of its band (``"outside"`` for
+    none), which ``count_unimodal`` and the ``unimodal`` JSON count, and
+    a family whose threshold equals ``-beta`` exactly (a branch point the
+    sweep adds to its grid).  Just above a threshold, where the band
+    collapse keeps the lower band, the new family is not reported."""
     lam = spec.eigenvalue(n)
-    threshold = lam if i == 1 else mu_value(lam, p.k) if i == 2 else nu_value(lam, p.k)
-    return -p.beta == threshold
+    nu = nu_value(lam, p.k)
+    carried = FAMILIES.get(band, ())
+    return [
+        i
+        for i, threshold in zip((1, 2, 3, 4), (lam, mu_value(lam, p.k), nu, nu))
+        if i in carried or -p.beta == threshold
+    ]
 
 
-def _branch_rows_for_beta(
-    p: Params, spec: Spectrum, tracked, pairs, ee_thresholds, bimodal_table
-) -> list[list]:
-    rows = []
+def _sweep_lines(
+    p: Params, spec: Spectrum, tracked: dict, pairs, ee_thresholds, bimodal_table
+) -> list[str]:
+    """The CSV lines of one compression, in branch id order: the pair
+    rows (``b...``), then those of the modes of ``tracked``, which maps
+    each mode, in the order of its ids, to the ``branch_id,modes`` cells
+    of the ``+`` and ``-`` rows of each family."""
     part = effective_modes(p, spec)
     counts = (
         2 * len(part.E1) + 4 * len(part.E2) + 8 * len(part.E3),
         count_ee_families(ee_thresholds, p.beta),
         count_general_bimodal(bimodal_table, p.beta, part.n_star),
     )
-    # the families of the band that count_unimodal counts, and a family's
-    # branch point; just above a threshold, where the band collapse keeps
-    # the lower band, the new family is not reported
-    carried = {n: FAMILIES[band] for band in FAMILIES for n in getattr(part, band)}
-    for n in tracked:
-        curves = amplitude_curves(p, spec, n)
-        families = carried.get(n, ())
-        for i in (1, 2, 3, 4):
-            a = curves[i]
-            if a is None or (i not in families and not _on_threshold(p, spec, n, i)):
-                continue
-            # families 3 and 4 are defined together, so the partner is too
-            partner, partner_sign = GAMMA_PARTNER[i]
-            gamma_mag = partner_sign * curves[partner]
-            for sign, sig in ((+1, "+"), (-1, "-")):
-                rows.append(
-                    [
-                        p.beta,
-                        f"n{n}:alpha{i}{sig}",
-                        str(n),
-                        sign * a,
-                        sign * gamma_mag,
-                        None,
-                        None,
-                        *counts,
-                    ]
-                )
+    beta = jsonio.format_float(p.beta)
+    tail = ",".join(map(jsonio.csv_cell, counts))
+    pair_lines = []
     for n1, n2 in pairs or []:
         for kind, (a1, g1), (a2, g2) in pair_branches(p, spec, (n1, n2)):
             sig = ("+" if a1 > 0 else "-") + ("+" if a2 > 0 else "-")
-            rows.append(
-                [p.beta, f"b{n1}-{n2}:{kind}{sig}", f"{n1};{n2}", a1, g1, a2, g2, *counts]
+            branch_id = f"b{n1}-{n2}:{kind}{sig}"
+            amplitudes = ",".join(map(jsonio.format_float, (a1, g1, a2, g2)))
+            pair_lines.append((branch_id, f"{beta},{branch_id},{n1};{n2},{amplitudes},{tail}"))
+    # stable, so a repeated pair keeps its rows in argument order
+    pair_lines.sort(key=lambda item: item[0])
+    lines = [line for _, line in pair_lines]
+    bands = {n: band for band in FAMILIES for n in getattr(part, band)}
+    for n, id_cells in tracked.items():
+        curves = amplitude_curves(p, spec, n)
+        families = _reported_families(p, spec, n, bands.get(n, "outside"))
+        # each magnitude formatted once; every other cell is its sign image
+        plus = {i: jsonio.format_float(curves[i]) for i in families}
+        minus = {i: jsonio.format_negated(text) for i, text in plus.items()}
+        for i in families:
+            # families 3 and 4 are reported together, so the partner is too
+            partner, partner_sign = GAMMA_PARTNER[i]
+            gamma_plus, gamma_minus = (
+                (plus[partner], minus[partner]) if partner_sign > 0 else (minus[partner], plus[partner])
             )
-    return rows
+            plus_id, minus_id = id_cells[i]
+            lines.append(f"{beta},{plus_id},{plus[i]},{gamma_plus},,,{tail}")
+            lines.append(f"{beta},{minus_id},{minus[i]},{gamma_minus},,,{tail}")
+    return lines
 
 
 def cmd_sweep(args) -> int:
@@ -427,13 +436,18 @@ def cmd_sweep(args) -> int:
     # the count columns read tables built once, at the top compression
     ee_thresholds = ee_family_thresholds(top, spec, args.tol_cond)
     bimodal_table = pair_table(top, spec, effective_modes(top, spec).n_star)
-    rows = []
-    for mb in minus_betas:
+    # rows go by (beta, branch_id), the ids compared as strings: the ids of
+    # mode n all start "n<n>:", so n10 comes before n1
+    id_cells = {
+        n: {i: (f"n{n}:alpha{i}+,{n}", f"n{n}:alpha{i}-,{n}") for i in (1, 2, 3, 4)}
+        for n in sorted(tracked, key=lambda n: f"n{n}:")
+    }
+    lines = [",".join(header)]
+    for mb in sorted(minus_betas, reverse=True):
         pb = Params(beta=-mb, varrho=p.varrho, k=p.k)
-        rows.extend(_branch_rows_for_beta(pb, spec, tracked, pairs, ee_thresholds, bimodal_table))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    text = jsonio.csv_text(header, rows)
-    _write(text, args.out)
+        lines += _sweep_lines(pb, spec, id_cells, pairs, ee_thresholds, bimodal_table)
+    lines.append("")
+    _write("\n".join(lines), args.out)
     if args.gnuplot is not None:
         args.gnuplot.write_text(_gnuplot_script(args.out, header), encoding="utf-8")
     return 0

@@ -13,6 +13,11 @@ stored-mode count and spliced into the output, so the record layout
 (``modes`` as ``n``/``alpha``/``gamma`` dicts, then ``tag``, ``C_u`` and
 ``C_v``) is written down only in :func:`_record_template`.  The bytes
 are those the recursive emitter gives the same records as dicts.
+
+CSV cells are written by :func:`csv_cell`.  ``sweep`` writes its own
+lines, one compression at a time: it formats each amplitude magnitude
+once and the cell of its sign image is :func:`format_negated` of that
+text.
 """
 
 from __future__ import annotations
@@ -21,9 +26,6 @@ import functools
 import json
 import math
 
-# distinct cells csv_text keeps formatted at once
-CSV_MEMO_CELLS = 1024
-
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
@@ -31,6 +33,14 @@ def format_float(x: float) -> str:
     if x == 0.0:
         x = 0.0  # normalize the sign of zero
     return format(float(x), ".17g")
+
+
+def format_negated(text: str) -> str:
+    """``format_float(-x)`` from ``text == format_float(x)``: the sign
+    of zero is normalized, every other value's text just changes sign."""
+    if text == "0":
+        return text
+    return text[1:] if text[0] == "-" else "-" + text
 
 
 class SolutionRecords:
@@ -163,22 +173,6 @@ def csv_cell(value) -> str:
 
 
 def csv_text(header: list[str], rows) -> str:
-    # A sweep repeats its betas, counts, empty cells and branch ids
-    # within a few hundred rows, so a value formatted once is reused from
-    # a memo.  The memo is emptied when full: kept whole, the mostly
-    # distinct amplitudes would grow it past the size of the CSV itself.
-    # The key holds the type so that True, 1 and 1.0 keep their own cells.
-    cells: dict = {}
     lines = [",".join(header)]
-    for row in rows:
-        texts = []
-        for value in row:
-            key = (type(value), value)
-            text = cells.get(key)
-            if text is None:
-                if len(cells) == CSV_MEMO_CELLS:
-                    cells.clear()
-                text = cells[key] = csv_cell(value)
-            texts.append(text)
-        lines.append(",".join(texts))
+    lines += [",".join(map(csv_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"

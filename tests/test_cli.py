@@ -116,6 +116,23 @@ def test_unimodal_csv_branch_table(capsys, tmp_path):
     assert by_mb[9.5][5] == "" and by_mb[10.0][5] != "" and by_mb[10.0][7] != ""
 
 
+def test_unimodal_csv_follows_the_band_collapse(capsys):
+    # -beta = 7 + 2.8e-12 lies above mu_1 = 7 by less than the band
+    # collapse tolerance, so the JSON lists family 1 alone for mode 1; the
+    # branch table may not report family 2 there
+    argv = ("unimodal", "--spectrum", "scaled", "--k", "3")
+    doc = run_json(capsys, *argv, "--beta=-7.0000000000028")
+    tags = {s["tag"] for s in doc["solutions"] if s["modes"][0]["n"] == 1}
+    assert tags == {"unimodal(1,+)", "unimodal(1,-)"}
+    code, out = run_cli(
+        capsys, *argv, "--csv", "--mode", "1", "--grid", "7.0000000000028:7.0000000000028:1"
+    )
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert row[1:3] == ["2.4494897427837499", "-2.4494897427837499"]
+    assert row[3:] == [""] * 6
+
+
 @pytest.mark.parametrize(
     "argv",
     [

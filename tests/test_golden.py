@@ -19,7 +19,12 @@ record template must reproduce them, and the digest, exactly.  The
 digest of the paper-case ``oracle`` run was written by the Newton
 kernel that evaluated its Armijo line search one halving per residual
 call; the kernel that evaluates the halvings in chunks must reproduce
-every iterate, so neither the roots nor the bytes may move.
+every iterate, so neither the roots nor the bytes may move.  The
+digest of the benchmark's ``sweep`` and ``sweep_scaled_track_pairs.csv``
+were written by the emitter that built one list per row, sorted all
+rows by ``(beta, branch_id)`` and formatted them cell by cell; the
+emitter that writes each compression's lines in order must reproduce
+them.
 """
 
 import hashlib
