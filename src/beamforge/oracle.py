@@ -165,17 +165,29 @@ def _accurate_polish(lams, p: Params, roots: np.ndarray) -> np.ndarray:
 def _dedup_merge(known: np.ndarray, roots: np.ndarray, radius: float) -> np.ndarray:
     """Greedy merge in arrival order; two roots are the same solution
     when every coefficient agrees within ``DEDUP_RTOL`` of the box
-    radius."""
+    radius.
+
+    Each pass peels off every root within tol of one representative:
+    first of each known one, then of the first root left, which no
+    earlier root matched and is therefore new.  This keeps the roots a
+    row-by-row greedy loop keeps, since ``|a - b| == |b - a|`` exactly,
+    with one pass per distinct root instead of one per root.
+    """
     tol = DEDUP_RTOL * radius
-    reps = np.empty((known.shape[0] + roots.shape[0], roots.shape[1]))
-    count = known.shape[0]
-    reps[:count] = known
-    for row in roots:
-        if count and (np.abs(reps[:count] - row).max(axis=1) <= tol).any():
-            continue
-        reps[count] = row
-        count += 1
-    return reps[:count].copy()
+
+    def unlike(rows, rep):
+        # not ``> tol``: a NaN distance matches nothing, as in the greedy loop
+        return rows[~(np.abs(rows - rep).max(axis=1) <= tol)]
+
+    for rep in known:
+        if roots.shape[0] == 0:
+            break
+        roots = unlike(roots, rep)
+    reps = [known]
+    while roots.shape[0]:
+        reps.append(roots[:1])
+        roots = unlike(roots[1:], roots[0])
+    return np.concatenate(reps)
 
 
 def _orbit_closure(known: np.ndarray, n_modes: int, radius: float) -> np.ndarray:

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from beamforge import (
     ModalSolution,
@@ -14,6 +17,7 @@ from beamforge import (
 )
 from beamforge.core import solution_sort_key
 from beamforge.modesets import trimodal_candidates
+from beamforge.oracle import DEDUP_RTOL, _dedup_merge
 
 
 def closed_inventory(p, spec):
@@ -161,3 +165,59 @@ def test_trimodal_case_full_inventory_every_seed(seed):
     assert report.unmatched == []
     assert report.missed_closed == []
     assert max(modal_residual(s, p, spec).relative for s in result.found) <= 1e-14
+
+
+def _dedup_merge_row_by_row(known, roots, radius):
+    """The greedy merge as a loop over the new roots, each compared with
+    every representative kept so far: the reference for the peeling
+    merge."""
+    tol = DEDUP_RTOL * radius
+    reps = np.empty((known.shape[0] + roots.shape[0], roots.shape[1]))
+    count = known.shape[0]
+    reps[:count] = known
+    for row in roots:
+        if count and (np.abs(reps[:count] - row).max(axis=1) <= tol).any():
+            continue
+        reps[count] = row
+        count += 1
+    return reps[:count].copy()
+
+
+def _rows(count, width, values):
+    return hnp.arrays(np.float64, st.tuples(count, st.just(width)), elements=st.sampled_from(values))
+
+
+@st.composite
+def dedup_cases(draw):
+    # coefficients on multiples of tol, so that distances fall exactly on
+    # tol (0 to tol, tol to 2 tol), one ulp past it, or chain (0 ~ tol ~
+    # 2 tol, but 0 and 2 tol differ); plus values far apart
+    radius = draw(st.sampled_from([1.0, 2.5, 40.0]))
+    tol = DEDUP_RTOL * radius
+    past = np.nextafter(tol, np.inf)
+    values = [0.0, tol, past, 2.0 * tol, -tol, -past, 0.5 * tol, 0.3 * radius, -0.7 * radius]
+    width = draw(st.sampled_from([2, 4, 6]))
+    known = draw(_rows(st.integers(0, 4), width, values))
+    roots = draw(_rows(st.integers(0, 16), width, values))
+    if known.shape[0] and draw(st.booleans()):
+        # roots that sit next to a known representative and match nothing else
+        near = known[draw(st.integers(0, known.shape[0] - 1))] + draw(st.sampled_from([tol, past]))
+        roots = np.insert(roots, draw(st.integers(0, roots.shape[0])), near, axis=0)
+    return known, roots, radius
+
+
+_TOL = DEDUP_RTOL * 1.0
+_PAST = np.nextafter(_TOL, np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dedup_cases())
+@example((np.zeros((0, 2)), np.array([[0.0, 0.0], [_TOL, 0.0], [2 * _TOL, 0.0], [2 * _PAST, 0.0]]), 1.0))
+@example((np.array([[0.0, 0.0], [0.3, 0.0]]), np.zeros((0, 2)), 1.0))
+@example((np.array([[0.0, 0.0]]), np.array([[_TOL, -_TOL], [_PAST, 0.0], [_PAST, _TOL]]), 1.0))
+def test_dedup_merge_matches_row_by_row_merge(case):
+    known, roots, radius = case
+    got = _dedup_merge(known, roots, radius)
+    want = _dedup_merge_row_by_row(known, roots, radius)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
