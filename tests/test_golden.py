@@ -16,11 +16,11 @@ the note that reports truncation at ``n_max``.  The solution records of
 verified each solution one object at a time and emitted it through the
 recursive emitter; the array inventory, its vectorized checks and the
 record template must reproduce them, and the digest, exactly.  The
-digest of the paper-case ``oracle`` run was written by the Newton
-kernel that evaluated its Armijo line search one halving per residual
-call; the kernel that evaluates the halvings in chunks must reproduce
-every iterate, so neither the roots nor the bytes may move.  The
-digest of the benchmark's ``sweep`` and ``sweep_scaled_track_pairs.csv``
+digest of the paper-case ``oracle`` run was renewed when Newton was
+capped at 60 iterations, which moved only ``converged_count`` and the
+last digits of one of its 49 roots; the kernel must reproduce every
+iterate up to the cap, so neither the roots nor the bytes may move.
+The digest of the benchmark's ``sweep`` and ``sweep_scaled_track_pairs.csv``
 were written by the emitter that built one list per row, sorted all
 rows by ``(beta, branch_id)`` and formatted them cell by cell; the
 emitter that writes each compression's lines in order must reproduce
@@ -76,7 +76,7 @@ DIGESTS = [
     # the Galerkin oracle on the paper case: 3000 seeded Newton starts per
     # support block, polish, symmetry closure and the matching report
     (
-        "2a5df1d318bff7ab6ef7c8e90ffea267c56517d6506602818ca07dd0c65e1322",
+        "97c1af9c2ce09bc2d0347c49765c9d3a987037737300e77f843d82615fff989f",
         [
             "oracle", "--spectrum", "scaled", "--k", "3", "--beta", "-15.5",
             "--modes", "3", "--starts", "3000", "--seed", "0",

@@ -78,6 +78,24 @@ def test_converged_roots_have_small_residual(problem):
     assert (iters[conv] <= 200).all()
 
 
+@pytest.mark.parametrize("cap", [8, 12, 25])
+def test_iteration_cap_only_truncates(problem, monkeypatch, cap):
+    # a start that converges within the cap, or stops before it, keeps
+    # its bytes; every other start is retired unconverged at the cap
+    p, lams, tol, starts = problem
+    roots, conv, iters = kernels.newton_batch(lams, p.beta, p.varrho, p.k, starts, tol)
+    assert iters.max() > cap
+    monkeypatch.setattr(kernels, "DEFAULT_MAX_ITER", cap)
+    c_roots, c_conv, c_iters = kernels.newton_batch(lams, p.beta, p.varrho, p.k, starts, tol)
+    kept = (iters < cap) | (conv & (iters <= cap))
+    assert kept.any() and not kept.all()
+    assert c_roots[kept].tobytes() == roots[kept].tobytes()
+    assert (c_conv[kept] == conv[kept]).all()
+    assert (c_iters[kept] == iters[kept]).all()
+    assert not c_conv[~kept].any()
+    assert (c_iters[~kept] == cap).all()
+
+
 def test_zero_start_is_the_trivial_root(problem):
     p, lams, tol, _ = problem
     roots, conv, iters = kernels.newton_batch(lams, p.beta, p.varrho, p.k, np.zeros((1, 6)), tol)

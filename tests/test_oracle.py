@@ -135,6 +135,17 @@ def test_paper_case_full_inventory_every_seed(scaled, seed):
     assert len(result.found) == 49
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_paper_case_full_inventory_at_1000_starts(scaled, seed):
+    # a third of the budget above already finds every state
+    p = Params(beta=-15.5, varrho=1.0, k=3.0)
+    result = galerkin_solve(p, scaled, 3, 1000, seed=seed)
+    report = match_against(closed_inventory(p, scaled), [], result.found)
+    assert report.missed_closed == []
+    assert report.unmatched == []
+    assert len(result.found) == 49
+
+
 def test_fixed_seed_is_repeatable(scaled):
     p = Params(beta=-15.5, varrho=1.0, k=3.0)
     a = galerkin_solve(p, scaled, 3, 1000, seed=9)
