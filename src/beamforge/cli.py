@@ -25,6 +25,7 @@ from .convert import PhysicalParams, dimensionless_params
 from .ee_families import enumerate_ee_families, sample_family
 from .errors import ValidationError, VerificationError
 from .modesets import (
+    ModeSetPartition,
     bimodal_ee_pairs,
     count_ee_families,
     ee_family_thresholds,
@@ -186,6 +187,20 @@ def _verify(checks, tol_res) -> dict:
     }
 
 
+def _partition_notes(part: ModeSetPartition, spec: Spectrum) -> list[str]:
+    """The notes of ``sets`` and ``enumerate`` on the effective modes:
+    none at all, or more than ``n_max`` of them."""
+    notes = []
+    if not part.E:
+        notes.append("E empty: only the trivial solution exists")
+    if part.truncated:
+        notes.append(
+            f"E truncated at n_max = {spec.n_max}: lam_{spec.n_max + 1} < -beta too, "
+            "so effective modes above n_max are left out; raise --nmax"
+        )
+    return notes
+
+
 def cmd_sets(args) -> int:
     p, spec = _context(args)
     part = effective_modes(p, spec)
@@ -204,6 +219,7 @@ def cmd_sets(args) -> int:
         "B2": [list(pair) for pair, kind in ee_pairs if kind == "B2"],
         "T": [list(t) for t in trimodal_ee_triples(p, spec, args.tol_cond)],
         "Bstar": [{"pair": list(pair), "kind": kind} for pair, kind in bstar_pairs(p, spec)],
+        "notes": _partition_notes(part, spec),
     }
     _write(jsonio.dumps(doc), args.out)
     return 0
@@ -266,14 +282,6 @@ def cmd_enumerate(args) -> int:
             fdoc["samples"] = _records(drawn, p, spec, checks)
         family_docs.append(fdoc)
     verification = _verify(checks, args.tol_res)
-    notes = []
-    if not part.E:
-        notes.append("E empty: only the trivial solution exists")
-    if part.truncated:
-        notes.append(
-            f"E truncated at n_max = {spec.n_max}: lam_{spec.n_max + 1} < -beta too, "
-            "so effective modes above n_max are left out; raise --nmax"
-        )
     doc = {
         "params": p.describe(),
         "spectrum": spec.describe(),
@@ -286,7 +294,7 @@ def cmd_enumerate(args) -> int:
         "ee_families": family_docs,
         "general_bimodal": general_records,
         "verification": verification,
-        "notes": notes,
+        "notes": _partition_notes(part, spec),
     }
     _write(jsonio.dumps(doc), args.out)
     return 0 if verification["passed"] else _verification_failure()

@@ -68,6 +68,24 @@ def test_enumerate_notes_truncation_at_nmax(capsys):
     assert run_json(capsys, "enumerate", *COMMON, "--nmax", "3")["notes"] == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the default Dirichlet spectrum keeps 64 of the 67 effective modes
+        ("--beta", "-45000"),
+        (*COMMON, "--nmax", "2"),
+        (*COMMON, "--nmax", "3"),
+        ("--spectrum", "scaled", "--beta", "0"),
+    ],
+)
+def test_sets_notes_match_enumerate(capsys, argv):
+    doc = run_json(capsys, "sets", *argv)
+    assert doc["notes"] == run_json(capsys, "enumerate", *argv)["notes"]
+    if "-45000" in argv:
+        assert len(doc["sets"]["E"]) == 64
+        assert any("truncated at n_max = 64" in note for note in doc["notes"])
+
+
 def test_enumerate_family_with_samples(capsys):
     doc = run_json(
         capsys, "enumerate", "--spectrum", "scaled", "--k", "2", "--beta", "-10",

@@ -10,7 +10,9 @@ that still scanned the pairs at each compression.  Outputs too large to
 keep are frozen by their sha256, written by the implementation that
 decided each band, pair branch and family membership in more than one
 module; the digest of ``enumerate --beta -45000`` was renewed only for
-the note that reports truncation at ``n_max``.  The solution records of
+the note that reports truncation at ``n_max``, and
+``sets_scaled_k72.json`` only for the ``notes`` key that carries it in
+``sets`` output.  The solution records of
 ``enumerate_scaled_k72_samples.json`` (EE family samples) and
 ``unimodal_scaled.json`` were written by the last implementation that
 verified each solution one object at a time and emitted it through the
