@@ -162,6 +162,31 @@ def _accurate_polish(lams, p: Params, roots: np.ndarray) -> np.ndarray:
     return x
 
 
+def _settled(lams, p: Params, spec: Spectrum, roots: np.ndarray) -> np.ndarray:
+    """Flag the roots whose max-abs residual is below the tolerance of
+    their own support: ``NEWTON_TOL_FACTOR`` times the scale of their
+    highest active mode.
+
+    The search holds a root to the scale of the highest mode of the
+    whole system, which can be 100 times looser than that of the root's
+    own equations.  Just past a pitchfork, points on the flat arc
+    between two nearby roots then pass as converged, and the polish
+    moves them too slowly to settle.  Roots active in the highest mode
+    were held to their own tolerance by the search and are not checked
+    again.
+    """
+    n_modes = lams.size
+    amplitude = np.maximum(np.abs(roots[:, :n_modes]), np.abs(roots[:, n_modes:]))
+    active = amplitude > ACTIVE_AMPLITUDE_TOL
+    top = np.where(active.any(axis=1), n_modes - active[:, ::-1].argmax(axis=1), 1)
+    low = np.flatnonzero(top < n_modes)
+    tol = NEWTON_TOL_FACTOR * np.array([newton_scale(p, spec, n) for n in range(1, n_modes)])
+    residual = np.abs(kernels.residual(lams, p.beta, p.varrho, p.k, roots[low])).max(axis=1)
+    settled = np.ones(roots.shape[0], dtype=bool)
+    settled[low] = residual < tol[top[low] - 1]
+    return settled
+
+
 def _dedup_merge(known: np.ndarray, roots: np.ndarray, radius: float) -> np.ndarray:
     """Greedy merge in arrival order; two roots are the same solution
     when every coefficient agrees within ``DEDUP_RTOL`` of the box
@@ -236,7 +261,8 @@ def galerkin_solve(
 
     Convergence demands a max-abs residual below ``1e-11`` times the
     system scale.  Starts that stall are discarded (counted via
-    ``converged_count``).  Roots keep only modes with amplitude above
+    ``converged_count``), and so are polished roots above ``1e-11`` times
+    the scale of their own highest active mode.  Roots keep only modes with amplitude above
     ``1e-7``; more than three such modes would contradict the structure
     theory and raises :class:`VerificationError`.
     """
@@ -273,6 +299,7 @@ def galerkin_solve(
 
     if known.shape[0]:
         polished = _accurate_polish(lams, p, known)
+        polished = polished[_settled(lams, p, spec, polished)]
         known = _dedup_merge(np.zeros((0, 2 * n_modes)), polished, radius)
         known = _orbit_closure(known, n_modes, radius)
 
