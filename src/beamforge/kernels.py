@@ -9,11 +9,12 @@ when it converges, stalls or exhausts ``DEFAULT_MAX_ITER`` steps.
 
 The cap of 60 steps retires the straggler tail.  On the paper case 99%
 of the converging starts take at most 26 steps, and on the trimodal
-case (``k = 72``, ``beta = -30``) every one takes at most 51.  The few slowest starts of a
-solve crawl on with steps near ``2^-29``, and up to 200 steps they kept
-the whole batch loop running for a handful of rows.  A capped start
-ends unconverged with ``iterations == DEFAULT_MAX_ITER``; every start
-that converges within the cap keeps its iterates bit for bit.
+case (``k = 72``, ``beta = -30``) every one takes at most 51.  The few
+slowest starts of a solve crawl on with steps near ``2^-29``, and up to
+200 steps they kept the whole batch loop running for a handful of rows.
+A capped start ends unconverged with ``iterations == DEFAULT_MAX_ITER``;
+every start that converges within the cap keeps its iterates bit for
+bit.
 
 The line search tries the full Newton step for every live start in one
 residual call.  The starts that fail the Armijo test evaluate their next
@@ -21,8 +22,9 @@ halvings in chunks of ``_HALVINGS_PER_PASS``, one residual call per
 chunk over all of them, and each takes the first halving that passes;
 a start that no halving up to ``DEFAULT_MAX_BACKTRACK`` accepts stops.
 The slow starts accept steps near ``2^-29`` for many iterations, so one
-call per halving would be almost all per-call overhead.  Grouping the halvings changes no trial point, so the iterates
-are those of the one-halving-per-call search, bit for bit.
+call per halving would be almost all per-call overhead.  Grouping the
+halvings changes no trial point, so the iterates are those of the
+one-halving-per-call search, bit for bit.
 
 The unknown vector packs the two coefficient blocks as
 ``x = (alpha_1..alpha_N, gamma_1..gamma_N)`` and the residual is

@@ -262,9 +262,9 @@ def galerkin_solve(
     Convergence demands a max-abs residual below ``1e-11`` times the
     system scale.  Starts that stall are discarded (counted via
     ``converged_count``), and so are polished roots above ``1e-11`` times
-    the scale of their own highest active mode.  Roots keep only modes with amplitude above
-    ``1e-7``; more than three such modes would contradict the structure
-    theory and raises :class:`VerificationError`.
+    the scale of their own highest active mode.  Roots keep only modes
+    with amplitude above ``1e-7``; more than three such modes would
+    contradict the structure theory and raises :class:`VerificationError`.
     """
     if starts < 1:
         raise ValidationError(f"starts must be positive, got {starts}")

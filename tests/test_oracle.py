@@ -195,7 +195,8 @@ def _dedup_merge_row_by_row(known, roots, radius):
 
 
 def _rows(count, width, values):
-    return hnp.arrays(np.float64, st.tuples(count, st.just(width)), elements=st.sampled_from(values))
+    shape = st.tuples(count, st.just(width))
+    return hnp.arrays(np.float64, shape, elements=st.sampled_from(values))
 
 
 @st.composite
@@ -211,7 +212,7 @@ def dedup_cases(draw):
     known = draw(_rows(st.integers(0, 4), width, values))
     roots = draw(_rows(st.integers(0, 16), width, values))
     if known.shape[0] and draw(st.booleans()):
-        # roots that sit next to a known representative and match nothing else
+        # a root within tol, or one ulp past it, of a known representative
         near = known[draw(st.integers(0, known.shape[0] - 1))] + draw(st.sampled_from([tol, past]))
         roots = np.insert(roots, draw(st.integers(0, roots.shape[0])), near, axis=0)
     return known, roots, radius
@@ -223,7 +224,7 @@ _PAST = np.nextafter(_TOL, np.inf)
 
 @settings(max_examples=300, deadline=None)
 @given(dedup_cases())
-@example((np.zeros((0, 2)), np.array([[0.0, 0.0], [_TOL, 0.0], [2 * _TOL, 0.0], [2 * _PAST, 0.0]]), 1.0))
+@example((np.zeros((0, 2)), np.array([[0.0, 0.0], [_TOL, 0.0], [2 * _TOL, 0.0], [2 * _PAST, 0]]), 1.0))
 @example((np.array([[0.0, 0.0], [0.3, 0.0]]), np.zeros((0, 2)), 1.0))
 @example((np.array([[0.0, 0.0]]), np.array([[_TOL, -_TOL], [_PAST, 0.0], [_PAST, _TOL]]), 1.0))
 def test_dedup_merge_matches_row_by_row_merge(case):
