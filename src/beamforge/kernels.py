@@ -175,14 +175,17 @@ def jacobian(lams, beta, varrho, k, x):
 
 
 def _solve_batch(J, rhs):
-    """Batched solve; rows whose system is singular come back as NaN."""
+    """Batched solve; rows whose system is singular come back as NaN.
+
+    ``slogdet`` runs the same LU factorization as ``solve`` and reports
+    sign 0 exactly when it meets a zero pivot, so the rows it flags are
+    the ones that make ``solve`` raise, and the rest are solved in one
+    call.
+    """
     try:
         return np.linalg.solve(J, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         out = np.full_like(rhs, np.nan)
-        for i in range(J.shape[0]):
-            try:
-                out[i] = np.linalg.solve(J[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
+        ok = np.linalg.slogdet(J)[0] != 0
+        out[ok] = np.linalg.solve(J[ok], rhs[ok, :, None])[:, :, 0]
         return out

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def test_converged_roots_have_small_residual(problem):
     roots, conv, iters = kernels.newton_batch(lams, p.beta, p.varrho, p.k, starts, tol)
     assert conv.sum() > 350
     assert (_max_residual(lams, p, roots[conv]) < tol).all()
-    assert (iters[conv] <= 200).all()
+    assert (iters[conv] <= kernels.DEFAULT_MAX_ITER).all()
 
 
 @pytest.mark.parametrize("cap", [8, 12, 25])
@@ -101,6 +103,56 @@ def test_zero_start_is_the_trivial_root(problem):
     roots, conv, iters = kernels.newton_batch(lams, p.beta, p.varrho, p.k, np.zeros((1, 6)), tol)
     assert conv[0] and iters[0] == 0
     assert np.all(roots[0] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "support", [s for size in (1, 2) for s in combinations((1, 2, 3), size)], ids=str
+)
+def test_zero_mode_pairs_stay_zero(problem, support):
+    # every term of the mode-j equations carries alpha_j or gamma_j, so a
+    # zero mode pair has zero residual rows and an exactly zero step: a
+    # start on a support solves the restricted system in the full one
+    p, lams, tol, starts = problem
+    on = np.array([n - 1 for n in support] + [3 + n - 1 for n in support])
+    off = np.setdiff1d(np.arange(6), on)
+    x0 = starts.copy()
+    x0[:, off] = 0.0
+    roots, conv, _ = kernels.newton_batch(lams, p.beta, p.varrho, p.k, x0, tol)
+    assert (roots[:, off] == 0.0).all()
+    assert conv.any()
+    restricted = _max_residual(lams[[n - 1 for n in support]], p, roots[conv][:, on])
+    assert (restricted < tol).all()
+
+
+def _solve_row_by_row(J, rhs):
+    """The singular-batch fallback as a loop of one solve per row, the
+    reference for the batched fallback."""
+    out = np.full_like(rhs, np.nan)
+    for i in range(J.shape[0]):
+        try:
+            out[i] = np.linalg.solve(J[i], rhs[i])
+        except np.linalg.LinAlgError:
+            pass
+    return out
+
+
+def test_solve_batch_marks_singular_rows_nan(problem):
+    # at the trivial root with beta = -lam_1 the mode-1 block is
+    # [[k, -k], [-k, k]] exactly; a repeated row and a zero column are
+    # singular too
+    p, lams, _, starts = problem
+    x = starts[:50].copy()
+    J = kernels.jacobian(lams, p.beta, p.varrho, p.k, x)
+    J[7] = kernels.jacobian(lams, -lams[0], p.varrho, p.k, np.zeros((1, 6)))[0]
+    J[21, 4] = J[21, 1]
+    J[40, :, 2] = 0.0
+    rhs = -kernels.residual(lams, p.beta, p.varrho, p.k, x)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J, rhs[:, :, None])
+    got = kernels._solve_batch(J, rhs)
+    assert np.isnan(got[[7, 21, 40]]).all()
+    assert np.isfinite(np.delete(got, [7, 21, 40], axis=0)).all()
+    assert got.tobytes() == _solve_row_by_row(J, rhs).tobytes()
 
 
 def test_shape_validation():
