@@ -22,7 +22,10 @@ make plain multistart complete at desk scale:
   a root of the restricted system on that subset.  Half the start budget
   is spread over the coordinate subproblems, where small-support roots
   have fat basins; the other half probes the full-dimensional system.
-  Each block is one multistart call over its own box.
+  Every block writes its starts into its own columns of one array, zero
+  elsewhere, and one Newton batch on the full system solves them all: a
+  zero mode pair has zero residual rows and an exactly zero Newton step,
+  so it stays zero.
 * symmetry: the residual is odd in each mode pair ``(alpha_j, gamma_j)``
   and symmetric under swapping the two beams, so the images of a root
   under these maps are roots, exactly in floating point.  Each found
@@ -253,11 +256,14 @@ def galerkin_solve(
     uniform random starts and return the deduplicated roots.
 
     Half the budget is split evenly over the proper mode-support
-    subproblems (smallest supports first), each one damped-Newton
-    multistart over its own box ``[-R, R]^(2|S|)``; the remaining budget
-    probes the full-dimensional system the same way.  Budgets too small
-    to cover the subproblems fall back to full-dimensional multistart.
-    The polished roots are closed under the system's symmetries.
+    subproblems (smallest supports first), each one drawing its starts
+    from its own box ``[-R, R]^(2|S|)`` with every other mode pair zero;
+    the remaining budget probes the full-dimensional system.  Budgets too
+    small to cover the subproblems fall back to full-dimensional
+    multistart.  All starts run as one damped-Newton batch on the full
+    system, whose zero mode pairs stay exactly zero, and the converged
+    roots are deduplicated in start order.  The polished roots are closed
+    under the system's symmetries.
 
     Convergence demands a max-abs residual below ``1e-11`` times the
     system scale.  Starts that stall are discarded (counted via
@@ -273,29 +279,17 @@ def galerkin_solve(
     radius = start_box_radius(p, spec)
     rng = np.random.default_rng(seed)
     subsets = _mode_subsets(n_modes)
-    proper = subsets[:-1]
-    share = (starts // 2) // len(proper) if proper else 0
-    known = np.zeros((0, 2 * n_modes))
-    converged_total = 0
-
-    def run_block(subset, budget):
-        nonlocal known, converged_total
-        if budget < 1:
-            return
+    proper = len(subsets) - 1
+    share = (starts // 2) // proper if proper else 0
+    budgets = [share] * proper + [starts - share * proper]
+    x0 = np.zeros((starts, 2 * n_modes))
+    row = 0
+    for subset, budget in zip(subsets, budgets):
         cols = _columns_for(subset, n_modes)
-        x0 = rng.uniform(-radius, radius, size=(budget, 2 * len(subset)))
-        roots, converged, _ = kernels.newton_batch(
-            lams[[n - 1 for n in subset]], p.beta, p.varrho, p.k, x0, tol
-        )
-        good = roots[converged]
-        converged_total += good.shape[0]
-        embedded = np.zeros((good.shape[0], 2 * n_modes))
-        embedded[:, cols] = good
-        known = _dedup_merge(known, embedded, radius)
-
-    for subset in proper:
-        run_block(subset, share)
-    run_block(subsets[-1], starts - share * len(proper))
+        x0[row : row + budget, cols] = rng.uniform(-radius, radius, size=(budget, cols.size))
+        row += budget
+    roots, converged, _ = kernels.newton_batch(lams, p.beta, p.varrho, p.k, x0, tol)
+    known = _dedup_merge(np.zeros((0, 2 * n_modes)), roots[converged], radius)
 
     if known.shape[0]:
         polished = _accurate_polish(lams, p, known)
@@ -323,7 +317,7 @@ def galerkin_solve(
     return OracleResult(
         found=found,
         starts_used=starts,
-        converged_count=converged_total,
+        converged_count=int(converged.sum()),
         n_modes=n_modes,
         newton_tol=tol,
         box_radius=radius,

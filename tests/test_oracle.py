@@ -15,6 +15,7 @@ from beamforge import (
     match_against,
     modal_residual,
 )
+from beamforge import kernels, oracle
 from beamforge.core import solution_sort_key
 from beamforge.modesets import trimodal_candidates
 from beamforge.oracle import DEDUP_RTOL, _dedup_merge
@@ -233,3 +234,77 @@ def test_dedup_merge_matches_row_by_row_merge(case):
     want = _dedup_merge_row_by_row(known, roots, radius)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _per_block_search(newton_batch, p, spec, n_modes, starts, seed):
+    """The search as one ``newton_batch`` call per mode-support block,
+    each on the restricted system of its own support, the reference for
+    the one zero-padded batch.  Returns the starts embedded in the full
+    layout, and the roots, flags and iterations in the same row order."""
+    lams = spec.eigenvalues(n_modes)
+    tol = oracle.NEWTON_TOL_FACTOR * oracle.newton_scale(p, spec, n_modes)
+    radius = oracle.start_box_radius(p, spec)
+    rng = np.random.default_rng(seed)
+    subsets = oracle._mode_subsets(n_modes)
+    proper = subsets[:-1]
+    share = (starts // 2) // len(proper) if proper else 0
+    x0 = np.zeros((starts, 2 * n_modes))
+    roots = np.zeros((starts, 2 * n_modes))
+    converged = np.zeros(starts, dtype=bool)
+    iterations = np.zeros(starts, dtype=np.int64)
+    row = 0
+    for subset in subsets:
+        budget = share if subset in proper else starts - share * len(proper)
+        if budget < 1:
+            continue
+        cols = oracle._columns_for(subset, n_modes)
+        block = slice(row, row + budget)
+        x0[block, cols] = rng.uniform(-radius, radius, size=(budget, 2 * len(subset)))
+        roots[block, cols], converged[block], iterations[block] = newton_batch(
+            lams[[n - 1 for n in subset]], p.beta, p.varrho, p.k, x0[block, cols], tol
+        )
+        row += budget
+    return x0, roots, converged, iterations
+
+
+def _as_array(found, n_modes):
+    out = np.zeros((len(found), 2 * n_modes))
+    for i, sol in enumerate(found):
+        for n, (a, g) in sol.modes.items():
+            out[i, [n - 1, n_modes + n - 1]] = a, g
+    return out
+
+
+@pytest.mark.parametrize(
+    "case,seed",
+    [("paper", s) for s in range(4)] + [("b1", 1)],
+)
+def test_one_batch_reproduces_the_per_block_search(monkeypatch, case, seed):
+    # a zero mode pair stays exactly zero under the full system's Newton
+    # steps, so the blocks can share one batch; only the rounding of the
+    # coupling sums may differ, never a root, a count or a label
+    p = Params(beta=-15.5, varrho=1.0, k=3.0)
+    spec = Spectrum.scaled() if case == "paper" else Spectrum.scaled(n_max=8)
+    n_modes, starts = (3, 3000) if case == "paper" else (2, 4000)
+    batched = galerkin_solve(p, spec, n_modes, starts, seed=seed)
+
+    newton_batch = kernels.newton_batch
+
+    def per_block(lams, beta, varrho, k, x0, tol):
+        want, *out = _per_block_search(newton_batch, p, spec, n_modes, starts, seed)
+        assert x0.tobytes() == want.tobytes()  # same draws, same rows
+        return out
+
+    monkeypatch.setattr(kernels, "newton_batch", per_block)
+    reference = galerkin_solve(p, spec, n_modes, starts, seed=seed)
+
+    assert batched.converged_count == reference.converged_count
+    assert len(batched.found) == len(reference.found)
+    radius = oracle.start_box_radius(p, spec)
+    a = _as_array(batched.found, n_modes)
+    b = _as_array(reference.found, n_modes)
+    close = np.abs(a[:, None] - b[None]).max(axis=2) <= DEDUP_RTOL * radius
+    assert (close.sum(axis=0) == 1).all() and (close.sum(axis=1) == 1).all()
+    closed = closed_inventory_for_modes(p, spec, n_modes)
+    labels = match_against(closed, [], batched.found).labels
+    assert labels == match_against(closed, [], reference.found).labels
