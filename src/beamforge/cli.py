@@ -115,6 +115,8 @@ def _context(args) -> tuple[Params, Spectrum]:
     for flag, tol in (("--tol-cond", args.tol_cond), ("--tol-res", args.tol_res)):
         if not (math.isfinite(tol) and tol > 0.0):
             raise ValidationError(f"{flag} must be a finite positive number, got {tol}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     return (
         Params(beta=args.beta, varrho=args.varrho, k=args.k),
         Spectrum.from_token(args.spectrum, n_max=args.nmax),
@@ -339,11 +341,10 @@ def cmd_oracle(args) -> int:
         if max(f.modes) <= args.modes
     ]
     report = match_against(closed, families, result.found)
-    result.attach_match(report)
     doc = {
         "params": p.describe(),
         "spectrum": spec.describe(),
-        "oracle": result.describe(p, spec),
+        "oracle": result.describe(p, spec, report),
         "matching": report.describe(),
         "closed_form_count": len(closed),
     }
@@ -489,7 +490,11 @@ def cmd_convert(args) -> int:
         omega_area=args.omega_area,
         rho_density=args.rho_density,
     )
-    params, diag = dimensionless_params(phys)
+    try:
+        params, diag = dimensionless_params(phys)
+    except ZeroDivisionError as exc:
+        # a product of the beam data underflows to zero
+        raise ValidationError(f"beam data out of the floating-point range: {exc}") from exc
     doc = {"params": params.describe(), "diagnostics": diag.describe()}
     _write(jsonio.dumps(doc), args.out)
     return 0
@@ -524,7 +529,7 @@ def _attach_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str
     for token in argv:
         if awaiting:
             awaiting = False
-            if token.startswith("-"):
+            if token.startswith("-") and token != "--":
                 out[-1] = f"{out[-1]}={token}"
                 continue
         elif not takes_value and token in commands:
@@ -533,6 +538,11 @@ def _attach_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str
             }
         elif token in takes_value:
             awaiting = takes_value[token]
+        elif token.startswith("--") and token.endswith("=--"):
+            # argparse drops a value "--" and stores an empty list; as a
+            # separate token it is a missing value
+            out.append(token[:-3])
+            token = "--"
         else:
             # argparse also takes a unique prefix of an option
             prefixed = [s for s in takes_value if s.startswith(token)]
@@ -557,7 +567,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"beamforge: {exc}", file=sys.stderr)
         return 3
-    except (IndexError, FileNotFoundError) as exc:
+    except (IndexError, OSError) as exc:
         print(f"beamforge: {exc}", file=sys.stderr)
         return 2
 

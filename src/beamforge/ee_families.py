@@ -34,19 +34,6 @@ class EEFamily:
     def quadric_residual(self, coords) -> float:
         return sum(c * x * x for c, x in zip(self.coeffs, coords)) + self.constant
 
-    def contains(self, sol: ModalSolution, tol: float = 1e-6) -> bool:
-        """Coefficient-level membership: active modes agree, the u-part
-        sits on the quadric, and the v-part follows the sign pattern."""
-        if sol.active != self.modes:
-            return False
-        xs = [sol.modes[n][0] for n in self.modes]
-        if abs(self.quadric_residual(xs)) > tol * max(1.0, abs(self.constant)):
-            return False
-        for n, s, x in zip(self.modes, self.sign_pattern, xs):
-            if abs(sol.modes[n][1] - s * x) > tol * max(1.0, abs(x)):
-                return False
-        return True
-
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,

@@ -26,10 +26,13 @@ import functools
 import json
 import math
 
+from .errors import ValidationError
+
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"non-finite float in output: {x!r}")
+        # inputs are checked finite, so a result has left the float range
+        raise ValidationError(f"non-finite float in output: {x!r}; the input is out of range")
     if x == 0.0:
         x = 0.0  # normalize the sign of zero
     return format(float(x), ".17g")

@@ -10,8 +10,8 @@ values below ``1e-10`` of the largest): near junctions of solution
 continua the Jacobian is nearly rank deficient, and the search's
 full-rank solves leave such roots too far off the manifold to match.
 ``match_against`` then classifies each root as a known isolated
-solution, a point on an EE family, or unmatched; unmatched roots
-indicate a bug somewhere.
+solution, a point on an EE family, or unmatched (a bug somewhere), on
+arrays: support signatures and coefficients, compared per support.
 
 Two generic properties of the modal system, not of its closed forms,
 make plain multistart complete at desk scale:
@@ -41,13 +41,13 @@ search does not use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import jsonio, kernels
-from .core import Inventory, ModalSolution, Params, check_inventory, solution_sort_key
+from .core import MAX_ACTIVE_MODES, Inventory, ModalSolution, Params, check_inventory, solution_sort_key
 from .ee_families import EEFamily
 from .errors import ValidationError, VerificationError
 from .spectrum import Spectrum
@@ -98,17 +98,8 @@ class OracleResult:
     newton_tol: float
     box_radius: float
     backend: str = "numpy"  # kept so the oracle JSON keeps its keys
-    matched: int = 0
-    on_family: int = 0
-    unmatched: list[ModalSolution] = field(default_factory=list)
 
-    def attach_match(self, report: MatchReport) -> "OracleResult":
-        self.matched = report.matched
-        self.on_family = report.on_family
-        self.unmatched = list(report.unmatched)
-        return self
-
-    def describe(self, p: Params, spec: Spectrum) -> dict:
+    def describe(self, p: Params, spec: Spectrum, report: MatchReport) -> dict:
         return {
             "n_modes": self.n_modes,
             "starts_used": self.starts_used,
@@ -117,11 +108,11 @@ class OracleResult:
             "box_radius": self.box_radius,
             "backend": self.backend,
             "found_count": len(self.found),
-            "matched": self.matched,
-            "on_family": self.on_family,
-            "unmatched_count": len(self.unmatched),
+            "matched": report.matched,
+            "on_family": report.on_family,
+            "unmatched_count": len(report.unmatched),
             "found": _records(self.found, p, spec),
-            "unmatched": _records(self.unmatched, p, spec),
+            "unmatched": _records(report.unmatched, p, spec),
         }
 
 
@@ -165,6 +156,12 @@ def _accurate_polish(lams, p: Params, roots: np.ndarray) -> np.ndarray:
     return x
 
 
+def _active_modes(roots: np.ndarray) -> np.ndarray:
+    """Mask of the mode pairs with amplitude above ``1e-7``."""
+    n_modes = roots.shape[1] // 2
+    return np.maximum(np.abs(roots[:, :n_modes]), np.abs(roots[:, n_modes:])) > ACTIVE_AMPLITUDE_TOL
+
+
 def _settled(lams, p: Params, spec: Spectrum, roots: np.ndarray) -> np.ndarray:
     """Flag the roots whose max-abs residual is below the tolerance of
     their own support: ``NEWTON_TOL_FACTOR`` times the scale of their
@@ -179,8 +176,7 @@ def _settled(lams, p: Params, spec: Spectrum, roots: np.ndarray) -> np.ndarray:
     again.
     """
     n_modes = lams.size
-    amplitude = np.maximum(np.abs(roots[:, :n_modes]), np.abs(roots[:, n_modes:]))
-    active = amplitude > ACTIVE_AMPLITUDE_TOL
+    active = _active_modes(roots)
     top = np.where(active.any(axis=1), n_modes - active[:, ::-1].argmax(axis=1), 1)
     low = np.flatnonzero(top < n_modes)
     tol = NEWTON_TOL_FACTOR * np.array([newton_scale(p, spec, n) for n in range(1, n_modes)])
@@ -277,6 +273,8 @@ def galerkin_solve(
     lams = spec.eigenvalues(n_modes)
     tol = NEWTON_TOL_FACTOR * newton_scale(p, spec, n_modes)
     radius = start_box_radius(p, spec)
+    if not np.isfinite(radius):
+        raise ValidationError(f"start box radius overflows at beta = {p.beta}, varrho = {p.varrho}")
     rng = np.random.default_rng(seed)
     subsets = _mode_subsets(n_modes)
     proper = len(subsets) - 1
@@ -297,22 +295,17 @@ def galerkin_solve(
         known = _dedup_merge(np.zeros((0, 2 * n_modes)), polished, radius)
         known = _orbit_closure(known, n_modes, radius)
 
-    found: list[ModalSolution] = []
-    for row in known:
-        alphas = row[:n_modes]
-        gammas = row[n_modes:]
-        active = [
-            j
-            for j in range(n_modes)
-            if max(abs(alphas[j]), abs(gammas[j])) > ACTIVE_AMPLITUDE_TOL
-        ]
-        if len(active) > 3:
-            raise VerificationError(
-                f"oracle root with {len(active)} active modes contradicts the "
-                f"three-mode bound: {row.tolist()}"
-            )
-        modes = {j + 1: (float(alphas[j]), float(gammas[j])) for j in active}
-        found.append(ModalSolution(modes, tag="oracle"))
+    active = _active_modes(known)
+    crowded = np.flatnonzero(active.sum(axis=1) > MAX_ACTIVE_MODES)
+    if crowded.size:
+        raise VerificationError(
+            f"oracle root with {int(active[crowded[0]].sum())} active modes contradicts the "
+            f"three-mode bound: {known[crowded[0]].tolist()}"
+        )
+    found = [
+        ModalSolution({j + 1: (row[j], row[n_modes + j]) for j in np.flatnonzero(on)}, tag="oracle")
+        for row, on in zip(known.tolist(), active)
+    ]
     found.sort(key=solution_sort_key)
     return OracleResult(
         found=found,
@@ -324,17 +317,20 @@ def galerkin_solve(
     )
 
 
-def _coeffs_match(root: ModalSolution, closed: ModalSolution, tol: float) -> bool:
-    if root.active != closed.active:
-        return False
-    for n in closed.active:
-        ra, rg = root.modes[n]
-        ca, cg = closed.modes[n]
-        if abs(ra - ca) > tol * max(1.0, abs(ca)):
-            return False
-        if abs(rg - cg) > tol * max(1.0, abs(cg)):
-            return False
-    return True
+def _supports(sols: list[ModalSolution]):
+    """Each solution's active modes moved to the front in increasing
+    ``n``: the zero-padded support ``(S, 3)`` and the coefficients
+    ``alpha`` then ``gamma`` on it, ``(S, 6)``."""
+    inv = Inventory.from_solutions(sols)
+    active = inv.stored & ~((inv.alpha == 0.0) & (inv.gamma == 0.0))
+    front = np.argsort(~active, axis=1, kind="stable")[:, :MAX_ACTIVE_MODES]
+    n, alpha, gamma = (np.take_along_axis(x, front, axis=1) for x in (inv.n, inv.alpha, inv.gamma))
+    return np.where(np.take_along_axis(active, front, axis=1), n, 0), np.hstack((alpha, gamma))
+
+
+def _within(x, ref, tol: float):
+    # not ``<=``: a NaN passes, as it fails no ``>`` test
+    return ~(np.abs(x - ref) > tol * np.maximum(1.0, np.abs(ref)))
 
 
 def match_against(
@@ -343,41 +339,38 @@ def match_against(
     oracle_found: list[ModalSolution],
     tol: float = MATCH_RTOL,
 ) -> MatchReport:
-    """Classify every oracle root against the closed-form inventory.
+    """Classify every oracle root against the closed-form inventory, on
+    the support and coefficient arrays of both lists.
 
-    A root is *matched* when each coefficient agrees with an isolated
-    closed-form solution to ``tol`` relative (the trivial root always
-    matches), *on_family* when its u-part sits on an EE quadric with the
-    family's sign pattern, and *unmatched* otherwise.  ``missed_closed``
-    lists isolated solutions no root landed on.
+    A root is *matched* when it has the support of an isolated closed-form
+    solution, the first in ``closed`` order whose coefficients all agree to
+    ``tol`` relative (the trivial root always matches), *on_family* when
+    it has a family's support, its u-part sits on the family's quadric and
+    its v-part follows the sign pattern, and *unmatched* otherwise.
+    ``missed_closed`` lists isolated solutions no root landed on.
     """
-    matched = 0
-    on_family = 0
-    unmatched: list[ModalSolution] = []
-    labels: list[str] = []
-    hit_closed = [False] * len(closed)
-    for root in oracle_found:
-        if root.is_trivial:
-            matched += 1
-            labels.append("trivial")
-            continue
-        hit = None
-        for i, sol in enumerate(closed):
-            if _coeffs_match(root, sol, tol):
-                hit = i
-                break
-        if hit is not None:
-            matched += 1
-            hit_closed[hit] = True
-            labels.append("isolated")
-            continue
-        if any(fam.contains(root, tol) for fam in families):
-            on_family += 1
-            labels.append("family")
-            continue
-        unmatched.append(root)
-        labels.append("unmatched")
-    missed = [
-        sol for i, sol in enumerate(closed) if not hit_closed[i] and not sol.is_trivial
-    ]
-    return MatchReport(matched, on_family, unmatched, labels, missed)
+    n, coeffs = _supports(oracle_found)
+    closed_n, closed_coeffs = _supports(closed)
+    hit = np.full(len(oracle_found), -1)
+    for support in np.unique(closed_n[closed_n[:, 0] > 0], axis=0):
+        rows = np.flatnonzero((n == support).all(axis=1))
+        cols = np.flatnonzero((closed_n == support).all(axis=1))
+        agree = _within(coeffs[rows, None], closed_coeffs[cols], tol).all(axis=2)
+        hit[rows] = np.where(agree.any(axis=1), cols[agree.argmax(axis=1)], -1)
+    on_family = np.zeros(len(oracle_found), dtype=bool)
+    for fam in families:
+        m = len(fam.modes)
+        x, v = coeffs[:, :m], coeffs[:, MAX_ACTIVE_MODES : MAX_ACTIVE_MODES + m]
+        quadric = sum(c * x[:, j] * x[:, j] for j, c in enumerate(fam.coeffs)) + fam.constant
+        on_family |= (
+            (n == fam.modes + (0,) * (MAX_ACTIVE_MODES - m)).all(axis=1)
+            & ~(np.abs(quadric) > tol * max(1.0, abs(fam.constant)))
+            & _within(v, np.array(fam.sign_pattern) * x, tol).all(axis=1)
+        )
+    labels = np.select(
+        [n[:, 0] == 0, hit >= 0, on_family], ["trivial", "isolated", "family"], "unmatched"
+    ).tolist()
+    unmatched = [sol for sol, label in zip(oracle_found, labels) if label == "unmatched"]
+    missed = np.flatnonzero(~np.isin(np.arange(len(closed)), hit) & (closed_n[:, 0] > 0))
+    matched = labels.count("trivial") + labels.count("isolated")
+    return MatchReport(matched, labels.count("family"), unmatched, labels, [closed[i] for i in missed])

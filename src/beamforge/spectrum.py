@@ -105,7 +105,8 @@ class Spectrum:
     def from_file(path, n_max: int = DEFAULT_N_MAX) -> "Spectrum":
         """Load an explicit spectrum: one eigenvalue per line, decimal text."""
         values = []
-        with open(path, "r", encoding="utf-8") as fh:
+        # a byte that is not UTF-8 reads as U+FFFD, which no number contains
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.strip()
                 if not text:

@@ -319,6 +319,45 @@ def test_bad_spectrum_token_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sets", "--out", "sub"),
+        ("convert", *CONVERT_HEAD[1:], "--D", "0", "--kappa", "1", "--area", "1", "--out", "sub"),
+        ("sweep", "--grid", "0:20:3", "--out", "sweep.csv", "--gnuplot", "sub"),
+        ("unimodal", "--csv", "--out", "branches.csv", "--gnuplot", "sub"),
+        ("sets", "--out", "missing/out.json"),
+        ("sets", "--spectrum", "file:sub"),
+        ("sets", "--spectrum", "file:latin1.txt"),
+    ],
+    ids=" ".join,
+)
+def test_file_errors_exit_code(capsys, monkeypatch, tmp_path, argv):
+    # a directory, a missing directory or undecodable text is bad input
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "latin1.txt").write_bytes("1\n4\n9\xe9\n".encode("latin-1"))
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("beamforge: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", *COMMON, "--modes", "1", "--starts", "10", "--seed", "-1"),
+        ("enumerate", "--spectrum", "scaled", "--k", "72", "--beta", "-40", "--samples", "2", "--seed", "-5"),
+    ],
+    ids=["oracle", "enumerate"],
+)
+def test_negative_seed_exit_code(capsys, argv):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("beamforge: --seed must be nonnegative")
+
+
 def test_oracle_command(capsys):
     doc = run_json(
         capsys, "oracle", "--spectrum", "scaled", "--k", "3", "--beta", "-5",

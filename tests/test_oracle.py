@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from beamforge import (
+    EEFamily,
     ModalSolution,
     Params,
     Spectrum,
@@ -308,3 +309,153 @@ def test_one_batch_reproduces_the_per_block_search(monkeypatch, case, seed):
     closed = closed_inventory_for_modes(p, spec, n_modes)
     labels = match_against(closed, [], batched.found).labels
     assert labels == match_against(closed, [], reference.found).labels
+
+
+def _coeffs_match_reference(root, closed, tol):
+    if root.active != closed.active:
+        return False
+    for n in closed.active:
+        ra, rg = root.modes[n]
+        ca, cg = closed.modes[n]
+        if abs(ra - ca) > tol * max(1.0, abs(ca)):
+            return False
+        if abs(rg - cg) > tol * max(1.0, abs(cg)):
+            return False
+    return True
+
+
+def _on_family_reference(fam, sol, tol):
+    if sol.active != fam.modes:
+        return False
+    xs = [sol.modes[n][0] for n in fam.modes]
+    if abs(fam.quadric_residual(xs)) > tol * max(1.0, abs(fam.constant)):
+        return False
+    for n, s, x in zip(fam.modes, fam.sign_pattern, xs):
+        if abs(sol.modes[n][1] - s * x) > tol * max(1.0, abs(x)):
+            return False
+    return True
+
+
+def _match_reference(closed, families, oracle_found, tol=oracle.MATCH_RTOL):
+    """The matcher as a loop over the roots, each compared with every
+    closed-form solution in turn: the reference for the array matcher."""
+    matched = 0
+    on_family = 0
+    unmatched, labels = [], []
+    hit_closed = [False] * len(closed)
+    for root in oracle_found:
+        if root.is_trivial:
+            matched += 1
+            labels.append("trivial")
+            continue
+        hit = next((i for i, sol in enumerate(closed) if _coeffs_match_reference(root, sol, tol)), None)
+        if hit is not None:
+            matched += 1
+            hit_closed[hit] = True
+            labels.append("isolated")
+        elif any(_on_family_reference(fam, root, tol) for fam in families):
+            on_family += 1
+            labels.append("family")
+        else:
+            unmatched.append(root)
+            labels.append("unmatched")
+    missed = [sol for i, sol in enumerate(closed) if not hit_closed[i] and not sol.is_trivial]
+    return oracle.MatchReport(matched, on_family, unmatched, labels, missed)
+
+
+def _assert_same_report(got, want):
+    assert got.describe() == want.describe()  # counts and labels
+    assert [id(s) for s in got.unmatched] == [id(s) for s in want.unmatched]
+    assert [id(s) for s in got.missed_closed] == [id(s) for s in want.missed_closed]
+
+
+@pytest.mark.parametrize(
+    "spectrum,k,beta,n_modes,starts",
+    [
+        (Spectrum.scaled(), 3.0, -15.5, 3, 3000),  # paper
+        (Spectrum.scaled(n_max=8), 3.0, -15.5, 2, 4000),  # b1
+        (Spectrum.scaled(n_max=8), 72.0, -30.0, 5, 5000),  # trimodal
+        (Spectrum.dirichlet(), 1.0, -200.0, 3, 3000),
+        # on the mode-2 threshold mu_2 = 40: family points, and unmatched
+        # mode-2 roots of amplitude ~3e-5
+        (Spectrum.scaled(), 72.0, -40.0, 5, 3000),
+    ],
+    ids=["paper", "b1", "trimodal", "dirichlet", "family"],
+)
+def test_match_against_equals_the_per_root_reference(spectrum, k, beta, n_modes, starts):
+    p = Params(beta=beta, varrho=1.0, k=k)
+    found = galerkin_solve(p, spectrum, n_modes, starts, seed=0).found
+    closed = closed_inventory_for_modes(p, spectrum, n_modes)
+    families = [f for f in enumerate_ee_families(p, spectrum) if max(f.modes) <= n_modes]
+    got = match_against(closed, families, found)
+    _assert_same_report(got, _match_reference(closed, families, found))
+    assert len(got.labels) == len(found)
+    # every closed row twice: the first copy takes every hit, the second is missed
+    doubled = closed + [ModalSolution(s.modes, tag=s.tag) for s in closed]
+    _assert_same_report(
+        match_against(doubled, families, found), _match_reference(doubled, families, found)
+    )
+
+
+_MATCH_TOL = 2.0 ** -20  # a power of two, so that c + tol * max(1, |c|) is exact
+_COEFFS = [0.5, -1.0, 4.0, -96.0]
+
+
+def _offsets(c):
+    # the bound of ``c``, one ulp past it, or far off
+    bound = _MATCH_TOL * max(1.0, abs(c))
+    return [0.0, bound, -bound, np.nextafter(bound, np.inf), 3.0 * bound]
+
+
+@st.composite
+def synthetic_rows(draw):
+    supports = [(1,), (2,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    pool = [
+        ModalSolution({n: (draw(st.sampled_from(_COEFFS)), draw(st.sampled_from(_COEFFS))) for n in s})
+        for s in draw(st.lists(st.sampled_from(supports), max_size=5))
+    ]
+    # closed rows drawn with repeats, so that some are duplicated
+    closed = [ModalSolution(s.modes) for s in draw(st.lists(st.sampled_from(pool), max_size=8))] if pool else []
+    roots = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["near", "family", "trivial", "other"]))
+        if kind == "near" and closed:
+            base = draw(st.sampled_from(closed))
+            modes = {
+                n: (a + draw(st.sampled_from(_offsets(a))), g + draw(st.sampled_from(_offsets(g))))
+                for n, (a, g) in base.modes.items()
+            }
+        elif kind == "family":
+            # the B1 family x^2 + 4 y^2 = 5, v = -u, at its member (1, 1)
+            x, y = 1.0 + draw(st.sampled_from(_offsets(1.0))), 1.0
+            modes = {1: (x, -x + draw(st.sampled_from(_offsets(x)))), 2: (y, draw(st.sampled_from([-y, y])))}
+        elif kind == "trivial":
+            modes = draw(st.sampled_from([{}, {2: (0.0, 0.0)}]))
+        else:
+            # a support that no closed row may have, an inactive mode stored
+            modes = {n: (0.25, -0.25) for n in draw(st.sampled_from([(4,), (2, 4), (1, 3, 4)]))}
+            modes[5] = (0.0, 0.0)
+        roots.append(ModalSolution(modes, tag="oracle"))
+    return closed, roots
+
+
+_B1 = EEFamily("B1", (1, 2), (1.0, 4.0), -5.0, (-1, -1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(synthetic_rows(), st.sampled_from([[], [_B1]]))
+@example(  # a coefficient exactly at tol, and one ulp past it
+    ([ModalSolution({1: (4.0, -4.0)})],
+     [ModalSolution({1: (4.0 + 4.0 * _MATCH_TOL, -4.0)}),
+      ModalSolution({1: (4.0, -4.0 - np.nextafter(4.0 * _MATCH_TOL, 1.0))})]),
+    [],
+)
+@example(  # the first of two equal closed rows takes the hit; the second is missed
+    ([ModalSolution({1: (0.5, 0.5)}), ModalSolution({1: (0.5, 0.5)}), ModalSolution({})],
+     [ModalSolution({}), ModalSolution({1: (0.5, 0.5)}), ModalSolution({3: (1.0, 1.0)})]),
+    [_B1],
+)
+def test_match_against_equals_the_reference_on_synthetic_rows(case, families):
+    closed, roots = case
+    got = match_against(closed, families, roots, tol=_MATCH_TOL)
+    _assert_same_report(got, _match_reference(closed, families, roots, tol=_MATCH_TOL))
