@@ -97,7 +97,6 @@ class OracleResult:
     n_modes: int
     newton_tol: float
     box_radius: float
-    backend: str = "numpy"  # kept so the oracle JSON keeps its keys
 
     def describe(self, p: Params, spec: Spectrum, report: MatchReport) -> dict:
         return {
@@ -106,7 +105,6 @@ class OracleResult:
             "converged_count": self.converged_count,
             "newton_tol": self.newton_tol,
             "box_radius": self.box_radius,
-            "backend": self.backend,
             "found_count": len(self.found),
             "matched": report.matched,
             "on_family": report.on_family,

@@ -22,7 +22,9 @@ digest of the paper-case ``oracle`` run was renewed when the mode-support
 blocks moved into one zero-padded Newton batch: a zero inside the
 supports ``{1, 3}`` and ``{2, 3}`` changes the rounding of the coupling
 sums, which moved the last digits of 11 of its 49 roots and nothing
-else; the search must reproduce the new bytes exactly.
+else; the search must reproduce the new bytes exactly.  It was renewed
+again for the removal of the ``backend`` key, which was always
+``"numpy"``; no other line moved.
 The digest of the benchmark's ``sweep`` and ``sweep_scaled_track_pairs.csv``
 were written by the emitter that built one list per row, sorted all
 rows by ``(beta, branch_id)`` and formatted them cell by cell; the
@@ -79,7 +81,7 @@ DIGESTS = [
     # the Galerkin oracle on the paper case: 3000 seeded Newton starts over
     # the support blocks, polish, symmetry closure and the matching report
     (
-        "6c887ef11c39c1db5bbbf9ace1d90e8d8417b299bb41c20bcad5234b74b5ff78",
+        "9f517b4c42c2d7ba1999decbadcdf52d33248fef7e16258027bebf8d1409ef6b",
         [
             "oracle", "--spectrum", "scaled", "--k", "3", "--beta", "-15.5",
             "--modes", "3", "--starts", "3000", "--seed", "0",
