@@ -28,21 +28,22 @@ make plain multistart complete at desk scale:
   so it stays zero.
 * symmetry: the residual is odd in each mode pair ``(alpha_j, gamma_j)``
   and symmetric under swapping the two beams, so the images of a root
-  under these maps are roots, exactly in floating point.  Each found
-  root contributes its whole orbit; a state is missed only when every
-  state of its orbit is.
+  under these maps are roots, exactly in floating point.  The oracle
+  flips every mode pair with ``alpha_j < 0``, merges and polishes these
+  representatives alone, and reports each one with its exact images; a
+  state is missed only when every state of its orbit is.
 
 Deflating known roots away (Farrell, Birkisson & Funke, SIAM J. Sci.
 Comput. 37, 2015) pays off when a solve is expensive.  With at most
 ``2N`` unknowns per solve it took about 20 times as long here, and the
-symmetry closure gives the same completeness at the same budget, so the
+symmetry orbits give the same completeness at the same budget, so the
 search does not use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -184,43 +185,40 @@ def _settled(lams, p: Params, spec: Spectrum, roots: np.ndarray) -> np.ndarray:
     return settled
 
 
-def _dedup_merge(known: np.ndarray, roots: np.ndarray, radius: float) -> np.ndarray:
+def _dedup_merge(roots: np.ndarray, radius: float) -> np.ndarray:
     """Greedy merge in arrival order; two roots are the same solution
     when every coefficient agrees within ``DEDUP_RTOL`` of the box
     radius.
 
-    Each pass peels off every root within tol of one representative:
-    first of each known one, then of the first root left, which no
-    earlier root matched and is therefore new.  This keeps the roots a
+    Each pass keeps the first root left, which no earlier root matched,
+    and peels off every root within tol of it.  This keeps the roots a
     row-by-row greedy loop keeps, since ``|a - b| == |b - a|`` exactly,
     with one pass per distinct root instead of one per root.
     """
     tol = DEDUP_RTOL * radius
-
-    def unlike(rows, rep):
-        # not ``> tol``: a NaN distance matches nothing, as in the greedy loop
-        return rows[~(np.abs(rows - rep).max(axis=1) <= tol)]
-
-    for rep in known:
-        if roots.shape[0] == 0:
-            break
-        roots = unlike(roots, rep)
-    reps = [known]
+    reps = [roots[:0]]
     while roots.shape[0]:
         reps.append(roots[:1])
-        roots = unlike(roots[1:], roots[0])
+        rest = roots[1:]
+        # not ``> tol``: a NaN distance matches nothing, as in the greedy loop
+        roots = rest[~(np.abs(rest - roots[0]).max(axis=1) <= tol)]
     return np.concatenate(reps)
 
 
-def _orbit_closure(known: np.ndarray, n_modes: int, radius: float) -> np.ndarray:
-    """Add the images of every root under the sign flip of each mode
-    pair and under the beam swap ``alpha <-> gamma``, deduplicated."""
-    for j in range(n_modes):
-        flipped = known.copy()
-        flipped[:, [j, n_modes + j]] *= -1.0
-        known = _dedup_merge(known, flipped, radius)
-    swapped = np.concatenate([known[:, n_modes:], known[:, :n_modes]], axis=1)
-    return _dedup_merge(known, swapped, radius)
+def _orbits(reps: np.ndarray) -> np.ndarray:
+    """Each representative followed by its images: the sign flips of
+    every subset of its active mode pairs, identity first, each followed
+    by its beam swap ``alpha <-> gamma``.  Negation is exact, so every
+    image is a root exactly when its representative is."""
+    n_modes = reps.shape[1] // 2
+    orbits = [reps[:0]]
+    for row, on in zip(reps, _active_modes(reps)):
+        signs = np.ones((2 ** on.sum(), n_modes))
+        signs[:, on] = list(product((1.0, -1.0), repeat=on.sum()))
+        flips = row * np.tile(signs, 2)
+        swaps = np.roll(flips, n_modes, axis=1)
+        orbits.append(np.stack((flips, swaps), axis=1).reshape(-1, reps.shape[1]))
+    return np.concatenate(orbits)
 
 
 def _mode_subsets(n_modes: int) -> list[tuple[int, ...]]:
@@ -255,9 +253,11 @@ def galerkin_solve(
     the remaining budget probes the full-dimensional system.  Budgets too
     small to cover the subproblems fall back to full-dimensional
     multistart.  All starts run as one damped-Newton batch on the full
-    system, whose zero mode pairs stay exactly zero, and the converged
-    roots are deduplicated in start order.  The polished roots are closed
-    under the system's symmetries.
+    system, whose zero mode pairs stay exactly zero.  Each converged root
+    has every mode pair with ``alpha_j < 0`` flipped; these sign
+    representatives are deduplicated in start order and polished, and
+    ``found`` is each one with its exact images under the sign flips of
+    its active mode pairs and the beam swap, deduplicated once more.
 
     Convergence demands a max-abs residual below ``1e-11`` times the
     system scale.  Starts that stall are discarded (counted via
@@ -285,13 +285,10 @@ def galerkin_solve(
         x0[row : row + budget, cols] = rng.uniform(-radius, radius, size=(budget, cols.size))
         row += budget
     roots, converged, _ = kernels.newton_batch(lams, p.beta, p.varrho, p.k, x0, tol)
-    known = _dedup_merge(np.zeros((0, 2 * n_modes)), roots[converged], radius)
-
-    if known.shape[0]:
-        polished = _accurate_polish(lams, p, known)
-        polished = polished[_settled(lams, p, spec, polished)]
-        known = _dedup_merge(np.zeros((0, 2 * n_modes)), polished, radius)
-        known = _orbit_closure(known, n_modes, radius)
+    reps = roots[converged]
+    reps *= np.tile(np.where(reps[:, :n_modes] < 0.0, -1.0, 1.0), 2)
+    reps = _accurate_polish(lams, p, _dedup_merge(reps, radius))
+    known = _dedup_merge(_orbits(reps[_settled(lams, p, spec, reps)]), radius)
 
     active = _active_modes(known)
     crowded = np.flatnonzero(active.sum(axis=1) > MAX_ACTIVE_MODES)

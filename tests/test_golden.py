@@ -24,7 +24,11 @@ supports ``{1, 3}`` and ``{2, 3}`` changes the rounding of the coupling
 sums, which moved the last digits of 11 of its 49 roots and nothing
 else; the search must reproduce the new bytes exactly.  It was renewed
 again for the removal of the ``backend`` key, which was always
-``"numpy"``; no other line moved.
+``"numpy"``; no other line moved.  It was renewed a third time when the
+oracle began to polish one sign representative per symmetry orbit and
+to emit every other root as an exact image of one: each of the 49 roots
+pairs one-to-one with its old value within 3.4e-14, four pairs of sign
+images swapped places, and the counts and the matching report held.
 The digest of the benchmark's ``sweep`` and ``sweep_scaled_track_pairs.csv``
 were written by the emitter that built one list per row, sorted all
 rows by ``(beta, branch_id)`` and formatted them cell by cell; the
@@ -79,9 +83,10 @@ DIGESTS = [
         ["enumerate", "--beta", "-45000"],
     ),
     # the Galerkin oracle on the paper case: 3000 seeded Newton starts over
-    # the support blocks, polish, symmetry closure and the matching report
+    # the support blocks, polish of the sign representatives, their exact
+    # symmetry images and the matching report
     (
-        "9f517b4c42c2d7ba1999decbadcdf52d33248fef7e16258027bebf8d1409ef6b",
+        "d31d913a86993ab5fbd6dab18ff8671ba3b68480bb558f56e394283d0758ce3a",
         [
             "oracle", "--spectrum", "scaled", "--k", "3", "--beta", "-15.5",
             "--modes", "3", "--starts", "3000", "--seed", "0",
