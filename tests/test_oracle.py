@@ -328,8 +328,7 @@ def _group_images(row, active):
 
 def test_found_is_exactly_orbit_closed_in_a_stable_order(scaled):
     # every root is a bit-exact image of one polished representative, so
-    # the sign images of a state tie exactly under the sort key and keep
-    # their order from seed to seed
+    # the images of a state order by their signs alone, on every seed
     p = Params(beta=-15.5, varrho=1.0, k=3.0)
     tol = DEDUP_RTOL * oracle.start_box_radius(p, scaled)
     orders = set()
@@ -341,9 +340,10 @@ def test_found_is_exactly_orbit_closed_in_a_stable_order(scaled):
             images = _group_images(row, sol.active)
             near = (np.abs(rows[:, None] - images[None]).max(axis=2) <= tol).any(axis=1)
             exact = (rows[:, None] == images[None]).all(axis=2).any(axis=1)
-            # each image is a root found, and each root found near an
-            # image is an image bit for bit; where the state is fixed by a
-            # flip or the swap, that image lies within tol of another one
+            # every root found within tol of an image is an image bit for
+            # bit, and every image lies within tol of a root found (an
+            # image that a symmetry of the state maps near another image,
+            # as the beam swap of an out-of-phase state, is kept once)
             assert np.array_equal(near, exact)
             assert (np.abs(images[:, None] - rows[None]).max(axis=2) <= tol).any(axis=1).all()
     assert len(orders) == 1
