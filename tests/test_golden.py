@@ -73,6 +73,16 @@ CORPUS = [
             "--track", "1,2,10,11", "--pairs", "1,2", "--pairs", "2,3", "--pairs", "1,2",
         ],
     ),
+    # pairs in argument order, and (3, 9), whose mode 9 is not effective
+    (
+        "enumerate_scaled_pairs.json",
+        [
+            "enumerate", "--spectrum", "scaled", "--k", "3", "--beta=-15.5",
+            "--pairs", "2,3", "--pairs", "1,2", "--pairs", "3,9",
+        ],
+    ),
+    # Bstar with a B1* pair (1, 2) beside the B2* pairs
+    ("sets_scaled.json", ["sets", "--spectrum", "scaled", "--k", "3", "--beta=-15.5"]),
 ]
 
 DIGESTS = [
