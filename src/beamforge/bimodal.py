@@ -27,15 +27,11 @@ collapse ``X == Y``; there the solutions merge into the EE continua of
 
 Everything above except the window test and ``(r, t)`` is independent
 of ``beta``: the invariants and the seam flag are memoized per
-``(spectrum, k, varrho, pair)``.  :func:`pair_branches` turns one pair
-into its branch rows; the solution list and the sweep's pair rows read
-them.  A compression sweep counts solutions from a :class:`PairTable`
-instead: the window kind, the window thresholds and the beta-free terms
-of ``F, G -> r^2, s^2`` of every pair, built once per sweep, so that
-:func:`count_general_bimodal` takes each compression's count in one
-array pass.  It evaluates the window test, ``F, G -> r^2, s^2`` and the
-positivity test with the same float expressions as the scalar path, so
-the two agree bit for bit, also within a few ulps of a window edge.
+``(spectrum, k, varrho, pair)`` and gathered, one column per pair, in a
+:class:`PairTable`.  One array evaluation of a table at a ``beta`` takes
+the window test, ``F, G -> r^2, s^2`` and the positivity test of every
+pair; the solution inventory, :func:`pair_branches`, :func:`bstar_pairs`,
+the sweep's pair rows and :func:`count_general_bimodal` all read it.
 """
 
 from __future__ import annotations
@@ -47,13 +43,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Inventory, ModalSolution, Params
+from .core import MAX_ACTIVE_MODES, Inventory, ModalSolution, Params
 from .modesets import PAIR_CACHE_SIZE, _partition, _rel_eq
 from .spectrum import Spectrum
 
 SEAM_RTOL = 1e-12
-# one shared tag string per kind, not one per solution
-_TAGS = {"XW": "general-bimodal(XW)", "YZ": "general-bimodal(YZ)"}
+# the kinds of state, by the v-ratios of SIS1 and of SIS2, and one
+# shared tag string per kind, not one per solution
+_KINDS = ("XW", "YZ")
+_TAGS = tuple(f"general-bimodal({kind})" for kind in _KINDS)
+# the windows, by their PairTable code
+_WINDOWS = (None, "B1*", "B2*")
 
 
 @dataclass(frozen=True)
@@ -154,37 +154,107 @@ def _window(inv: BimodalInvariants, k: float) -> str | None:
     return None
 
 
-def _solvable(inv: BimodalInvariants, p: Params) -> str | None:
-    """The open solvability window: ``"B1*"`` (product window),
-    ``"B2*"`` (gap window) or ``None`` when closed."""
-    window = _window(inv, p.k)
-    mb = -p.beta
-    if window == "B1*":
-        return window if inv.m_small < mb < inv.m_big else None
-    if window == "B2*":
-        return window if inv.m_big < mb else None
-    return None
+# the columns window, zeta, m_small, m_big, f, g, scale, X, Y, W, Z of a
+# pair that opens no window: finite, so that no denominator is zero
+_CLOSED_COLUMNS = (0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+# the signs of (r, t) in the four rows of one system: ++, +-, -+, --
+_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 
-def _circle_ellipse_roots(inv: BimodalInvariants, p: Params):
-    """The positive root ``(r, t)`` of SIS1 and of SIS2 inside an open
-    window, whose sign flips give the other three: the only
-    beta-dependent step, ``F, G -> r^2, s^2``."""
-    scale = p.varrho * inv.lam1
-    F = (inv.f - p.beta) / scale
-    G = (inv.g - p.beta) / scale
-    X2, Y2, W2, Z2 = inv.X * inv.X, inv.Y * inv.Y, inv.W * inv.W, inv.Z * inv.Z
-    return (
-        _positive_root((W2 * F - G) / (W2 - X2), (G - X2 * F) / (W2 - X2), inv.zeta),
-        _positive_root((Z2 * G - F) / (Z2 - Y2), (F - Y2 * G) / (Z2 - Y2), inv.zeta),
-    )
+class PairTable(NamedTuple):
+    """The beta-independent data of a list of pairs, one column per pair."""
+
+    window: np.ndarray  # 1 B1*, 2 B2*, 0 no invariants, EE seam or no window
+    n1: np.ndarray
+    n2: np.ndarray
+    zeta: np.ndarray
+    m_small: np.ndarray
+    m_big: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    scale: np.ndarray  # varrho * lam1
+    X: np.ndarray
+    Y: np.ndarray
+    W: np.ndarray
+    Z: np.ndarray
+    X2: np.ndarray
+    Y2: np.ndarray
+    W2: np.ndarray
+    Z2: np.ndarray
 
 
-def _positive_root(r2: float, s2: float, zeta: float) -> tuple[float, float] | None:
-    if not (r2 > 0.0 and s2 > 0.0):
-        # only reachable by roundoff within a few ulps of the window edge
-        return None
-    return math.sqrt(r2), math.sqrt(s2 / zeta)
+def _pair_table(p: Params, spec: Spectrum, pairs) -> PairTable:
+    """The :class:`PairTable` of ``pairs``, in their order, at the ``k``
+    and ``varrho`` of ``p`` (its ``beta`` is not read)."""
+    pairs = [tuple(pair) for pair in pairs]
+    columns = []
+    for pair in pairs:
+        inv, on_seam = _pair_algebra(spec, p.k, p.varrho, pair)
+        window = None if inv is None or on_seam else _window(inv, p.k)
+        columns.append(
+            _CLOSED_COLUMNS
+            if window is None
+            else (
+                _WINDOWS.index(window), inv.zeta, inv.m_small, inv.m_big, inv.f, inv.g,
+                p.varrho * inv.lam1, inv.X, inv.Y, inv.W, inv.Z,
+            )
+        )
+    n1, n2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    window, *values = np.array(columns, dtype=float).reshape(-1, len(_CLOSED_COLUMNS)).T
+    X, Y, W, Z = values[-4:]
+    return PairTable(window.astype(np.int8), n1, n2, *values, X * X, Y * Y, W * W, Z * Z)
+
+
+def pair_table(p: Params, spec: Spectrum, n_top: int) -> PairTable:
+    """The :class:`PairTable` of the pairs ``n1 < n2 <= n_top`` ordered by
+    ``(n2, n1)``, so the pairs of ``E = (1..n*)`` are the first
+    ``n*(n*-1)/2`` columns."""
+    return _pair_table(p, spec, ((n1, n2) for n2 in range(2, n_top + 1) for n1 in range(1, n2)))
+
+
+def _circle_ellipse(table: PairTable, beta: float):
+    """The closed form of every pair of ``table`` at ``beta``: the
+    open-window mask, ``r^2`` and ``s^2`` of SIS1 and of SIS2, and per
+    system the mask of the pairs whose window is open and whose ``r^2``
+    and ``s^2`` are positive, so that ``(sqrt(r^2), sqrt(s^2 / zeta))``
+    is its root ``(r, t)``."""
+    window, m_small, m_big = table.window, table.m_small, table.m_big
+    X2, Y2, W2, Z2 = table.X2, table.Y2, table.W2, table.Z2
+    mb = -beta
+    is_open = ((window == 1) & (m_small < mb) & (mb < m_big)) | ((window == 2) & (m_big < mb))
+    F = (table.f - beta) / table.scale
+    G = (table.g - beta) / table.scale
+    r2 = ((W2 * F - G) / (W2 - X2), (Z2 * G - F) / (Z2 - Y2))
+    s2 = ((G - X2 * F) / (W2 - X2), (F - Y2 * G) / (Z2 - Y2))
+    # inside an open window a square is nonpositive only by roundoff,
+    # within a few ulps of its edge
+    return is_open, r2, s2, [is_open & (r > 0.0) & (s > 0.0) for r, s in zip(r2, s2)]
+
+
+def _branches(table: PairTable, beta: float):
+    """The isolated states of the pairs of ``table`` at ``beta``, one row
+    per state in arrays ``n, kind, alpha, gamma`` (``kind`` indexes
+    ``_KINDS``, the others hold modes ``n1, n2``): per pair, in column
+    order, the four of SIS1 then those of SIS2, each four with the signs
+    of ``(r, t)`` in the order ``++, +-, -+, --``."""
+    _, r2, s2, positive = _circle_ellipse(table, beta)
+    col, kind = np.nonzero(np.stack(positive, axis=1))
+    r = np.sqrt(np.stack(r2, axis=1)[col, kind])
+    t = np.sqrt(np.stack(s2, axis=1)[col, kind] / table.zeta[col])
+    ratios = np.stack([table.X, table.W, table.Y, table.Z], axis=1).reshape(-1, 2, 2)[col, kind]
+    alpha = np.stack([r, t], axis=1)[:, None] * _SIGNS
+    gamma = alpha * ratios[:, None]
+    n = np.stack([table.n1, table.n2], axis=1)[col]
+    return np.repeat(n, 4, axis=0), np.repeat(kind, 4), alpha.reshape(-1, 2), gamma.reshape(-1, 2)
+
+
+def branch_rows(table: PairTable, beta: float) -> list:
+    """The isolated states of the pairs of ``table`` at ``beta`` as
+    ``((n1, n2), kind, (a1, g1), (a2, g2))`` rows, in inventory order."""
+    return [
+        ((n1, n2), _KINDS[i], (a1, g1), (a2, g2))
+        for (n1, n2), i, (a1, a2), (g1, g2) in zip(*(x.tolist() for x in _branches(table, beta)))
+    ]
 
 
 def pair_branches(
@@ -193,20 +263,8 @@ def pair_branches(
     """The isolated states of one pair as ``(kind, (a1, g1), (a2, g2))``
     rows: four of kind ``"XW"`` (v-ratios ``X, W``) then four of kind
     ``"YZ"``, or none when the pair has no invariants, sits on an EE
-    seam or its window is closed.  Every per-pair consumer reads these
-    rows."""
-    inv, on_seam = _pair_algebra(spec, p.k, p.varrho, tuple(pair))
-    if inv is None or on_seam or _solvable(inv, p) is None:
-        return []
-    sis1, sis2 = _circle_ellipse_roots(inv, p)
-    rows = []
-    for kind, root, x, w in (("XW", sis1, inv.X, inv.W), ("YZ", sis2, inv.Y, inv.Z)):
-        if root is not None:
-            r, t = root
-            plus1, minus1 = (r, r * x), (-r, -r * x)
-            plus2, minus2 = (t, t * w), (-t, -t * w)
-            rows += [(kind, plus1, plus2), (kind, plus1, minus2), (kind, minus1, plus2), (kind, minus1, minus2)]
-    return rows
+    seam or its window is closed."""
+    return [row[1:] for row in branch_rows(_pair_table(p, spec, [pair]), p.beta)]
 
 
 def _pairs_of(E: tuple[int, ...]):
@@ -216,13 +274,10 @@ def _pairs_of(E: tuple[int, ...]):
 def bstar_pairs(p: Params, spec: Spectrum) -> list[tuple[tuple[int, int], str]]:
     """All pairs carrying isolated non-EE bimodal solutions.  The scan is
     capped at ``n_star`` since such pairs are always effective."""
-    out = []
-    for pair in _pairs_of(_partition(spec, p.beta, p.k).E):
-        inv, on_seam = _pair_algebra(spec, p.k, p.varrho, pair)
-        kind = None if inv is None or on_seam else _solvable(inv, p)
-        if kind is not None:
-            out.append((pair, kind))
-    return out
+    table = _pair_table(p, spec, _pairs_of(_partition(spec, p.beta, p.k).E))
+    is_open = _circle_ellipse(table, p.beta)[0]
+    n1, n2, window = (column[is_open].tolist() for column in (table.n1, table.n2, table.window))
+    return [(pair, _WINDOWS[code]) for pair, code in zip(zip(n1, n2), window)]
 
 
 def general_bimodal_inventory(
@@ -230,15 +285,13 @@ def general_bimodal_inventory(
 ) -> Inventory:
     """All isolated bimodal solutions of unevenly distributed energy:
     eight per qualifying pair, four with v-ratios ``(X, W)`` and four
-    with ``(Y, Z)``."""
+    with ``(Y, Z)``, the pairs of ``E`` in lexicographic order or
+    ``pairs`` in theirs."""
     if pairs is None:
         pairs = _pairs_of(_partition(spec, p.beta, p.k).E)
-    rows, tags = [], []
-    for n1, n2 in pairs:
-        for kind, (a1, g1), (a2, g2) in pair_branches(p, spec, (n1, n2)):
-            rows.append(((n1, a1, g1), (n2, a2, g2)))
-            tags.append(_TAGS[kind])
-    return Inventory.from_rows(rows, tags)
+    n, kind, alpha, gamma = _branches(_pair_table(p, spec, pairs), p.beta)
+    n, alpha, gamma = (np.pad(x, ((0, 0), (0, MAX_ACTIVE_MODES - 2))) for x in (n, alpha, gamma))
+    return Inventory(n, alpha, gamma, np.full(len(n), 2, dtype=np.int64), [_TAGS[i] for i in kind.tolist()])
 
 
 def enumerate_general_bimodal(
@@ -248,69 +301,11 @@ def enumerate_general_bimodal(
     return general_bimodal_inventory(p, spec, pairs).solutions()
 
 
-# window codes of a PairTable column
-_WINDOW_CODES = {None: 0, "B1*": 1, "B2*": 2}
-# the columns of a pair without an open-able window: finite, and no
-# denominator of count_general_bimodal is zero
-_CLOSED_COLUMNS = (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
-
-
-class PairTable(NamedTuple):
-    """The beta-independent count data of every pair ``n1 < n2 <= n_top``,
-    one column per pair ordered by ``(n2, n1)``, so the pairs of
-    ``E = (1..n*)`` are the first ``n*(n*-1)/2`` columns."""
-
-    window: np.ndarray  # 1 B1*, 2 B2*, 0 no invariants, EE seam or no window
-    m_small: np.ndarray
-    m_big: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    scale: np.ndarray  # varrho * lam1
-    X2: np.ndarray
-    Y2: np.ndarray
-    W2: np.ndarray
-    Z2: np.ndarray
-
-
-def pair_table(p: Params, spec: Spectrum, n_top: int) -> PairTable:
-    """The :class:`PairTable` of the pairs up to mode ``n_top`` at the
-    ``k`` and ``varrho`` of ``p`` (its ``beta`` is not read)."""
-    windows, columns = [], []
-    for n2 in range(2, n_top + 1):
-        for n1 in range(1, n2):
-            inv, on_seam = _pair_algebra(spec, p.k, p.varrho, (n1, n2))
-            window = None if inv is None or on_seam else _window(inv, p.k)
-            windows.append(_WINDOW_CODES[window])
-            columns.append(
-                _CLOSED_COLUMNS
-                if window is None
-                else (
-                    inv.m_small, inv.m_big, inv.f, inv.g, p.varrho * inv.lam1,
-                    inv.X * inv.X, inv.Y * inv.Y, inv.W * inv.W, inv.Z * inv.Z,
-                )
-            )
-    values = np.array(columns, dtype=float).reshape(-1, len(_CLOSED_COLUMNS)).T
-    return PairTable(np.array(windows, dtype=np.int8), *values)
-
-
 def count_general_bimodal(table: PairTable, beta: float, n_star: int) -> int:
     """``len(enumerate_general_bimodal(p, spec))`` at compression
     ``-beta``, whose effective modes are ``1..n_star``, read from a
-    table built for ``n_top >= n_star`` at the same ``k`` and ``varrho``.
-
-    Elementwise it repeats :func:`_solvable`'s window test, then
-    :func:`_circle_ellipse_roots` and :func:`_positive_root`'s sign test
-    with the same float operations in the same order, so each pair's
-    verdict is the scalar path's."""
+    :func:`pair_table` built for ``n_top >= n_star`` at the same ``k``
+    and ``varrho``: its masks counted, no root taken."""
     m = n_star * (n_star - 1) // 2
-    window, m_small, m_big = table.window[:m], table.m_small[:m], table.m_big[:m]
-    X2, Y2, W2, Z2 = table.X2[:m], table.Y2[:m], table.W2[:m], table.Z2[:m]
-    mb = -beta
-    is_open = ((window == _WINDOW_CODES["B1*"]) & (m_small < mb) & (mb < m_big)) | (
-        (window == _WINDOW_CODES["B2*"]) & (m_big < mb)
-    )
-    F = (table.f[:m] - beta) / table.scale[:m]
-    G = (table.g[:m] - beta) / table.scale[:m]
-    sis1 = ((W2 * F - G) / (W2 - X2) > 0.0) & ((G - X2 * F) / (W2 - X2) > 0.0)
-    sis2 = ((Z2 * G - F) / (Z2 - Y2) > 0.0) & ((F - Y2 * G) / (Z2 - Y2) > 0.0)
-    return 4 * int(np.count_nonzero(is_open & sis1)) + 4 * int(np.count_nonzero(is_open & sis2))
+    positive = _circle_ellipse(PairTable(*(column[:m] for column in table)), beta)[3]
+    return 4 * sum(int(np.count_nonzero(mask)) for mask in positive)

@@ -14,10 +14,11 @@ from pathlib import Path
 
 from . import jsonio
 from .bimodal import (
+    _pair_table,
+    branch_rows,
     bstar_pairs,
     count_general_bimodal,
     general_bimodal_inventory,
-    pair_branches,
     pair_table,
 )
 from .core import Inventory, ModalSolution, Params, check_inventory, solution_sort_key
@@ -236,12 +237,13 @@ def cmd_unimodal(args) -> int:
         header = ["minus_beta"]
         for i in (1, 2, 3, 4):
             header += [f"alpha{i}_plus", f"alpha{i}_minus"]
+        thresholds = _thresholds(spec, args.mode, p.k)
         rows = []
         for mb in grid:
             pb = Params(beta=-mb, varrho=p.varrho, k=p.k)
             curves = amplitude_curves(pb, spec, args.mode)
             band = effective_modes(pb, spec).band(args.mode)
-            families = _reported_families(pb, spec, args.mode, band)
+            families = _reported_families(pb.beta, thresholds, band)
             row: list = [mb]
             for i in (1, 2, 3, 4):
                 a = curves[i] if i in families else None
@@ -270,6 +272,9 @@ def cmd_enumerate(args) -> int:
     p, spec = _context(args)
     part = effective_modes(p, spec)
     pairs = _parse_pairs(args.pairs)
+    if pairs is not None:
+        # a repeated pair lists its solutions once, at its first place
+        pairs = list(dict.fromkeys(pairs))
     unimodal = unimodal_inventory(p, spec)
     families = enumerate_ee_families(p, spec, args.tol_cond)
     general = general_bimodal_inventory(p, spec, pairs)
@@ -354,30 +359,37 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _reported_families(p: Params, spec: Spectrum, n: int, band: str) -> list[int]:
-    """The amplitude families of mode ``n`` that ``sweep`` and ``unimodal
-    --csv`` report at ``p.beta``: those of its band (``"outside"`` for
-    none), which ``count_unimodal`` and the ``unimodal`` JSON count, and
-    a family whose threshold equals ``-beta`` exactly (a branch point the
+def _thresholds(spec: Spectrum, n: int, k: float) -> tuple[float, float, float]:
+    """The thresholds ``lam_n``, ``mu_n`` and ``nu_n`` of mode ``n``."""
+    lam = spec.eigenvalue(n)
+    return lam, mu_value(lam, k), nu_value(lam, k)
+
+
+def _reported_families(beta: float, thresholds: tuple[float, float, float], band: str) -> list[int]:
+    """The amplitude families that ``sweep`` and ``unimodal --csv``
+    report at ``beta`` for a mode of ``thresholds`` (its ``lam_n``,
+    ``mu_n`` and ``nu_n``): those of its band (``"outside"`` for none),
+    which ``count_unimodal`` and the ``unimodal`` JSON count, and a
+    family whose threshold equals ``-beta`` exactly (a branch point the
     sweep adds to its grid).  Just above a threshold, where the band
     collapse keeps the lower band, the new family is not reported."""
-    lam = spec.eigenvalue(n)
-    nu = nu_value(lam, p.k)
+    lam, mu, nu = thresholds
     carried = FAMILIES.get(band, ())
     return [
         i
-        for i, threshold in zip((1, 2, 3, 4), (lam, mu_value(lam, p.k), nu, nu))
-        if i in carried or -p.beta == threshold
+        for i, threshold in zip((1, 2, 3, 4), (lam, mu, nu, nu))
+        if i in carried or -beta == threshold
     ]
 
 
 def _sweep_lines(
-    p: Params, spec: Spectrum, tracked: dict, pairs, ee_thresholds, bimodal_table
+    p: Params, spec: Spectrum, tracked: dict, pairs_table, ee_thresholds, bimodal_table
 ) -> list[str]:
-    """The CSV lines of one compression, in branch id order: the pair
-    rows (``b...``), then those of the modes of ``tracked``, which maps
-    each mode, in the order of its ids, to the ``branch_id,modes`` cells
-    of the ``+`` and ``-`` rows of each family."""
+    """The CSV lines of one compression, in branch id order: the rows of
+    the pairs of ``pairs_table`` (``b...``; ``None`` for no pairs), then
+    those of the modes of ``tracked``, which maps each mode, in the order
+    of its ids, to its thresholds and the ``branch_id,modes`` cells of
+    the ``+`` and ``-`` rows of each family."""
     part = effective_modes(p, spec)
     counts = (
         2 * len(part.E1) + 4 * len(part.E2) + 8 * len(part.E3),
@@ -387,19 +399,19 @@ def _sweep_lines(
     beta = jsonio.format_float(p.beta)
     tail = ",".join(map(jsonio.csv_cell, counts))
     pair_lines = []
-    for n1, n2 in pairs or []:
-        for kind, (a1, g1), (a2, g2) in pair_branches(p, spec, (n1, n2)):
-            sig = ("+" if a1 > 0 else "-") + ("+" if a2 > 0 else "-")
-            branch_id = f"b{n1}-{n2}:{kind}{sig}"
-            amplitudes = ",".join(map(jsonio.format_float, (a1, g1, a2, g2)))
-            pair_lines.append((branch_id, f"{beta},{branch_id},{n1};{n2},{amplitudes},{tail}"))
+    pair_rows = [] if pairs_table is None else branch_rows(pairs_table, p.beta)
+    for (n1, n2), kind, (a1, g1), (a2, g2) in pair_rows:
+        sig = ("+" if a1 > 0 else "-") + ("+" if a2 > 0 else "-")
+        branch_id = f"b{n1}-{n2}:{kind}{sig}"
+        amplitudes = ",".join(map(jsonio.format_float, (a1, g1, a2, g2)))
+        pair_lines.append((branch_id, f"{beta},{branch_id},{n1};{n2},{amplitudes},{tail}"))
     # stable, so a repeated pair keeps its rows in argument order
     pair_lines.sort(key=lambda item: item[0])
     lines = [line for _, line in pair_lines]
     bands = {n: band for band in FAMILIES for n in getattr(part, band)}
-    for n, id_cells in tracked.items():
+    for n, (thresholds, id_cells) in tracked.items():
         curves = amplitude_curves(p, spec, n)
-        families = _reported_families(p, spec, n, bands.get(n, "outside"))
+        families = _reported_families(p.beta, thresholds, bands.get(n, "outside"))
         # each magnitude formatted once; every other cell is its sign image
         plus = {i: jsonio.format_float(curves[i]) for i in families}
         minus = {i: jsonio.format_negated(text) for i, text in plus.items()}
@@ -431,13 +443,12 @@ def cmd_sweep(args) -> int:
     else:
         tracked = []
     minus_betas = set(grid)
+    thresholds = {}
     if grid:
         lo, hi = min(grid), max(grid)
         for n in tracked:
-            lam = spec.eigenvalue(n)
-            for boundary in (lam, mu_value(lam, p.k), nu_value(lam, p.k)):
-                if lo <= boundary <= hi:
-                    minus_betas.add(boundary)
+            thresholds[n] = _thresholds(spec, n, p.k)
+            minus_betas.update(boundary for boundary in thresholds[n] if lo <= boundary <= hi)
     header = [
         "beta", "branch_id", "modes", "alpha_1", "gamma_1", "alpha_2", "gamma_2",
         "count_unimodal", "count_ee_families", "count_general_bimodal",
@@ -445,16 +456,22 @@ def cmd_sweep(args) -> int:
     # the count columns read tables built once, at the top compression
     ee_thresholds = ee_family_thresholds(top, spec, args.tol_cond)
     bimodal_table = pair_table(top, spec, effective_modes(top, spec).n_star)
+    # a repeated pair repeats its rows, in argument order; an empty grid
+    # reads no mode, as with --track
+    pairs_table = _pair_table(top, spec, pairs) if pairs and grid else None
     # rows go by (beta, branch_id), the ids compared as strings: the ids of
     # mode n all start "n<n>:", so n10 comes before n1
-    id_cells = {
-        n: {i: (f"n{n}:alpha{i}+,{n}", f"n{n}:alpha{i}-,{n}") for i in (1, 2, 3, 4)}
-        for n in sorted(tracked, key=lambda n: f"n{n}:")
+    modes = {
+        n: (
+            thresholds[n],
+            {i: (f"n{n}:alpha{i}+,{n}", f"n{n}:alpha{i}-,{n}") for i in (1, 2, 3, 4)},
+        )
+        for n in sorted(thresholds, key=lambda n: f"n{n}:")
     }
     lines = [",".join(header)]
     for mb in sorted(minus_betas, reverse=True):
         pb = Params(beta=-mb, varrho=p.varrho, k=p.k)
-        lines += _sweep_lines(pb, spec, id_cells, pairs, ee_thresholds, bimodal_table)
+        lines += _sweep_lines(pb, spec, modes, pairs_table, ee_thresholds, bimodal_table)
     lines.append("")
     _write("\n".join(lines), args.out)
     if args.gnuplot is not None:
