@@ -237,7 +237,8 @@ def cmd_unimodal(args) -> int:
         header = ["minus_beta"]
         for i in (1, 2, 3, 4):
             header += [f"alpha{i}_plus", f"alpha{i}_minus"]
-        thresholds = _thresholds(spec, args.mode, p.k)
+        # an empty grid reads no mode, as in sweep
+        thresholds = _thresholds(spec, args.mode, p.k) if grid else None
         rows = []
         for mb in grid:
             pb = Params(beta=-mb, varrho=p.varrho, k=p.k)

@@ -13,7 +13,16 @@ from beamforge import (
     is_ee,
     modal_residual,
 )
-from beamforge.bimodal import bstar_pairs, count_general_bimodal, pair_branches, pair_table
+from beamforge.bimodal import (
+    _pair_algebra,
+    _pair_table,
+    _window,
+    branch_rows,
+    bstar_pairs,
+    count_general_bimodal,
+    pair_branches,
+    pair_table,
+)
 from beamforge.modesets import (
     bimodal_ee_pairs,
     count_ee_families,
@@ -35,6 +44,31 @@ def circle_ellipse_roots(p, spec, pair, kind):
     ``"XW"`` (SIS1) or ``"YZ"`` (SIS2)."""
     rows = pair_branches(p, spec, pair)
     return [(a1, a2) for row_kind, (a1, _g1), (a2, _g2) in rows if row_kind == kind]
+
+
+def scalar_branches(p, spec, pair):
+    """The rows of ``pair_branches`` solved for one pair with Python
+    floats: the window test, ``F, G -> r^2, s^2`` and the positivity test
+    in the float operations of the array evaluation, which must equal
+    this reference bit for bit."""
+    inv, on_seam = _pair_algebra(spec, p.k, p.varrho, pair)
+    window = None if inv is None or on_seam else _window(inv, p.k)
+    mb = -p.beta
+    if not ((window == "B1*" and inv.m_small < mb < inv.m_big) or (window == "B2*" and inv.m_big < mb)):
+        return []
+    scale = p.varrho * inv.lam1
+    F = (inv.f - p.beta) / scale
+    G = (inv.g - p.beta) / scale
+    X2, Y2, W2, Z2 = inv.X * inv.X, inv.Y * inv.Y, inv.W * inv.W, inv.Z * inv.Z
+    rows = []
+    for kind, r2, s2, x, w in (
+        ("XW", (W2 * F - G) / (W2 - X2), (G - X2 * F) / (W2 - X2), inv.X, inv.W),
+        ("YZ", (Z2 * G - F) / (Z2 - Y2), (F - Y2 * G) / (Z2 - Y2), inv.Y, inv.Z),
+    ):
+        if r2 > 0.0 and s2 > 0.0:
+            r, t = math.sqrt(r2), math.sqrt(s2 / inv.zeta)
+            rows += [(kind, (a1, a1 * x), (a2, a2 * w)) for a1 in (r, -r) for a2 in (t, -t)]
+    return rows
 
 
 def random_admissible(rng):
@@ -340,6 +374,17 @@ def test_count_matches_enumeration(case):
     n_star = effective_modes(p, spec).n_star
     assert count_general_bimodal(table, beta, n_star) == len(enumerate_general_bimodal(p, spec))
     assert count_ee_families(ee_thresholds, beta) == len(enumerate_ee_families(p, spec))
+
+
+@settings(max_examples=160, deadline=None)
+@given(count_cases())
+def test_branch_rows_match_scalar_reference(case):
+    # every pair up to n_max, effective or not, in (n1, n2) order
+    spec, beta, k, varrho = case
+    p = Params(beta=beta, varrho=varrho, k=k)
+    pairs = [(n1, n2) for n1 in range(1, spec.n_max) for n2 in range(n1 + 1, spec.n_max + 1)]
+    want = [(pair, *row) for pair in pairs for row in scalar_branches(p, spec, pair)]
+    assert branch_rows(_pair_table(p, spec, pairs), beta) == want
 
 
 @pytest.mark.parametrize(
