@@ -33,7 +33,10 @@ The digest of the benchmark's ``sweep`` and ``sweep_scaled_track_pairs.csv``
 were written by the emitter that built one list per row, sorted all
 rows by ``(beta, branch_id)`` and formatted them cell by cell; the
 emitter that writes each compression's lines in order must reproduce
-them.
+them.  Every general-bimodal byte above, and ``enumerate_scaled_pairs.json``
+and ``sets_scaled.json``, was written by the implementation that solved
+each pair's circle-ellipse systems one pair at a time with scalar floats;
+the one array evaluation of a pair table must reproduce them exactly.
 """
 
 import hashlib
