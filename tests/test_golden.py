@@ -37,6 +37,9 @@ them.  Every general-bimodal byte above, and ``enumerate_scaled_pairs.json``
 and ``sets_scaled.json``, was written by the implementation that solved
 each pair's circle-ellipse systems one pair at a time with scalar floats;
 the one array evaluation of a pair table must reproduce them exactly.
+``unimodal_scaled.csv`` was written by the implementation that evaluated
+each mode's amplitudes, band and reported families one grid point at a
+time with scalar floats.
 """
 
 import hashlib
@@ -86,6 +89,11 @@ CORPUS = [
     ),
     # Bstar with a B1* pair (1, 2) beside the B2* pairs
     ("sets_scaled.json", ["sets", "--spectrum", "scaled", "--k", "3", "--beta=-15.5"]),
+    # mode 1's branch table; the grid holds lam_1 = 1, mu_1 = 7 and nu_1 = 10 exactly
+    (
+        "unimodal_scaled.csv",
+        ["unimodal", "--spectrum", "scaled", "--k", "3", "--csv", "--mode", "1", "--grid", "0:20:21"],
+    ),
 ]
 
 DIGESTS = [
