@@ -12,6 +12,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import jsonio
 from .bimodal import (
     _pair_table,
@@ -30,15 +32,16 @@ from .modesets import (
     bimodal_ee_pairs,
     count_ee_families,
     ee_family_thresholds,
+    _check_mode_count,
+    _mode_states,
+    _mode_table,
     effective_modes,
-    mu_value,
-    nu_value,
     trimodal_ee_triples,
 )
 from .oracle import galerkin_solve, match_against
 from .single_beam import enumerate_foundation, enumerate_plain
 from .spectrum import Spectrum
-from .unimodal import FAMILIES, GAMMA_PARTNER, amplitude_curves, unimodal_inventory
+from .unimodal import _GAMMA_SIGN, _PARTNER, unimodal_inventory
 
 CUBIC_TOL = 1e-9
 
@@ -207,11 +210,7 @@ def _partition_notes(part: ModeSetPartition, spec: Spectrum) -> list[str]:
 def cmd_sets(args) -> int:
     p, spec = _context(args)
     part = effective_modes(p, spec)
-    boundaries = {
-        "lambda": [spec.eigenvalue(n) for n in part.E],
-        "mu": [mu_value(spec.eigenvalue(n), p.k) for n in part.E],
-        "nu": [nu_value(spec.eigenvalue(n), p.k) for n in part.E],
-    }
+    boundaries = dict(zip(("lambda", "mu", "nu"), _mode_table(spec.eigenvalues(part.n_star), p.k).tolist()))
     ee_pairs = bimodal_ee_pairs(p, spec, args.tol_cond)
     doc = {
         "params": p.describe(),
@@ -232,24 +231,17 @@ def cmd_unimodal(args) -> int:
     p, spec = _context(args)
     _check_gnuplot(args, args.csv)
     if args.csv:
-        grid_token = args.grid or f"0:{max(1.0, -p.beta)}:101"
-        grid = _parse_grid(grid_token)
+        # the mode is read whatever the grid holds, an empty one too
+        table = _mode_table([spec.eigenvalue(args.mode)], p.k)
+        grid = _parse_grid(args.grid or f"0:{max(1.0, -p.beta)}:101")
+        states = _mode_states(table, -np.array(grid, dtype=float), p.varrho, p.k)
         header = ["minus_beta"]
         for i in (1, 2, 3, 4):
             header += [f"alpha{i}_plus", f"alpha{i}_minus"]
-        # an empty grid reads no mode, as in sweep
-        thresholds = _thresholds(spec, args.mode, p.k) if grid else None
-        rows = []
-        for mb in grid:
-            pb = Params(beta=-mb, varrho=p.varrho, k=p.k)
-            curves = amplitude_curves(pb, spec, args.mode)
-            band = effective_modes(pb, spec).band(args.mode)
-            families = _reported_families(pb.beta, thresholds, band)
-            row: list = [mb]
-            for i in (1, 2, 3, 4):
-                a = curves[i] if i in families else None
-                row += [a, -a if a is not None else None]
-            rows.append(row)
+        rows = [
+            [mb, *(x for a, shown in zip(amps, rep) for x in ((a, -a) if shown else (None, None)))]
+            for mb, amps, rep in zip(grid, states.amplitude[:, 0].tolist(), states.reported[:, 0].tolist())
+        ]
         text = jsonio.csv_text(header, rows)
         _write(text, args.out)
         if args.gnuplot is not None:
@@ -360,119 +352,88 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _thresholds(spec: Spectrum, n: int, k: float) -> tuple[float, float, float]:
-    """The thresholds ``lam_n``, ``mu_n`` and ``nu_n`` of mode ``n``."""
-    lam = spec.eigenvalue(n)
-    return lam, mu_value(lam, k), nu_value(lam, k)
-
-
-def _reported_families(beta: float, thresholds: tuple[float, float, float], band: str) -> list[int]:
-    """The amplitude families that ``sweep`` and ``unimodal --csv``
-    report at ``beta`` for a mode of ``thresholds`` (its ``lam_n``,
-    ``mu_n`` and ``nu_n``): those of its band (``"outside"`` for none),
-    which ``count_unimodal`` and the ``unimodal`` JSON count, and a
-    family whose threshold equals ``-beta`` exactly (a branch point the
-    sweep adds to its grid).  Just above a threshold, where the band
-    collapse keeps the lower band, the new family is not reported."""
-    lam, mu, nu = thresholds
-    carried = FAMILIES.get(band, ())
-    return [
-        i
-        for i, threshold in zip((1, 2, 3, 4), (lam, mu, nu, nu))
-        if i in carried or -beta == threshold
-    ]
-
-
-def _sweep_lines(
-    p: Params, spec: Spectrum, tracked: dict, pairs_table, ee_thresholds, bimodal_table
-) -> list[str]:
+def _sweep_lines(beta: float, counts, mode_cells: list[str], pairs_table) -> list[str]:
     """The CSV lines of one compression, in branch id order: the rows of
     the pairs of ``pairs_table`` (``b...``; ``None`` for no pairs), then
-    those of the modes of ``tracked``, which maps each mode, in the order
-    of its ids, to its thresholds and the ``branch_id,modes`` cells of
-    the ``+`` and ``-`` rows of each family."""
-    part = effective_modes(p, spec)
-    counts = (
-        2 * len(part.E1) + 4 * len(part.E2) + 8 * len(part.E3),
-        count_ee_families(ee_thresholds, p.beta),
-        count_general_bimodal(bimodal_table, p.beta, part.n_star),
-    )
-    beta = jsonio.format_float(p.beta)
+    the tracked modes' rows, whose cells from ``branch_id`` to the two
+    empty pair columns are ``mode_cells``."""
+    beta_text = jsonio.format_float(beta)
     tail = ",".join(map(jsonio.csv_cell, counts))
     pair_lines = []
-    pair_rows = [] if pairs_table is None else branch_rows(pairs_table, p.beta)
+    pair_rows = [] if pairs_table is None else branch_rows(pairs_table, beta)
     for (n1, n2), kind, (a1, g1), (a2, g2) in pair_rows:
         sig = ("+" if a1 > 0 else "-") + ("+" if a2 > 0 else "-")
         branch_id = f"b{n1}-{n2}:{kind}{sig}"
         amplitudes = ",".join(map(jsonio.format_float, (a1, g1, a2, g2)))
-        pair_lines.append((branch_id, f"{beta},{branch_id},{n1};{n2},{amplitudes},{tail}"))
+        pair_lines.append((branch_id, f"{beta_text},{branch_id},{n1};{n2},{amplitudes},{tail}"))
     # stable, so a repeated pair keeps its rows in argument order
     pair_lines.sort(key=lambda item: item[0])
-    lines = [line for _, line in pair_lines]
-    bands = {n: band for band in FAMILIES for n in getattr(part, band)}
-    for n, (thresholds, id_cells) in tracked.items():
-        curves = amplitude_curves(p, spec, n)
-        families = _reported_families(p.beta, thresholds, bands.get(n, "outside"))
+    return [line for _, line in pair_lines] + [f"{beta_text},{cells}{tail}" for cells in mode_cells]
+
+
+def _mode_cells(modes: list[int], states):
+    """Per compression of ``states`` in turn, the cells from ``branch_id``
+    to the empty pair columns of the rows of ``modes``, the first modes
+    of the table it evaluates."""
+    compression, row, family = np.nonzero(states.reported[:, : len(modes)])
+    amplitudes = states.amplitude[compression, row, family]
+    # gamma is a signed partner amplitude; families 3 and 4 are reported
+    # together, so the partner of each entry is next to it
+    step, positive = (_PARTNER - np.arange(4)).tolist(), (_GAMMA_SIGN > 0).tolist()
+    ids = [[(f"n{n}:alpha{i}+,{n},", f"n{n}:alpha{i}-,{n},") for i in (1, 2, 3, 4)] for n in modes]
+    bounds = np.searchsorted(compression, np.arange(len(states.band) + 1)).tolist()
+    for start, end in zip(bounds, bounds[1:]):
         # each magnitude formatted once; every other cell is its sign image
-        plus = {i: jsonio.format_float(curves[i]) for i in families}
-        minus = {i: jsonio.format_negated(text) for i, text in plus.items()}
-        for i in families:
-            # families 3 and 4 are reported together, so the partner is too
-            partner, partner_sign = GAMMA_PARTNER[i]
-            gamma_plus, gamma_minus = (
-                (plus[partner], minus[partner]) if partner_sign > 0 else (minus[partner], plus[partner])
-            )
-            plus_id, minus_id = id_cells[i]
-            lines.append(f"{beta},{plus_id},{plus[i]},{gamma_plus},,,{tail}")
-            lines.append(f"{beta},{minus_id},{minus[i]},{gamma_minus},,,{tail}")
-    return lines
+        plus = [jsonio.format_float(a) for a in amplitudes[start:end].tolist()]
+        minus = [jsonio.format_negated(text) for text in plus]
+        cells = []
+        for j, (m, i) in enumerate(zip(row[start:end].tolist(), family[start:end].tolist())):
+            k = j + step[i]
+            g_plus, g_minus = (plus[k], minus[k]) if positive[i] else (minus[k], plus[k])
+            cells += [f"{ids[m][i][0]}{plus[j]},{g_plus},,,", f"{ids[m][i][1]}{minus[j]},{g_minus},,,"]
+        yield cells
 
 
 def cmd_sweep(args) -> int:
     p, spec = _context(args)
     _check_gnuplot(args, True)
-    grid = _parse_grid(args.grid)
+    # the modes given are read whatever the grid holds, an empty one too
     pairs = _parse_pairs(args.pairs)
-    top = Params(beta=-max(grid, default=0.0), varrho=p.varrho, k=p.k)
+    # a repeated pair repeats its rows, in argument order
+    pairs_table = None if pairs is None else _pair_table(p, spec, pairs)
+    tracked = ()
     if args.track:
         try:
-            tracked = sorted({int(x) for x in args.track.split(",")})
+            tracked = {int(x) for x in args.track.split(",")}
         except ValueError as exc:
             raise ValidationError(f"bad --track {args.track!r}") from exc
-    elif grid:
-        tracked = list(effective_modes(top, spec).E) or [1]
-    else:
-        tracked = []
-    minus_betas = set(grid)
-    thresholds = {}
-    if grid:
-        lo, hi = min(grid), max(grid)
-        for n in tracked:
-            thresholds[n] = _thresholds(spec, n, p.k)
-            minus_betas.update(boundary for boundary in thresholds[n] if lo <= boundary <= hi)
+    grid = _parse_grid(args.grid)
+    top = Params(beta=-max(grid, default=0.0), varrho=p.varrho, k=p.k)
+    E = effective_modes(top, spec).E
+    # rows go by (beta, branch_id), the ids compared as strings: the ids of
+    # mode n all start "n<n>:", so n10 comes before n1
+    modes = sorted(tracked or E or (1,), key=lambda n: f"n{n}:")
+    # the effective modes at every compression are among those at the top
+    rows = modes + sorted(set(E) - set(modes))
+    table = _mode_table([spec.eigenvalue(n) for n in rows], p.k)
+    lo, hi = min(grid, default=math.inf), max(grid, default=-math.inf)
+    boundaries = table[:, : len(modes)].ravel().tolist()
+    betas = [-mb for mb in sorted({*grid, *(b for b in boundaries if lo <= b <= hi)}, reverse=True)]
+    states = _mode_states(table, betas, p.varrho, p.k)
     header = [
         "beta", "branch_id", "modes", "alpha_1", "gamma_1", "alpha_2", "gamma_2",
         "count_unimodal", "count_ee_families", "count_general_bimodal",
     ]
     # the count columns read tables built once, at the top compression
     ee_thresholds = ee_family_thresholds(top, spec, args.tol_cond)
-    bimodal_table = pair_table(top, spec, effective_modes(top, spec).n_star)
-    # a repeated pair repeats its rows, in argument order; an empty grid
-    # reads no mode, as with --track
-    pairs_table = _pair_table(top, spec, pairs) if pairs and grid else None
-    # rows go by (beta, branch_id), the ids compared as strings: the ids of
-    # mode n all start "n<n>:", so n10 comes before n1
-    modes = {
-        n: (
-            thresholds[n],
-            {i: (f"n{n}:alpha{i}+,{n}", f"n{n}:alpha{i}-,{n}") for i in (1, 2, 3, 4)},
-        )
-        for n in sorted(thresholds, key=lambda n: f"n{n}:")
-    }
+    bimodal_table = pair_table(top, spec, len(E))
+    unimodal = (2 * states.carried.sum(axis=(1, 2))).tolist()
+    n_star = (states.band > 0).sum(axis=1).tolist()
     lines = [",".join(header)]
-    for mb in sorted(minus_betas, reverse=True):
-        pb = Params(beta=-mb, varrho=p.varrho, k=p.k)
-        lines += _sweep_lines(pb, spec, modes, pairs_table, ee_thresholds, bimodal_table)
+    for c, (beta, mode_cells) in enumerate(zip(betas, _mode_cells(modes, states))):
+        _check_mode_count(spec, beta, n_star[c])
+        ee, general = count_ee_families(ee_thresholds, beta), count_general_bimodal(bimodal_table, beta, n_star[c])
+        lines += _sweep_lines(beta, (unimodal[c], ee, general), mode_cells, pairs_table)
     lines.append("")
     _write("\n".join(lines), args.out)
     if args.gnuplot is not None:

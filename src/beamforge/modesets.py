@@ -7,8 +7,9 @@ effective set into the three bands that control how many unimodal
 branches exist.  The band rule lives here and nowhere else: a compression
 on, or within ``BOUNDARY_RTOL`` relative of, ``mu_n`` (or ``nu_n``) puts
 mode ``n`` in the lower band, so near-coincident branches are never
-reported twice.  Every consumer, the unimodal enumerator included, reads
-the bands from :func:`effective_modes`.
+reported twice.  The unimodal closed form, bands and amplitudes, is
+evaluated in one place, :func:`_mode_states`, on a mode table: the rows
+``lam``, ``mu`` and ``nu`` of a list of modes.
 
 The resonance equalities depend on the spectrum and ``k`` only, never on
 ``beta``; they are memoized per index pair.  Each EE family then exists
@@ -20,8 +21,10 @@ the families at each compression by bisection.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +47,58 @@ def nu_value(lam: float, k: float) -> float:
 
 def _rel_eq(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+# the amplitude families each band carries
+FAMILIES = {"E1": (1,), "E2": (1, 2), "E3": (1, 2, 3, 4)}
+# _CARRIED[code, i - 1]: band E<code> carries family i; code 0 is no band
+_CARRIED = np.array([[i in FAMILIES.get(f"E{code}", ()) for i in (1, 2, 3, 4)] for code in range(4)])
+
+
+def _mode_table(lam, k: float) -> np.ndarray:
+    """The mode table of eigenvalues ``lam``: rows ``lam``, ``mu``, ``nu``."""
+    lam = np.array(lam, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.array([lam, mu_value(lam, k), nu_value(lam, k)])
+
+
+class ModeStates(NamedTuple):
+    """The closed form of a mode table at one ``beta``, shape ``(M,)``, or
+    at ``G`` of them, ``(G, M)``, with a last axis for families 1-4."""
+
+    band: np.ndarray  # an index of _CARRIED
+    amplitude: np.ndarray  # raw positive amplitude, valid where defined
+    defined: np.ndarray  # -beta at or above the family's own threshold
+    carried: np.ndarray  # the families of the band
+    reported: np.ndarray  # carried, or -beta exactly on the family's threshold
+
+
+def _mode_states(table: np.ndarray, beta, varrho: float, k: float) -> ModeStates:
+    """The closed form of every mode of ``table`` at ``beta``, a float or
+    a 1-d array.  The band takes the boundary collapse; each amplitude is
+    gated on ``-beta`` against its own threshold without it, so
+    boundary-degenerate values (zeros and coincident roots) stay in."""
+    lam, mu, nu = table
+    beta = np.asarray(beta, dtype=float)[..., None]
+    mb = -beta
+    with np.errstate(all="ignore"):
+        # mb <= x or _rel_eq(mb, x, BOUNDARY_RTOL), for x = mu and nu
+        scale = np.maximum(1.0, np.abs(mb))
+        at_mu, at_nu = (
+            (mb <= x) | (np.abs(mb - x) <= BOUNDARY_RTOL * np.maximum(scale, np.abs(x))) for x in (mu, nu)
+        )
+        band = np.where(lam < mb, np.where(at_mu, 1, np.where(at_nu, 2, 3)), 0)
+        # radicand kept as a product of signed factors; both are negative
+        # strictly inside E3, so the product is positive there
+        inner = (beta + lam + mu - nu) * (beta + nu)
+        a3 = np.sqrt(((mb + mu - nu - lam) + np.sqrt(np.maximum(inner, 0.0))) / (2.0 * varrho * lam))
+        # smaller root via the product of roots: a3^2 a4^2 = (k/(varrho lam^2))^2
+        a4 = np.where(a3 > 0.0, k / (varrho * lam * lam * a3), 0.0)
+        a1, a2 = (np.sqrt((mb - x) / (varrho * lam)) for x in (lam, mu))
+    thresholds = np.stack([lam, mu, nu, nu], axis=-1)
+    carried = _CARRIED[band]
+    defined, on_threshold = mb[..., None] >= thresholds, mb[..., None] == thresholds
+    return ModeStates(band, np.stack([a1, a2, a3, a4], -1), defined, carried, carried | on_threshold)
 
 
 @dataclass(frozen=True)
@@ -99,40 +154,35 @@ def effective_modes(p: Params, spec: Spectrum) -> ModeSetPartition:
 @functools.lru_cache(maxsize=4, typed=True)
 def _partition(spec: Spectrum, beta: float, k: float) -> ModeSetPartition:
     mb = -beta
-    E, E1, E2, E3 = [], [], [], []
-    for n in range(1, spec.n_max + 1):
-        lam = spec.eigenvalue(n)
-        if not lam < mb:
-            break
-        E.append(n)
-        mu = mu_value(lam, k)
-        nu = nu_value(lam, k)
-        if mb <= mu or _rel_eq(mb, mu, BOUNDARY_RTOL):
-            E1.append(n)
-        elif mb <= nu or _rel_eq(mb, nu, BOUNDARY_RTOL):
-            E2.append(n)
-        else:
-            E3.append(n)
-    n_star = E[-1] if E else 0
-    past_cap = spec.eigenvalue_past_cap() if n_star == spec.n_max else None
+    # eigenvalues increase strictly, so E is 1..n*, read up to lam_{n*+1}
+    lam = list(itertools.takewhile(lambda x: x < mb, map(spec.eigenvalue, range(1, spec.n_max + 1))))
+    E = tuple(range(1, len(lam) + 1))
+    # the bands do not read varrho
+    band = _mode_states(_mode_table(lam, k), beta, 1.0, k).band
+    E1, E2, E3 = (tuple((np.flatnonzero(band == code) + 1).tolist()) for code in (1, 2, 3))
+    past_cap = spec.eigenvalue_past_cap() if len(E) == spec.n_max else None
     truncated = past_cap is not None and past_cap < mb
-    part = ModeSetPartition(tuple(E), tuple(E1), tuple(E2), tuple(E3), n_star, truncated)
-    if spec.generator == "dirichlet" and beta < 0.0 and part.n_star < spec.n_max:
-        # closed-form count cross-check; skipped within roundoff of an
-        # eigenvalue boundary where ceil() is unstable.  Eigenvalues
-        # increase strictly, so only lam_{n*} and lam_{n*+1} can be that
-        # close to -beta.
+    _check_mode_count(spec, beta, len(E))
+    return ModeSetPartition(E, E1, E2, E3, len(E), truncated)
+
+
+def _check_mode_count(spec: Spectrum, beta: float, n_star: int) -> None:
+    """Cross-check ``n_star``, the effective-mode count at ``beta``, with
+    the closed-form count of the Dirichlet spectrum."""
+    if spec.generator == "dirichlet" and beta < 0.0 and n_star < spec.n_max:
+        # skipped within roundoff of an eigenvalue boundary where ceil() is
+        # unstable.  Eigenvalues increase strictly, so only lam_{n*} and
+        # lam_{n*+1} can be that close to -beta.
         near_boundary = any(
-            _rel_eq(mb, spec.eigenvalue(n), 1e-12)
-            for n in (part.n_star, part.n_star + 1)
+            _rel_eq(-beta, spec.eigenvalue(n), 1e-12)
+            for n in (n_star, n_star + 1)
             if n >= 1
         )
-        if not near_boundary and len(part.E) != dirichlet_mode_count(beta):
+        if not near_boundary and n_star != dirichlet_mode_count(beta):
             raise VerificationError(
-                f"effective-mode count {len(part.E)} disagrees with closed form "
+                f"effective-mode count {n_star} disagrees with closed form "
                 f"{dirichlet_mode_count(beta)} at beta={beta}"
             )
-    return part
 
 
 def ee_bimodal_membership(

@@ -12,26 +12,25 @@ Four amplitude families exist (index ``i``):
 * ``i = 3, 4`` out-of-phase nonsymmetric, the two roots of a quadratic
   whose radicand is the signed product ``(beta+lam+mu-nu)(beta+nu)``.
 
-The amplitudes are written once, in :func:`amplitude_curves`.  How many
-of the families a mode carries (1, 2 or 4, hence 2, 4 or 8 signed
-amplitudes) follows from its band, E1, E2 or E3, which
-:func:`beamforge.modesets.effective_modes` decides together with the
-boundary collapse; :func:`unimodal_inventory` reads the families of
-each band from ``FAMILIES``.
+A mode carries the ``FAMILIES`` of its band, E1, E2 or E3 (1, 2 or 4
+families, hence 2, 4 or 8 signed amplitudes).  Bands and amplitudes are
+evaluated in one place, the mode table of :mod:`beamforge.modesets`;
+:func:`unimodal_inventory` and :func:`amplitude_curves` are views of it.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
-from .core import Inventory, ModalSolution, Params
-from .modesets import _partition, mu_value, nu_value
+from .core import MAX_ACTIVE_MODES, Inventory, ModalSolution, Params
+from .modesets import FAMILIES, _mode_states, _mode_table, _partition  # noqa: F401
 from .spectrum import Spectrum
 
-# amplitude families each band admits
-FAMILIES = {"E1": (1,), "E2": (1, 2), "E3": (1, 2, 3, 4)}
 # the gamma of family i is sign * (amplitude of family partner)
 GAMMA_PARTNER = {1: (1, +1), 2: (2, -1), 3: (4, -1), 4: (3, -1)}
+# GAMMA_PARTNER as arrays over the family axis of the mode states
+_PARTNER = np.array([GAMMA_PARTNER[i][0] - 1 for i in (1, 2, 3, 4)])
+_GAMMA_SIGN = np.array([float(GAMMA_PARTNER[i][1]) for i in (1, 2, 3, 4)])
 # one shared tag string per family and sign, not one per solution
 _TAGS = {(i, sig): f"unimodal({i},{sig})" for i in (1, 2, 3, 4) for sig in "+-"}
 
@@ -44,24 +43,11 @@ def amplitude_curves(p: Params, spec: Spectrum, n: int) -> dict[int, float | Non
     coincident roots) stay in; the families a mode carries are
     ``FAMILIES[effective_modes(p, spec).band(n)]``.
     """
-    lam = spec.eigenvalue(n)
-    mb = -p.beta
-    out: dict[int, float | None] = {1: None, 2: None, 3: None, 4: None}
-    if mb >= lam:
-        out[1] = math.sqrt((mb - lam) / (p.varrho * lam))
-    mu = mu_value(lam, p.k)
-    if mb >= mu:
-        out[2] = math.sqrt((mb - mu) / (p.varrho * lam))
-    nu = nu_value(lam, p.k)
-    if mb >= nu:
-        # radicand kept as a product of signed factors; both are negative
-        # strictly inside E3, so the product is positive there
-        inner = (p.beta + lam + mu - nu) * (p.beta + nu)
-        a3 = math.sqrt(((mb + mu - nu - lam) + math.sqrt(max(inner, 0.0))) / (2.0 * p.varrho * lam))
-        out[3] = a3
-        # smaller root via the product of roots: a3^2 a4^2 = (k/(varrho lam^2))^2
-        out[4] = p.k / (p.varrho * lam * lam * a3) if a3 > 0.0 else 0.0
-    return out
+    states = _mode_states(_mode_table([spec.eigenvalue(n)], p.k), p.beta, p.varrho, p.k)
+    return {
+        i: a if defined else None
+        for i, a, defined in zip((1, 2, 3, 4), states.amplitude[0].tolist(), states.defined[0].tolist())
+    }
 
 
 def unimodal_inventory(p: Params, spec: Spectrum) -> Inventory:
@@ -74,16 +60,17 @@ def unimodal_inventory(p: Params, spec: Spectrum) -> Inventory:
     for a total of ``2|E1| + 4|E2| + 8|E3|`` solutions.
     """
     part = _partition(spec, p.beta, p.k)
-    rows, tags = [], []
-    for n in part.E:
-        curves = amplitude_curves(p, spec, n)
-        for i in FAMILIES[part.band(n)]:
-            a = curves[i]
-            partner, sign = GAMMA_PARTNER[i]
-            g = sign * curves[partner]
-            rows += [((n, a, g),), ((n, -a, -g),)]
-            tags += [_TAGS[i, "+"], _TAGS[i, "-"]]
-    return Inventory.from_rows(rows, tags)
+    states = _mode_states(_mode_table(spec.eigenvalues(part.n_star), p.k), p.beta, p.varrho, p.k)
+    row, family = np.nonzero(states.carried)
+    alpha = states.amplitude[row, family]
+    gamma = _GAMMA_SIGN[family] * states.amplitude[row, _PARTNER[family]]
+    # each state then its sign image, in the first of the stored columns
+    n, alpha, gamma = (
+        np.pad(x.reshape(-1, 1), ((0, 0), (0, MAX_ACTIVE_MODES - 1)))
+        for x in (np.repeat(row + 1, 2), np.stack([alpha, -alpha], 1), np.stack([gamma, -gamma], 1))
+    )
+    tags = [_TAGS[i, sig] for i in (family + 1).tolist() for sig in "+-"]
+    return Inventory(n, alpha, gamma, np.ones(len(tags), dtype=np.int64), tags)
 
 
 def enumerate_unimodal(p: Params, spec: Spectrum) -> list[ModalSolution]:

@@ -331,11 +331,16 @@ def test_bad_spectrum_token_exit_code(capsys):
         ("sets", "--out", "missing/out.json"),
         ("sets", "--spectrum", "file:sub"),
         ("sets", "--spectrum", "file:latin1.txt"),
+        # a mode out of range is read whatever the grid holds, an empty one too
+        ("sweep", "--grid", "0:1:0", "--pairs", "1,100"),
+        ("sweep", "--grid", "0:1:0", "--track", "100"),
+        ("unimodal", "--csv", "--mode", "0", "--grid", "0:1:0"),
     ],
     ids=" ".join,
 )
 def test_file_errors_exit_code(capsys, monkeypatch, tmp_path, argv):
-    # a directory, a missing directory or undecodable text is bad input
+    # a directory, a missing directory, undecodable text or a mode out of
+    # range is bad input
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
     (tmp_path / "latin1.txt").write_bytes("1\n4\n9\xe9\n".encode("latin-1"))
@@ -426,16 +431,57 @@ def test_bad_tolerance_exit_code(capsys, monkeypatch, command, flag, value):
     assert out == ""
 
 
-def test_effective_mode_count_mismatch_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sets", "--spectrum", "dirichlet", "--beta", "-100"),
+        ("sweep", "--spectrum", "dirichlet", "--grid", "0:200:5"),
+    ],
+    ids=["sets", "sweep"],
+)
+def test_effective_mode_count_mismatch_exit_code(capsys, monkeypatch, argv):
     # a disagreement with the closed-form Dirichlet count is an internal
-    # inconsistency (exit 3), not a crash (exit 1)
+    # inconsistency (exit 3), not a crash (exit 1); the count is wrong
+    # everywhere but at the sweep's top compression, so the sweep must
+    # check every compression it reads
     from beamforge import modesets
 
-    monkeypatch.setattr(modesets, "dirichlet_mode_count", lambda beta: -1)
+    real = modesets.dirichlet_mode_count
+    monkeypatch.setattr(modesets, "dirichlet_mode_count", lambda beta: real(beta) if beta == -200.0 else -1)
     modesets._partition.cache_clear()
-    code, out = run_cli(capsys, "sets", "--spectrum", "dirichlet", "--beta", "-100")
+    code, out = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sets",),
+        ("enumerate",),
+        ("unimodal",),
+        ("sweep", "--grid", "0:10:3"),
+    ],
+    ids=" ".join,
+)
+def test_cost_follows_the_effective_modes(capsys, monkeypatch, argv):
+    # one effective mode at -beta = 10 out of n_max = 10**8: the work, and
+    # the spectrum's eigenvalue table, follow the effective modes
+    from beamforge import cli, modesets
+
+    specs = []
+    real = cli._context
+
+    def context(args):
+        p, spec = real(args)
+        specs.append(spec)
+        return p, spec
+
+    monkeypatch.setattr(cli, "_context", context)
+    modesets._partition.cache_clear()
+    code, _ = run_cli(capsys, *argv, "--nmax", "100000000", "--beta=-10")
+    assert code == 0
+    assert len(specs[0]._table) <= 8
 
 
 def test_trimodal_cross_check_exit_code(capsys):

@@ -3,10 +3,12 @@
 ``sweep`` writes its lines one compression at a time, formats each
 amplitude magnitude once and derives the sign images from that text.
 The reference below is the emitter before that: one list per row, every
-row sorted by ``(beta, branch_id)``, then :func:`jsonio.csv_text`.  The
-two must agree byte for byte, on, next to and within roundoff of the
-thresholds ``lam_n``, ``mu_n`` and ``nu_n`` where the band collapse
-decides which families a row reports.
+row sorted by ``(beta, branch_id)``, then :func:`jsonio.csv_text`, with
+the bands and amplitudes of the scalar reference of
+``unimodal_reference``, one mode at a time.  The two must agree byte for
+byte, on, next to and within roundoff of the thresholds ``lam_n``,
+``mu_n`` and ``nu_n`` where the band collapse decides which families a
+row reports.
 """
 
 import contextlib
@@ -19,15 +21,10 @@ from beamforge import cli
 from beamforge.bimodal import count_general_bimodal, pair_branches, pair_table
 from beamforge.core import Params
 from beamforge.jsonio import csv_text
-from beamforge.modesets import (
-    count_ee_families,
-    ee_family_thresholds,
-    effective_modes,
-    mu_value,
-    nu_value,
-)
+from beamforge.modesets import count_ee_families, ee_family_thresholds, mu_value, nu_value
 from beamforge.spectrum import Spectrum
-from beamforge.unimodal import FAMILIES, GAMMA_PARTNER, amplitude_curves
+from beamforge.unimodal import FAMILIES, GAMMA_PARTNER
+from unimodal_reference import amplitude_curves, effective_modes
 
 HEADER = [
     "beta", "branch_id", "modes", "alpha_1", "gamma_1", "alpha_2", "gamma_2",

@@ -3,10 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import unimodal_reference as reference
 from beamforge import Params, Spectrum, cubic_check, modal_residual
-from beamforge.modesets import effective_modes, mu_value, nu_value
+from beamforge.modesets import _mode_states, _mode_table, effective_modes, mu_value, nu_value
 from beamforge.oracle import newton_scale
-from beamforge.unimodal import FAMILIES, amplitude_curves, enumerate_unimodal
+from beamforge.unimodal import FAMILIES, GAMMA_PARTNER, enumerate_unimodal, unimodal_inventory
+from beamforge.unimodal import amplitude_curves as program_amplitude_curves
+from unimodal_reference import amplitude_curves
 
 # frozen via the closed forms and confirmed by residual substitution below
 E3_AMPLITUDES = {
@@ -205,3 +208,65 @@ def test_count_matches_enumeration(n, threshold, nudge, k):
     part = effective_modes(p, spec)
     law = 2 * len(part.E1) + 4 * len(part.E2) + 8 * len(part.E3)
     assert law == len(enumerate_unimodal(p, spec))
+
+
+@st.composite
+def near_thresholds(draw):
+    """A spectrum, ``k``, ``varrho`` and compressions ``-beta`` on, one or
+    two ulps off, or within 4e-13 relative of ``lam_n``, ``mu_n`` and
+    ``nu_n`` of modes 1..12."""
+    spec = Spectrum.from_token(draw(st.sampled_from(["scaled", "dirichlet", "power:2"])), n_max=12)
+    k = draw(st.one_of(st.sampled_from([1.0, 3.0, 72.0]), st.floats(min_value=0.05, max_value=100.0)))
+    varrho = draw(st.one_of(st.sampled_from([1.0, 0.5, 3.0]), st.floats(min_value=0.01, max_value=10.0)))
+
+    def minus_beta():
+        lam = spec.eigenvalue(draw(st.integers(min_value=1, max_value=12)))
+        x = draw(st.sampled_from(reference.thresholds(lam, k)))
+        x *= 1.0 + draw(st.sampled_from([0.0, 0.0, -4e-13, 4e-13, -1e-13, 1e-13]))
+        ulps = draw(st.integers(min_value=-2, max_value=2))
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        return x
+
+    return spec, k, varrho, [minus_beta() for _ in range(draw(st.integers(min_value=1, max_value=5)))]
+
+
+def hexes(values):
+    return [None if x is None else x.hex() for x in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_thresholds())
+def test_mode_table_matches_the_scalar_reference(case):
+    # the bands and amplitudes of the mode table, evaluated at a grid of
+    # compressions at once, and the partition, amplitude_curves and the
+    # inventory read from it, equal the scalar reference bit for bit
+    spec, k, varrho, minus_betas = case
+    modes = range(1, spec.n_max + 1)
+    states = _mode_states(_mode_table(spec.eigenvalues(), k), [-mb for mb in minus_betas], varrho, k)
+    for c, mb in enumerate(minus_betas):
+        p = Params(beta=-mb, varrho=varrho, k=k)
+        part = reference.effective_modes(p, spec)
+        program = effective_modes(p, spec)
+        assert (program.E, program.E1, program.E2, program.E3, program.n_star) == (
+            part.E, part.E1, part.E2, part.E3, part.n_star
+        )
+        rows, tags = [], []
+        for m, n in enumerate(modes):
+            band = part.band(n)
+            assert states.band[c, m] == ("outside", "E1", "E2", "E3").index(band)
+            curves = amplitude_curves(p, spec, n)
+            defined = states.defined[c, m].tolist()
+            table_curves = [a if ok else None for a, ok in zip(states.amplitude[c, m].tolist(), defined)]
+            assert hexes(table_curves) == hexes(curves.values())
+            assert hexes(program_amplitude_curves(p, spec, n).values()) == hexes(curves.values())
+            for i in FAMILIES.get(band, ()):
+                partner, sign = GAMMA_PARTNER[i]
+                a, g = curves[i], sign * curves[partner]
+                rows += [(n, a, g), (n, -a, -g)]
+                tags += [f"unimodal({i},+)", f"unimodal({i},-)"]
+        inv = unimodal_inventory(p, spec)
+        assert inv.tags == tags
+        assert inv.n[:, 0].tolist() == [n for n, _, _ in rows]
+        assert hexes(inv.alpha[:, 0].tolist()) == hexes(a for _, a, _ in rows)
+        assert hexes(inv.gamma[:, 0].tolist()) == hexes(g for _, _, g in rows)
