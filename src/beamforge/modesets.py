@@ -50,9 +50,9 @@ def _rel_eq(a: float, b: float, tol: float) -> bool:
 
 
 # the amplitude families each band carries
-FAMILIES = {"E1": (1,), "E2": (1, 2), "E3": (1, 2, 3, 4)}
+_FAMILIES = {"E1": (1,), "E2": (1, 2), "E3": (1, 2, 3, 4)}
 # _CARRIED[code, i - 1]: band E<code> carries family i; code 0 is no band
-_CARRIED = np.array([[i in FAMILIES.get(f"E{code}", ()) for i in (1, 2, 3, 4)] for code in range(4)])
+_CARRIED = np.array([[i in _FAMILIES.get(f"E{code}", ()) for i in (1, 2, 3, 4)] for code in range(4)])
 
 
 def _mode_table(lam, k: float) -> np.ndarray:
@@ -62,7 +62,7 @@ def _mode_table(lam, k: float) -> np.ndarray:
         return np.array([lam, mu_value(lam, k), nu_value(lam, k)])
 
 
-class ModeStates(NamedTuple):
+class _ModeStates(NamedTuple):
     """The closed form of a mode table at one ``beta``, shape ``(M,)``, or
     at ``G`` of them, ``(G, M)``, with a last axis for families 1-4."""
 
@@ -73,7 +73,7 @@ class ModeStates(NamedTuple):
     reported: np.ndarray  # carried, or -beta exactly on the family's threshold
 
 
-def _mode_states(table: np.ndarray, beta, varrho: float, k: float) -> ModeStates:
+def _mode_states(table: np.ndarray, beta, varrho: float, k: float) -> _ModeStates:
     """The closed form of every mode of ``table`` at ``beta``, a float or
     a 1-d array.  The band takes the boundary collapse; each amplitude is
     gated on ``-beta`` against its own threshold without it, so
@@ -98,7 +98,7 @@ def _mode_states(table: np.ndarray, beta, varrho: float, k: float) -> ModeStates
     thresholds = np.stack([lam, mu, nu, nu], axis=-1)
     carried = _CARRIED[band]
     defined, on_threshold = mb[..., None] >= thresholds, mb[..., None] == thresholds
-    return ModeStates(band, np.stack([a1, a2, a3, a4], -1), defined, carried, carried | on_threshold)
+    return _ModeStates(band, np.stack([a1, a2, a3, a4], -1), defined, carried, carried | on_threshold)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MAX_ACTIVE_MODES, Inventory, ModalSolution, Params
-from .modesets import FAMILIES, _mode_states, _mode_table, _partition  # noqa: F401
+from .modesets import _FAMILIES as FAMILIES, _mode_states, _mode_table, _partition  # noqa: F401
 from .spectrum import Spectrum
 
 # the gamma of family i is sign * (amplitude of family partner)
