@@ -58,6 +58,12 @@ CORPUS = [
     ("enumerate_scaled.json", ["enumerate", "--spectrum", "scaled", "--k", "3", "--beta=-15.5"]),
     # the T triple (3, 4, 5) exists here
     ("sets_scaled_k72.json", ["sets", "--spectrum", "scaled", "--k", "72", "--beta", "-40"]),
+    # every mode of n_max = 24 effective: B1 x3, B2 x2, T (3, 4, 5) and 258
+    # B2* pairs in the pair-scan order
+    (
+        "sets_scaled_k72_deep.json",
+        ["sets", "--spectrum", "scaled", "--k", "72", "--beta=-600", "--nmax", "24"],
+    ),
     # EE counts 0, 4 and 5: four families start strictly above -beta = 25, a grid
     # point, and B1 (2, 6) above 40
     (
