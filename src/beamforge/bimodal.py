@@ -26,25 +26,25 @@ collapse ``X == Y``; there the solutions merge into the EE continua of
 :mod:`beamforge.ee_families`, and :func:`pair_branches` gives no rows.
 
 Everything above except the window test and ``(r, t)`` is independent
-of ``beta``: the invariants and the seam flag are memoized per
-``(spectrum, k, varrho, pair)`` and gathered, one column per pair, in a
-:class:`PairTable`.  One array evaluation of a table at a ``beta`` takes
-the window test, ``F, G -> r^2, s^2`` and the positivity test of every
-pair; the solution inventory, :func:`pair_branches`, :func:`bstar_pairs`,
-the sweep's pair rows and :func:`count_general_bimodal` all read it.
+of ``beta``: the invariants, the seam flag and the window kind of a list
+of pairs are evaluated once, on arrays, one column per pair
+(:func:`_invariants`, gathered in a :class:`PairTable`), and
+:func:`compute_invariants` is its one-pair view.  One array evaluation
+of a table at a ``beta`` takes the window test, ``F, G -> r^2, s^2`` and
+the positivity test of every pair; the solution inventory,
+:func:`pair_branches`, :func:`bstar_pairs`, the sweep's pair rows and
+:func:`count_general_bimodal` all read it.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import MAX_ACTIVE_MODES, Inventory, ModalSolution, Params
-from .modesets import PAIR_CACHE_SIZE, _partition, _rel_eq
+from .modesets import _partition, _rel_eqs, _resonance
 from .spectrum import Spectrum
 
 SEAM_RTOL = 1e-12
@@ -76,87 +76,73 @@ class BimodalInvariants:
     nu_shift: float  # k (X - Y) / (varrho lam1^2), the circle/ellipse offset
 
 
-def _unit_product_roots(s: float) -> tuple[float, float] | None:
-    """Real roots of ``q^2 - s q + 1 = 0`` as (plus-branch, minus-branch).
+def _invariants(lam1, lam2, k: float, varrho: float) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The beta-independent algebra of the pairs with eigenvalues
+    ``lam1 < lam2`` (arrays): one column per :class:`BimodalInvariants`
+    field but ``pair``; the mask of the pairs that have invariants, which
+    can carry real coefficient ratios (not a product in ``(0, k)`` without
+    the gap alternative, nor the degenerate ``lam1*lam2 == k``); and the
+    window each pair can open whatever ``beta``, as a :class:`PairTable`
+    code.  Outside the mask the columns hold whatever the float
+    operations gave."""
+    with np.errstate(all="ignore"):
+        prod = lam1 * lam2
+        gap = lam1 * (lam2 - lam1)
+        has = ~_rel_eqs(prod, k, SEAM_RTOL) & (((0.0 < prod) & (prod <= 2.0 * k)) | (gap >= 2.0 * k))
+        zeta = lam2 / lam1
+        sigma = (k - prod) / k
+        Phi = ((zeta + 1.0) + (zeta - 1.0) * sigma * sigma) / (sigma * zeta)
+        Psi = ((zeta + 1.0) - (zeta - 1.0) * sigma * sigma) / sigma
+        X, Y, real_xy = _ratio_roots(Phi)
+        W, Z, real_wz = _ratio_roots(Psi)
+        f = (k * X - lam1 * lam1 - k) / lam1
+        g = (k * Y - lam1 * lam1 - k) / lam1
+        m_small = (k * k + k * lam2 * (lam2 - lam1) + prod * prod) / ((prod - k) * lam2)
+        m_big = (k * k - k * lam1 * (lam2 - lam1) + prod * prod) / ((prod - k) * lam1)
+        nu_shift = k * (X - Y) / (varrho * lam1 * lam1)
+        window = np.where((k < prod) & (prod < 2.0 * k), 1, np.where(gap > 2.0 * k, 2, 0))
+    columns = dict(
+        lam1=lam1, lam2=lam2, zeta=zeta, sigma=sigma, Phi=Phi, Psi=Psi, X=X, Y=Y, W=W, Z=Z,
+        f=f, g=g, m_small=m_small, m_big=m_big, nu_shift=nu_shift,
+    )
+    has &= real_xy & real_wz
+    on_seam = np.logical_or(*_resonance(lam1, lam2, k, SEAM_RTOL))
+    return columns, has, np.where(has & ~on_seam, window, 0)
+
+
+def _ratio_roots(s):
+    """The roots of ``q^2 - s q + 1 = 0`` for each entry of ``s`` as
+    (plus-branch, minus-branch, real).
 
     The larger-magnitude root is computed first and its partner recovered
     via the unit product, avoiding cancellation; a discriminant within
     ``-1e-12`` of zero (relative) is clamped to zero.
     """
     disc = s * s - 4.0
-    if disc < 0.0:
-        if disc > -1e-12 * max(1.0, s * s):
-            disc = 0.0
-        else:
-            return None
-    root = math.sqrt(disc)
-    if s >= 0.0:
-        big = 0.5 * (s + root)
-        return big, 1.0 / big
-    big = 0.5 * (s - root)
-    return 1.0 / big, big
+    clamped = (disc < 0.0) & (disc > -1e-12 * np.maximum(1.0, s * s))
+    root = np.sqrt(np.where(clamped, 0.0, disc))
+    up = s >= 0.0
+    big = np.where(up, 0.5 * (s + root), 0.5 * (s - root))
+    return np.where(up, big, 1.0 / big), np.where(up, 1.0 / big, big), ~(disc < 0.0) | clamped
 
 
 def compute_invariants(p: Params, spec: Spectrum, pair: tuple[int, int]) -> BimodalInvariants | None:
     """Derived algebra for a mode pair, or ``None`` when it cannot carry
     real coefficient ratios (product in ``(0, k)`` without the gap
     alternative, or the degenerate ``lam1*lam2 == k``)."""
-    return _pair_algebra(spec, p.k, p.varrho, tuple(pair))[0]
-
-
-@functools.lru_cache(maxsize=PAIR_CACHE_SIZE, typed=True)
-def _pair_algebra(
-    spec: Spectrum, k: float, varrho: float, pair: tuple[int, int]
-) -> tuple[BimodalInvariants | None, bool]:
-    """The beta-independent part of a pair: its invariants and whether
-    it sits on an EE seam."""
     n1, n2 = pair
     if not n1 < n2:
         raise ValueError("pair must be strictly increasing")
-    lam1 = spec.eigenvalue(n1)
-    lam2 = spec.eigenvalue(n2)
-    prod = lam1 * lam2
-    gap = lam1 * (lam2 - lam1)
-    if _rel_eq(prod, k, SEAM_RTOL):
-        return None, False
-    if not (0.0 < prod <= 2.0 * k or gap >= 2.0 * k):
-        return None, False
-    zeta = lam2 / lam1
-    sigma = (k - prod) / k
-    Phi = ((zeta + 1.0) + (zeta - 1.0) * sigma * sigma) / (sigma * zeta)
-    Psi = ((zeta + 1.0) - (zeta - 1.0) * sigma * sigma) / sigma
-    xy = _unit_product_roots(Phi)
-    wz = _unit_product_roots(Psi)
-    if xy is None or wz is None:
-        return None, False
-    X, Y = xy
-    W, Z = wz
-    f = (k * X - lam1 * lam1 - k) / lam1
-    g = (k * Y - lam1 * lam1 - k) / lam1
-    m_small = (k * k + k * lam2 * (lam2 - lam1) + prod * prod) / ((prod - k) * lam2)
-    m_big = (k * k - k * lam1 * (lam2 - lam1) + prod * prod) / ((prod - k) * lam1)
-    nu_shift = k * (X - Y) / (varrho * lam1 * lam1)
-    inv = BimodalInvariants(
-        (n1, n2), lam1, lam2, zeta, sigma, Phi, Psi, X, Y, W, Z, f, g, m_small, m_big, nu_shift
-    )
-    return inv, _rel_eq(prod, 2.0 * k, SEAM_RTOL) or _rel_eq(gap, 2.0 * k, SEAM_RTOL)
+    lam1, lam2 = np.array([[spec.eigenvalue(n1)], [spec.eigenvalue(n2)]])
+    columns, has, _ = _invariants(lam1, lam2, p.k, p.varrho)
+    if not has[0]:
+        return None
+    return BimodalInvariants((n1, n2), **{name: column[0].item() for name, column in columns.items()})
 
 
-def _window(inv: BimodalInvariants, k: float) -> str | None:
-    """The window a pair can open: ``"B1*"`` (product window),
-    ``"B2*"`` (gap window) or ``None``, whatever ``beta``."""
-    prod = inv.lam1 * inv.lam2
-    gap = inv.lam1 * (inv.lam2 - inv.lam1)
-    if k < prod < 2.0 * k:
-        return "B1*"
-    if gap > 2.0 * k:
-        return "B2*"
-    return None
-
-
-# the columns window, zeta, m_small, m_big, f, g, scale, X, Y, W, Z of a
-# pair that opens no window: finite, so that no denominator is zero
-_CLOSED_COLUMNS = (0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+# the columns zeta, m_small, m_big, f, g, scale, X, Y, W, Z of a pair
+# that opens no window: finite, so that no denominator is zero
+_CLOSED_COLUMNS = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
 # the signs of (r, t) in the four rows of one system: ++, +-, -+, --
 _SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
@@ -184,23 +170,20 @@ class PairTable(NamedTuple):
 
 
 def _pair_table(p: Params, spec: Spectrum, pairs) -> PairTable:
-    """The :class:`PairTable` of ``pairs``, in their order, at the ``k``
-    and ``varrho`` of ``p`` (its ``beta`` is not read)."""
-    pairs = [tuple(pair) for pair in pairs]
-    columns = []
-    for pair in pairs:
-        inv, on_seam = _pair_algebra(spec, p.k, p.varrho, pair)
-        window = None if inv is None or on_seam else _window(inv, p.k)
-        columns.append(
-            _CLOSED_COLUMNS
-            if window is None
-            else (
-                _WINDOWS.index(window), inv.zeta, inv.m_small, inv.m_big, inv.f, inv.g,
-                p.varrho * inv.lam1, inv.X, inv.Y, inv.W, inv.Z,
-            )
-        )
+    """The :class:`PairTable` of ``pairs``, a list of pairs or a ``(P, 2)``
+    array, in their order, at the ``k`` and ``varrho`` of ``p`` (its
+    ``beta`` is not read)."""
     n1, n2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    window, *values = np.array(columns, dtype=float).reshape(-1, len(_CLOSED_COLUMNS)).T
+    if np.any(n1 >= n2):
+        raise ValueError("pair must be strictly increasing")
+    modes, index = np.unique(np.concatenate([n1, n2]), return_inverse=True)
+    lam1, lam2 = np.array([spec.eigenvalue(n) for n in modes.tolist()], dtype=float)[index].reshape(2, -1)
+    columns, _, window = _invariants(lam1, lam2, p.k, p.varrho)
+    columns["scale"] = p.varrho * lam1
+    values = [
+        np.where(window > 0, columns[name], closed)
+        for name, closed in zip(PairTable._fields[3:13], _CLOSED_COLUMNS)
+    ]
     X, Y, W, Z = values[-4:]
     return PairTable(window.astype(np.int8), n1, n2, *values, X * X, Y * Y, W * W, Z * Z)
 
@@ -209,7 +192,8 @@ def pair_table(p: Params, spec: Spectrum, n_top: int) -> PairTable:
     """The :class:`PairTable` of the pairs ``n1 < n2 <= n_top`` ordered by
     ``(n2, n1)``, so the pairs of ``E = (1..n*)`` are the first
     ``n*(n*-1)/2`` columns."""
-    return _pair_table(p, spec, ((n1, n2) for n2 in range(2, n_top + 1) for n1 in range(1, n2)))
+    n2, n1 = np.tril_indices(n_top, -1)
+    return _pair_table(p, spec, np.stack([n1 + 1, n2 + 1], axis=1))
 
 
 def _circle_ellipse(table: PairTable, beta: float):
@@ -267,8 +251,9 @@ def pair_branches(
     return [row[1:] for row in branch_rows(_pair_table(p, spec, [pair]), p.beta)]
 
 
-def _pairs_of(E: tuple[int, ...]):
-    return ((n1, n2) for i, n1 in enumerate(E) for n2 in E[i + 1 :])
+def _pairs_of(E: tuple[int, ...]) -> np.ndarray:
+    """The pairs of ``E = (1..n*)`` in lexicographic order, a ``(P, 2)`` array."""
+    return np.stack(np.triu_indices(len(E), 1), axis=1) + 1
 
 
 def bstar_pairs(p: Params, spec: Spectrum) -> list[tuple[tuple[int, int], str]]:

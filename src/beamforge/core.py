@@ -314,6 +314,8 @@ def cubic_check(sol: ModalSolution, p: Params, spec: Spectrum, ee_tol: float = 1
     return CubicReport(tuple(values), max_rel, factored, agreement)
 
 
+# an overflowed check is non-finite, which the emitter rejects
+@np.errstate(over="ignore", invalid="ignore")
 def check_inventory(inv: Inventory, p: Params, spec: Spectrum) -> InventoryChecks:
     """:func:`axial_coefficients`, :func:`modal_residual` and
     :func:`cubic_check` of every row at once, tag-blind.

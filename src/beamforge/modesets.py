@@ -12,7 +12,9 @@ evaluated in one place, :func:`_mode_states`, on a mode table: the rows
 ``lam``, ``mu`` and ``nu`` of a list of modes.
 
 The resonance equalities depend on the spectrum and ``k`` only, never on
-``beta``; they are memoized per index pair.  Each EE family then exists
+``beta``.  They are evaluated in one place, :func:`_resonance`, on the
+eigenvalue columns of a list of pairs; the EE pair and triple scans and
+their membership tests are views of it.  Each EE family then exists
 exactly above one compression threshold, so a sweep over compressions
 collects the thresholds once (:func:`ee_family_thresholds`) and counts
 the families at each compression by bisection.
@@ -33,8 +35,6 @@ from .errors import VerificationError
 from .spectrum import Spectrum
 
 BOUNDARY_RTOL = 1e-12
-# bound on memoized index pairs: every pair of 181 effective modes fits
-PAIR_CACHE_SIZE = 1 << 14
 
 
 def mu_value(lam: float, k: float) -> float:
@@ -46,7 +46,9 @@ def nu_value(lam: float, k: float) -> float:
 
 
 def _rel_eq(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    """``|a - b| <= tol * max(1, |a|, |b|)``; an equality with a
+    non-finite side is false, so an overflowed value equals nothing."""
+    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 # the amplitude families each band carries
@@ -185,6 +187,67 @@ def _check_mode_count(spec: Spectrum, beta: float, n_star: int) -> None:
             )
 
 
+def _rel_eqs(a, b, tol: float) -> np.ndarray:
+    """:func:`_rel_eq` elementwise, on arrays, in the same float operations."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        close = np.abs(a - b) <= tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+    return np.isfinite(a) & np.isfinite(b) & close
+
+
+def _resonance(lam1, lam2, k: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The beta-independent B1 and B2 equalities of the pairs with
+    eigenvalues ``lam1 < lam2`` (arrays): ``lam1*lam2 == 2k`` and
+    ``lam1*(lam2-lam1) == 2k`` within relative ``tol``."""
+    with np.errstate(over="ignore"):
+        return _rel_eqs(lam1 * lam2, 2.0 * k, tol), _rel_eqs(lam1 * (lam2 - lam1), 2.0 * k, tol)
+
+
+def _ee_kinds(lam1, lam2, beta: float, k: float, tol: float) -> np.ndarray:
+    """The EE kind of each pair with eigenvalues ``lam1 < lam2`` at
+    ``beta``: 1 for B1, which wins when ``lam1 + lam2 < -beta``, else 2 for
+    B2 when ``lam2 < -beta``, else 0."""
+    on_b1, on_b2 = _resonance(lam1, lam2, k, tol)
+    mb = -beta
+    with np.errstate(over="ignore"):
+        b1 = on_b1 & (lam1 + lam2 < mb)
+    return np.where(b1, 1, np.where(on_b2 & (lam2 < mb), 2, 0))
+
+
+def _ee_triples(lam, k: float, tol: float) -> np.ndarray:
+    """The index triples ``i < j < m`` into the increasing eigenvalues
+    ``lam`` whose pairs ``(i, m)`` and ``(j, m)`` are both on B2, the rows
+    of a ``(3, T)`` array in lexicographic order.  A member must also
+    satisfy ``lam_i + lam_j == lam_m``; one that does not raises
+    :class:`VerificationError`."""
+    m, i = np.tril_indices(len(lam), -1)
+    on_b2 = _resonance(lam[i], lam[m], k, tol)[1]
+    # the B2 pairs by (m, i); each meets the later ones of its top mode
+    i, m = i[on_b2], m[on_b2]
+    later = np.searchsorted(m, m, "right") - np.arange(len(m)) - 1
+    first = np.repeat(np.arange(len(m)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    triples = np.array([i[first], i[second], m[first]])
+    triples = triples[:, np.lexsort(triples[::-1])]
+    lam1, lam2, lam3 = lam[triples]
+    with np.errstate(over="ignore"):
+        bad = ~_rel_eqs(lam1 + lam2, lam3, tol)
+    if bad.any():
+        # the first one a scan by (n1, n3, n2) meets
+        n1, n3, n2 = min(zip(*(triples[:, bad] + 1)[[0, 2, 1]].tolist()))
+        raise VerificationError(
+            f"triple {(n1, n2, n3)} passes the membership equalities but violates lam1 + lam2 == lam3"
+        )
+    return triples
+
+
+def _effective_pairs(p: Params, spec: Spectrum):
+    """The pairs ``n1 < n2`` of the effective modes in lexicographic
+    order, as index arrays, and their eigenvalues."""
+    lam = spec.eigenvalues(_partition(spec, p.beta, p.k).n_star)
+    i, j = np.triu_indices(len(lam), 1)
+    return i + 1, j + 1, lam[i], lam[j]
+
+
 def ee_bimodal_membership(
     p: Params, spec: Spectrum, pair: tuple[int, int], tol: float = 1e-9
 ) -> str | None:
@@ -198,27 +261,9 @@ def ee_bimodal_membership(
     n1, n2 = pair
     if not n1 < n2:
         raise ValueError("pair must be strictly increasing")
-    on_b1, on_b2 = _pair_resonance(spec, p.k, tol, (n1, n2))
-    if not (on_b1 or on_b2):
-        return None
-    lam1 = spec.eigenvalue(n1)
-    lam2 = spec.eigenvalue(n2)
-    mb = -p.beta
-    if on_b1 and lam1 + lam2 < mb:
-        return "B1"
-    if on_b2 and lam2 < mb:
-        return "B2"
-    return None
-
-
-@functools.lru_cache(maxsize=PAIR_CACHE_SIZE, typed=True)
-def _pair_resonance(spec: Spectrum, k: float, tol: float, pair: tuple[int, int]) -> tuple[bool, bool]:
-    """The beta-independent B1 and B2 equalities of a pair:
-    ``lam1*lam2 == 2k`` and ``lam1*(lam2-lam1) == 2k``."""
-    n1, n2 = pair
-    lam1 = spec.eigenvalue(n1)
-    lam2 = spec.eigenvalue(n2)
-    return _rel_eq(lam1 * lam2, 2.0 * k, tol), _rel_eq(lam1 * (lam2 - lam1), 2.0 * k, tol)
+    lam1, lam2 = np.array([[spec.eigenvalue(n1)], [spec.eigenvalue(n2)]])
+    kind = int(_ee_kinds(lam1, lam2, p.beta, p.k, tol)[0])
+    return f"B{kind}" if kind else None
 
 
 def ee_trimodal_membership(
@@ -229,21 +274,8 @@ def ee_trimodal_membership(
     n1, n2, n3 = triple
     if not n1 < n2 < n3:
         raise ValueError("triple must be strictly increasing")
-    lam1 = spec.eigenvalue(n1)
-    lam2 = spec.eigenvalue(n2)
-    lam3 = spec.eigenvalue(n3)
-    if not lam3 < -p.beta:
-        return False
-    two_k = 2.0 * p.k
-    ok = _rel_eq(lam1 * (lam3 - lam1), two_k, tol) and _rel_eq(
-        lam2 * (lam3 - lam2), two_k, tol
-    )
-    if ok and not _rel_eq(lam1 + lam2, lam3, tol):
-        raise VerificationError(
-            f"triple {triple} passes the membership equalities but violates "
-            f"lam1 + lam2 == lam3"
-        )
-    return ok
+    lam = np.array([spec.eigenvalue(n) for n in triple])
+    return bool(lam[2] < -p.beta) and _ee_triples(lam, p.k, tol).shape[1] > 0
 
 
 def required_k(spec: Spectrum, indices, family: str) -> float | None:
@@ -274,35 +306,18 @@ def required_k(spec: Spectrum, indices, family: str) -> float | None:
 
 def bimodal_ee_pairs(p: Params, spec: Spectrum, tol: float = 1e-9):
     """All B1/B2 pairs with both indices effective, as (pair, kind)."""
-    E = _partition(spec, p.beta, p.k).E
-    out = []
-    for i, n1 in enumerate(E):
-        for n2 in E[i + 1 :]:
-            kind = ee_bimodal_membership(p, spec, (n1, n2), tol)
-            if kind is not None:
-                out.append(((n1, n2), kind))
-    return out
+    n1, n2, lam1, lam2 = _effective_pairs(p, spec)
+    kind = _ee_kinds(lam1, lam2, p.beta, p.k, tol)
+    hit = np.flatnonzero(kind)
+    return [((a, b), f"B{c}") for a, b, c in zip(*(x[hit].tolist() for x in (n1, n2, kind)))]
 
 
 def trimodal_ee_triples(p: Params, spec: Spectrum, tol: float = 1e-9):
-    """All triples carrying a trimodal EE family at these parameters.
-
-    A member triple satisfies ``lam1*(lam3-lam1) == 2k``, the B2 equality
-    of its outer pair, so the middle index is scanned only for outer
-    pairs that pass it: O(|E|^2) work instead of O(|E|^3).
-    ``ee_trimodal_membership`` stays the final test.
-    """
-    E = _partition(spec, p.beta, p.k).E
-    out = []
-    for i, n1 in enumerate(E):
-        for m in range(i + 2, len(E)):
-            if not _pair_resonance(spec, p.k, tol, (n1, E[m]))[1]:
-                continue
-            for j in range(i + 1, m):
-                if ee_trimodal_membership(p, spec, (n1, E[j], E[m]), tol):
-                    out.append((n1, E[j], E[m]))
-    out.sort()
-    return out
+    """All triples carrying a trimodal EE family at these parameters:
+    the triples of effective modes whose two pairs with the top mode both
+    pass the B2 equality, in lexicographic order."""
+    lam = spec.eigenvalues(_partition(spec, p.beta, p.k).n_star)
+    return list(map(tuple, (_ee_triples(lam, p.k, tol) + 1).T.tolist()))
 
 
 def ee_family_thresholds(p: Params, spec: Spectrum, tol: float = 1e-9) -> np.ndarray:
@@ -316,17 +331,12 @@ def ee_family_thresholds(p: Params, spec: Spectrum, tol: float = 1e-9) -> np.nda
     compare, so :func:`count_ee_families` equals the length of
     ``enumerate_ee_families`` at any ``beta >= p.beta``.
     """
-    E = _partition(spec, p.beta, p.k).E
-    out = []
-    for i, n1 in enumerate(E):
-        for n2 in E[i + 1 :]:
-            on_b1, on_b2 = _pair_resonance(spec, p.k, tol, (n1, n2))
-            if on_b2:
-                out.append(spec.eigenvalue(n2))
-            elif on_b1:
-                out.append(spec.eigenvalue(n1) + spec.eigenvalue(n2))
-    out += [spec.eigenvalue(n3) for _, _, n3 in trimodal_ee_triples(p, spec, tol)]
-    return np.sort(np.array(out, dtype=float))
+    _, _, lam1, lam2 = _effective_pairs(p, spec)
+    on_b1, on_b2 = _resonance(lam1, lam2, p.k, tol)
+    with np.errstate(over="ignore"):
+        pairs = np.where(on_b2, lam2, lam1 + lam2)[on_b1 | on_b2]
+    triples = [spec.eigenvalue(n3) for _, _, n3 in trimodal_ee_triples(p, spec, tol)]
+    return np.sort(np.concatenate([pairs, triples]))
 
 
 def count_ee_families(thresholds: np.ndarray, beta: float) -> int:

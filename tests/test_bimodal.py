@@ -14,9 +14,7 @@ from beamforge import (
     modal_residual,
 )
 from beamforge.bimodal import (
-    _pair_algebra,
     _pair_table,
-    _window,
     branch_rows,
     bstar_pairs,
     count_general_bimodal,
@@ -29,6 +27,7 @@ from beamforge.modesets import (
     ee_family_thresholds,
     effective_modes,
 )
+from pair_reference import _pair_algebra, _window
 
 S3 = math.sqrt(3.0)
 S7 = math.sqrt(7.0)

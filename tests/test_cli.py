@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,6 +349,39 @@ def test_file_errors_exit_code(capsys, monkeypatch, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("beamforge: ")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # 2k overflows, so no pair or triple is on an EE equality; mu and nu
+        # overflow too, and so do the inventory's checks
+        (("sets", "--k", "1e308", "--beta=-100"), 2),
+        (("enumerate", "--spectrum", "scaled", "--k", "9e307", "--beta=-100"), 2),
+        (("sweep", "--k", "1e308", "--grid", "0:100:3"), 0),
+        (("unimodal", "--k", "1e308", "--beta=-100"), 2),
+        (("enumerate", "--k", "6.5e307", "--beta=-100"), 2),
+        # lam1 lam2 overflows, so the pair (1, 2) is on no EE equality
+        (("sets", "--spectrum", "file:big.txt", "--beta=-1e201", "--k", "1"), 0),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else None,
+)
+def test_overflow_exit_code(capsys, monkeypatch, tmp_path, argv, code):
+    # an overflowed side equals nothing, and no NumPy warning reaches stderr:
+    # a non-finite value is reported once, by the emitter
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.txt").write_text("1e200\n2e200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith("beamforge: non-finite float in output")
+        assert captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+    if argv[0] == "sets" and code == 0:
+        assert json.loads(captured.out)["B1"] == []
 
 
 @pytest.mark.parametrize(

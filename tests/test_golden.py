@@ -2,8 +2,9 @@
 
 The files under ``tests/golden/`` were written by the implementation
 that ran every pair invariant and the O(|E|^3) triple scan afresh at
-each compression.  The memoized pair algebra and the O(|E|^2) triple
-scan must reproduce them exactly, and so must the sweep counts read
+each compression.  The one array evaluation of the pair algebra per
+list of pairs, whose triple scan reads only the pairs on the B2
+equality, must reproduce them exactly, and so must the sweep counts read
 from tables built once per sweep; ``sweep_scaled_k72.csv``, the one
 file with nonzero EE counts, was written by the last implementation
 that still scanned the pairs at each compression.  Outputs too large to
@@ -39,7 +40,9 @@ each pair's circle-ellipse systems one pair at a time with scalar floats;
 the one array evaluation of a pair table must reproduce them exactly.
 ``unimodal_scaled.csv`` was written by the implementation that evaluated
 each mode's amplitudes, band and reported families one grid point at a
-time with scalar floats.
+time with scalar floats.  ``sets_scaled_k72_deep.json`` was written by
+the implementation that scanned the pairs and triples one at a time,
+each pair's resonances and invariants memoized per pair.
 """
 
 import hashlib

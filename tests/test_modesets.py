@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pair_reference as reference
 from beamforge import (
     Params,
     Spectrum,
@@ -210,7 +211,7 @@ def test_trimodal_scan_matches_brute_force(k, beta, tol):
     p = Params(beta=beta, varrho=1.0, k=k)
     E = effective_modes(p, SCALED30).E
     brute = _outcome(
-        lambda: [t for t in itertools.combinations(E, 3) if ee_trimodal_membership(p, SCALED30, t, tol)]
+        lambda: [t for t in itertools.combinations(E, 3) if reference.ee_trimodal_membership(p, SCALED30, t, tol)]
     )
     assert _outcome(lambda: trimodal_ee_triples(p, SCALED30, tol)) == brute
 
