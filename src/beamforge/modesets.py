@@ -221,7 +221,8 @@ def _ee_triples(lam, k: float, tol: float) -> np.ndarray:
     :class:`VerificationError`."""
     m, i = np.tril_indices(len(lam), -1)
     on_b2 = _resonance(lam[i], lam[m], k, tol)[1]
-    # the B2 pairs by (m, i); each meets the later ones of its top mode
+    # the B2 pairs in (m, i) order; each pairs up with the later ones of
+    # its top mode m, the next `later` entries
     i, m = i[on_b2], m[on_b2]
     later = np.searchsorted(m, m, "right") - np.arange(len(m)) - 1
     first = np.repeat(np.arange(len(m)), later)
