@@ -346,11 +346,11 @@ def count_ee_families(thresholds: np.ndarray, beta: float) -> int:
     return int(np.searchsorted(thresholds, -beta, "left"))
 
 
-def trimodal_candidates(spec: Spectrum, n_limit: int | None = None, rel_tol: float = 1e-12):
+def trimodal_candidates(spec: Spectrum, n_limit: int | None = None):
     """Triples admitting *some* coupling ``k`` (and the ``k`` value).
 
     A triple qualifies when ``lam1*(lam3-lam1) == lam2*(lam3-lam2)``
-    within ``rel_tol``; equivalently ``lam1 + lam2 == lam3``.  For power
+    to ``1e-12`` relative; equivalently ``lam1 + lam2 == lam3``.  For power
     spectra with exponent above one this scan is provably empty.
     """
     limit = spec.n_max if n_limit is None else min(n_limit, spec.n_max)

@@ -9,6 +9,8 @@ stage of rank-cut Newton steps (a pseudo-inverse that drops singular
 values below ``1e-10`` of the largest): near junctions of solution
 continua the Jacobian is nearly rank deficient, and the search's
 full-rank solves leave such roots too far off the manifold to match.
+A polished root is kept only when its full-rank Newton step is small, so
+points where the residual is flat but no root is near do not pass.
 ``match_against`` then classifies each root as a known isolated
 solution, a point on an EE family, or unmatched (a bug somewhere), on
 arrays: support signatures and coefficients, compared per support.
@@ -57,6 +59,11 @@ NEWTON_TOL_FACTOR = 1e-11
 DEDUP_RTOL = 1e-8
 ACTIVE_AMPLITUDE_TOL = 1e-7
 MATCH_RTOL = 1e-6
+# rcond of the step test: it must drop the tangent of an EE family, along
+# which every point is a root (sigma_min / sigma_max about 1e-17), and keep
+# the near-null direction of spurious roots at a band threshold (5e-11 to
+# 1e-10), which the polish's own 1e-10 cut would drop
+STEP_RCOND = 1e-15
 
 
 def newton_scale(p: Params, spec: Spectrum, n_modes: int) -> float:
@@ -161,28 +168,19 @@ def _active_modes(roots: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(roots[:, :n_modes]), np.abs(roots[:, n_modes:])) > ACTIVE_AMPLITUDE_TOL
 
 
-def _settled(lams, p: Params, spec: Spectrum, roots: np.ndarray) -> np.ndarray:
-    """Flag the roots whose max-abs residual is below the tolerance of
-    their own support: ``NEWTON_TOL_FACTOR`` times the scale of their
-    highest active mode.
-
-    The search holds a root to the scale of the highest mode of the
-    whole system, which can be 100 times looser than that of the root's
-    own equations.  Just past a pitchfork, points on the flat arc
-    between two nearby roots then pass as converged, and the polish
-    moves them too slowly to settle.  Roots active in the highest mode
-    were held to their own tolerance by the search and are not checked
-    again.
+def _settled(lams, p: Params, roots: np.ndarray, radius: float) -> np.ndarray:
+    """Flag the roots whose full-rank Newton step (Dennis & Schnabel,
+    1983, section 7.2) is at most ``DEDUP_RTOL`` times the box radius in
+    max-abs: each is pinned down within the distance at which two roots
+    merge.  A non-finite step fails.  A residual test passes points where
+    the residual is flat: at a band threshold, where it is cubic in the
+    amplitude of the branch leaving the trivial state, and just past a
+    pitchfork, on the arc between two close roots.
     """
-    n_modes = lams.size
-    active = _active_modes(roots)
-    top = np.where(active.any(axis=1), n_modes - active[:, ::-1].argmax(axis=1), 1)
-    low = np.flatnonzero(top < n_modes)
-    tol = NEWTON_TOL_FACTOR * np.array([newton_scale(p, spec, n) for n in range(1, n_modes)])
-    residual = np.abs(kernels.residual(lams, p.beta, p.varrho, p.k, roots[low])).max(axis=1)
-    settled = np.ones(roots.shape[0], dtype=bool)
-    settled[low] = residual < tol[top[low] - 1]
-    return settled
+    F = kernels.residual(lams, p.beta, p.varrho, p.k, roots)
+    J = kernels.jacobian(lams, p.beta, p.varrho, p.k, roots)
+    step = (np.linalg.pinv(J, rcond=STEP_RCOND) @ F[:, :, None])[:, :, 0]
+    return np.abs(step).max(axis=1) <= DEDUP_RTOL * radius  # False for NaN
 
 
 def _dedup_merge(roots: np.ndarray, radius: float) -> np.ndarray:
@@ -261,10 +259,11 @@ def galerkin_solve(
 
     Convergence demands a max-abs residual below ``1e-11`` times the
     system scale.  Starts that stall are discarded (counted via
-    ``converged_count``), and so are polished roots above ``1e-11`` times
-    the scale of their own highest active mode.  Roots keep only modes
-    with amplitude above ``1e-7``; more than three such modes would
-    contradict the structure theory and raises :class:`VerificationError`.
+    ``converged_count``), and so are polished representatives whose
+    full-rank Newton step exceeds ``DEDUP_RTOL`` times the box radius in
+    max-abs.  Roots keep only modes with amplitude above ``1e-7``; more
+    than three such modes would contradict the structure theory and
+    raises :class:`VerificationError`.
     """
     if starts < 1:
         raise ValidationError(f"starts must be positive, got {starts}")
@@ -288,7 +287,7 @@ def galerkin_solve(
     reps = roots[converged]
     reps *= np.tile(np.where(reps[:, :n_modes] < 0.0, -1.0, 1.0), 2)
     reps = _accurate_polish(lams, p, _dedup_merge(reps, radius))
-    known = _dedup_merge(_orbits(reps[_settled(lams, p, spec, reps)]), radius)
+    known = _dedup_merge(_orbits(reps[_settled(lams, p, reps, radius)]), radius)
 
     active = _active_modes(known)
     crowded = np.flatnonzero(active.sum(axis=1) > MAX_ACTIVE_MODES)

@@ -427,6 +427,8 @@ def test_oracle_root_with_four_modes_exit_code(capsys, monkeypatch):
 
     monkeypatch.setattr(oracle.kernels, "newton_batch", fake_newton)
     monkeypatch.setattr(oracle, "_accurate_polish", lambda lams, p, roots: roots)
+    # the fake row is no root, so the step test would drop it
+    monkeypatch.setattr(oracle, "_settled", lambda lams, p, roots, radius: np.ones(roots.shape[0], bool))
     code, out = run_cli(capsys, "oracle", *COMMON, "--modes", "4", "--starts", "40")
     assert code == 3
     assert out == ""
