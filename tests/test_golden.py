@@ -43,6 +43,9 @@ each mode's amplitudes, band and reported families one grid point at a
 time with scalar floats.  ``sets_scaled_k72_deep.json`` was written by
 the implementation that scanned the pairs and triples one at a time,
 each pair's resonances and invariants memoized per pair.
+``single_foundation_scaled_k36.json`` was written by the implementation
+whose foundation model scanned the modes ``1..n_max`` for its unimodal
+states and tested each pair's ``lam1*lam2 == k`` with scalar floats.
 """
 
 import hashlib
@@ -102,6 +105,12 @@ CORPUS = [
     (
         "unimodal_scaled.csv",
         ["unimodal", "--spectrum", "scaled", "--k", "3", "--csv", "--mode", "1", "--grid", "0:20:21"],
+    ),
+    # modes 2-5: modes 1 and 6 fail k/lam + lam < -beta; the family (2, 3)
+    # only: (1, 6) is on lam1*lam2 == k but fails lam1 + lam2 < -beta
+    (
+        "single_foundation_scaled_k36.json",
+        ["single", "--model", "foundation", "--spectrum", "scaled", "--k", "36", "--beta=-36.5"],
     ),
 ]
 
