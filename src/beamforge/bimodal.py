@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import MAX_ACTIVE_MODES, Inventory, ModalSolution, Params
-from .modesets import _partition, _rel_eqs, _resonance
+from .modesets import _pairs_of, _rel_eqs, _resonance, effective_modes
 from .spectrum import Spectrum
 
 SEAM_RTOL = 1e-12
@@ -251,15 +251,10 @@ def pair_branches(
     return [row[1:] for row in branch_rows(_pair_table(p, spec, [pair]), p.beta)]
 
 
-def _pairs_of(E: tuple[int, ...]) -> np.ndarray:
-    """The pairs of ``E = (1..n*)`` in lexicographic order, a ``(P, 2)`` array."""
-    return np.stack(np.triu_indices(len(E), 1), axis=1) + 1
-
-
 def bstar_pairs(p: Params, spec: Spectrum) -> list[tuple[tuple[int, int], str]]:
     """All pairs carrying isolated non-EE bimodal solutions.  The scan is
     capped at ``n_star`` since such pairs are always effective."""
-    table = _pair_table(p, spec, _pairs_of(_partition(spec, p.beta, p.k).E))
+    table = _pair_table(p, spec, _pairs_of(effective_modes(p, spec).n_star).T)
     is_open = _circle_ellipse(table, p.beta)[0]
     n1, n2, window = (column[is_open].tolist() for column in (table.n1, table.n2, table.window))
     return [(pair, _WINDOWS[code]) for pair, code in zip(zip(n1, n2), window)]
@@ -273,7 +268,7 @@ def general_bimodal_inventory(
     with ``(Y, Z)``, the pairs of ``E`` in lexicographic order or
     ``pairs`` in theirs."""
     if pairs is None:
-        pairs = _pairs_of(_partition(spec, p.beta, p.k).E)
+        pairs = _pairs_of(effective_modes(p, spec).n_star).T
     n, kind, alpha, gamma = _branches(_pair_table(p, spec, pairs), p.beta)
     n, alpha, gamma = (np.pad(x, ((0, 0), (0, MAX_ACTIVE_MODES - 2))) for x in (n, alpha, gamma))
     return Inventory(n, alpha, gamma, np.full(len(n), 2, dtype=np.int64), [_TAGS[i] for i in kind.tolist()])

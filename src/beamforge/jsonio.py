@@ -22,11 +22,12 @@ text.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
 from .errors import ValidationError
+
+INDENT = 2
 
 
 def format_float(x: float) -> str:
@@ -55,7 +56,7 @@ class SolutionRecords:
         self.inventory = inventory
         self.checks = checks
 
-    def text(self, indent: int, level: int) -> str:
+    def text(self, level: int) -> str:
         """The list as :func:`_emit` writes it at nesting ``level``."""
         inv = self.inventory
         if not len(inv):
@@ -75,12 +76,12 @@ class SolutionRecords:
             _format_floats(self.checks.C_u.tolist()),
             _format_floats(self.checks.C_v.tolist()),
         ]
-        templates = [_record_template(w, indent, level + 1) for w in range(used + 1)]
+        templates = [_record_template(w, level + 1) for w in range(used + 1)]
         records = [
             templates[w] % (fields if w == used else fields[: 3 * w] + fields[-3:])
             for w, fields in zip(inv.width.tolist(), zip(*columns))
         ]
-        return "[\n" + ",\n".join(records) + "\n" + " " * (indent * level) + "]"
+        return "[\n" + ",\n".join(records) + "\n" + " " * (INDENT * level) + "]"
 
 
 def _format_floats(values: list[float]) -> list[str]:
@@ -91,13 +92,12 @@ def _format_floats(values: list[float]) -> list[str]:
     return [texts[x] for x in values]
 
 
-@functools.lru_cache(maxsize=32)
-def _record_template(width: int, indent: int, level: int) -> str:
+def _record_template(width: int, level: int) -> str:
     """One solution record with ``width`` stored modes at nesting
     ``level``, indented as :func:`_emit` indents the same dict, with
     ``%s`` slots for ``n``, ``alpha`` and ``gamma`` of each mode, then
     for the tag, ``C_u`` and ``C_v``."""
-    pad = [" " * (indent * (level + depth)) for depth in range(4)]
+    pad = [" " * (INDENT * (level + depth)) for depth in range(4)]
     mode = (
         f'{pad[2]}{{\n{pad[3]}"n": %s,\n{pad[3]}"alpha": %s,\n{pad[3]}"gamma": %s\n{pad[2]}}}'
     )
@@ -108,9 +108,9 @@ def _record_template(width: int, indent: int, level: int) -> str:
     )
 
 
-def _emit(obj, parts: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, parts: list[str], level: int) -> None:
+    pad = " " * (INDENT * level)
+    pad_in = " " * (INDENT * (level + 1))
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -134,11 +134,11 @@ def _emit(obj, parts: list[str], indent: int, level: int) -> None:
             parts.append(pad_in)
             parts.append(json.dumps(key))
             parts.append(": ")
-            _emit(value, parts, indent, level + 1)
+            _emit(value, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, SolutionRecords):
-        parts.append(obj.text(indent, level))
+        parts.append(obj.text(level))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
@@ -146,16 +146,16 @@ def _emit(obj, parts: list[str], indent: int, level: int) -> None:
         parts.append("[\n")
         for i, value in enumerate(obj):
             parts.append(pad_in)
-            _emit(value, parts, indent, level + 1)
+            _emit(value, parts, level + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     parts: list[str] = []
-    _emit(obj, parts, indent, 0)
+    _emit(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 

@@ -22,7 +22,6 @@ the families at each compression by bisection.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -75,6 +74,19 @@ class _ModeStates(NamedTuple):
     reported: np.ndarray  # carried, or -beta exactly on the family's threshold
 
 
+def _bands(table: np.ndarray, mb) -> np.ndarray:
+    """The band of every mode of ``table`` at the compression ``mb =
+    -beta``, an index of ``_CARRIED``, with the boundary collapse."""
+    lam, mu, nu = table
+    with np.errstate(all="ignore"):
+        # mb <= x or _rel_eq(mb, x, BOUNDARY_RTOL), for x = mu and nu
+        scale = np.maximum(1.0, np.abs(mb))
+        at_mu, at_nu = (
+            (mb <= x) | (np.abs(mb - x) <= BOUNDARY_RTOL * np.maximum(scale, np.abs(x))) for x in (mu, nu)
+        )
+        return np.where(lam < mb, np.where(at_mu, 1, np.where(at_nu, 2, 3)), 0)
+
+
 def _mode_states(table: np.ndarray, beta, varrho: float, k: float) -> _ModeStates:
     """The closed form of every mode of ``table`` at ``beta``, a float or
     a 1-d array.  The band takes the boundary collapse; each amplitude is
@@ -83,13 +95,8 @@ def _mode_states(table: np.ndarray, beta, varrho: float, k: float) -> _ModeState
     lam, mu, nu = table
     beta = np.asarray(beta, dtype=float)[..., None]
     mb = -beta
+    band = _bands(table, mb)
     with np.errstate(all="ignore"):
-        # mb <= x or _rel_eq(mb, x, BOUNDARY_RTOL), for x = mu and nu
-        scale = np.maximum(1.0, np.abs(mb))
-        at_mu, at_nu = (
-            (mb <= x) | (np.abs(mb - x) <= BOUNDARY_RTOL * np.maximum(scale, np.abs(x))) for x in (mu, nu)
-        )
-        band = np.where(lam < mb, np.where(at_mu, 1, np.where(at_nu, 2, 3)), 0)
         # radicand kept as a product of signed factors; both are negative
         # strictly inside E3, so the product is positive there
         inner = (beta + lam + mu - nu) * (beta + nu)
@@ -147,24 +154,17 @@ def effective_modes(p: Params, spec: Spectrum) -> ModeSetPartition:
     -beta`` so the sets are finite regardless.  When the generator's
     ``lam_{n_max+1}`` is below ``-beta`` too (for an explicit spectrum:
     its list is longer than ``n_max``), effective modes were cut off and
-    ``truncated`` is set.  The partition is memoized, so the enumerators
-    that each need it compute it once per compression.
+    ``truncated`` is set.
     """
-    return _partition(spec, p.beta, p.k)
-
-
-@functools.lru_cache(maxsize=4, typed=True)
-def _partition(spec: Spectrum, beta: float, k: float) -> ModeSetPartition:
-    mb = -beta
+    mb = -p.beta
     # eigenvalues increase strictly, so E is 1..n*, read up to lam_{n*+1}
     lam = list(itertools.takewhile(lambda x: x < mb, map(spec.eigenvalue, range(1, spec.n_max + 1))))
     E = tuple(range(1, len(lam) + 1))
-    # the bands do not read varrho
-    band = _mode_states(_mode_table(lam, k), beta, 1.0, k).band
+    band = _bands(_mode_table(lam, p.k), float(mb))
     E1, E2, E3 = (tuple((np.flatnonzero(band == code) + 1).tolist()) for code in (1, 2, 3))
     past_cap = spec.eigenvalue_past_cap() if len(E) == spec.n_max else None
     truncated = past_cap is not None and past_cap < mb
-    _check_mode_count(spec, beta, len(E))
+    _check_mode_count(spec, p.beta, len(E))
     return ModeSetPartition(E, E1, E2, E3, len(E), truncated)
 
 
@@ -241,12 +241,19 @@ def _ee_triples(lam, k: float, tol: float) -> np.ndarray:
     return triples
 
 
+def _pairs_of(n_star: int) -> np.ndarray:
+    """The pairs ``n1 < n2`` of ``E = (1..n_star)`` in lexicographic
+    order, the columns of a ``(2, P)`` array."""
+    return np.array(np.triu_indices(n_star, 1)) + 1
+
+
 def _effective_pairs(p: Params, spec: Spectrum):
     """The pairs ``n1 < n2`` of the effective modes in lexicographic
     order, as index arrays, and their eigenvalues."""
-    lam = spec.eigenvalues(_partition(spec, p.beta, p.k).n_star)
-    i, j = np.triu_indices(len(lam), 1)
-    return i + 1, j + 1, lam[i], lam[j]
+    n_star = effective_modes(p, spec).n_star
+    n1, n2 = _pairs_of(n_star)
+    lam = spec.eigenvalues(n_star)
+    return n1, n2, lam[n1 - 1], lam[n2 - 1]
 
 
 def ee_bimodal_membership(
@@ -317,7 +324,7 @@ def trimodal_ee_triples(p: Params, spec: Spectrum, tol: float = 1e-9):
     """All triples carrying a trimodal EE family at these parameters:
     the triples of effective modes whose two pairs with the top mode both
     pass the B2 equality, in lexicographic order."""
-    lam = spec.eigenvalues(_partition(spec, p.beta, p.k).n_star)
+    lam = spec.eigenvalues(effective_modes(p, spec).n_star)
     return list(map(tuple, (_ee_triples(lam, p.k, tol) + 1).T.tolist()))
 
 

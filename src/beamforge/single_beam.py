@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Params
 from .errors import ValidationError
-from .modesets import _rel_eq, effective_modes
+from .modesets import _pairs_of, _rel_eqs, effective_modes
 from .spectrum import Spectrum
 
 
@@ -56,23 +58,20 @@ def enumerate_foundation(p: Params, spec: Spectrum, tol: float = 1e-9) -> Single
     ``tol``) and ``lam1 + lam2 < -beta``.
     """
     mb = -p.beta
+    part = effective_modes(p, spec)
+    lam = spec.eigenvalues(part.n_star)
     entries = []
-    for n in range(1, spec.n_max + 1):
-        lam = spec.eigenvalue(n)
-        if lam >= mb:
-            break
-        if p.k / lam + lam < mb:
-            a = math.sqrt((mb - p.k / lam - lam) / (p.varrho * lam))
+    for n, x in zip(part.E, lam.tolist()):
+        if p.k / x + x < mb:
+            a = math.sqrt((mb - p.k / x - x) / (p.varrho * x))
             entries.append((n, a))
             entries.append((n, -a))
-    families = []
-    part = effective_modes(p, spec)
-    for i, n1 in enumerate(part.E):
-        lam1 = spec.eigenvalue(n1)
-        for n2 in part.E[i + 1 :]:
-            lam2 = spec.eigenvalue(n2)
-            if _rel_eq(lam1 * lam2, p.k, tol) and lam1 + lam2 < mb:
-                families.append(((n1, n2), lam1 + lam2 + p.beta))
+    n1, n2 = _pairs_of(part.n_star)
+    lam1, lam2 = lam[n1 - 1], lam[n2 - 1]
+    with np.errstate(over="ignore"):
+        on = _rel_eqs(lam1 * lam2, p.k, tol) & (lam1 + lam2 < mb)
+        constant = lam1 + lam2 + p.beta
+    families = zip(zip(n1[on].tolist(), n2[on].tolist()), constant[on].tolist())
     return SingleBeamSolutionSet("foundation", tuple(entries), tuple(families))
 
 

@@ -9,9 +9,9 @@ sequence of simple positive eigenvalues.  Four generators are supported:
   ``lam_n = (n*pi)**(p+1)`` for a positive integer ``p``
 * ``explicit``  -- a user-supplied list, validated once at construction
 
-Spectra are immutable and safe to share between threads.  Eigenvalues
-are looked up in a table that grows on demand, so its size follows the
-highest mode index actually asked for, not ``n_max``.
+Spectra are immutable.  Each eigenvalue is computed from its closed
+form when asked for; no table is kept, so the cost follows the mode
+indices actually asked for, not ``n_max``.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ class Spectrum:
                     )
             object.__setattr__(self, "values", vals)
             object.__setattr__(self, "n_max", min(self.n_max, len(vals)))
-        # eigenvalue table, not a field: equality and hashing ignore it
-        object.__setattr__(self, "_table", self.values or ())
 
     # -- constructors -------------------------------------------------
 
@@ -123,15 +121,7 @@ class Spectrum:
         """Return ``lam_n`` (1-based).  Raises IndexError outside 1..n_max."""
         if not 1 <= n <= self.n_max:
             raise IndexError(f"mode index {n} outside 1..{self.n_max}")
-        table = self._table
-        if n > len(table):
-            # grow by doubling, capped at n_max; the new table replaces the
-            # old one in a single assignment, so concurrent readers always
-            # see a correct prefix
-            size = min(self.n_max, max(n, 2 * len(table)))
-            table = table + tuple(self._generate(i) for i in range(len(table) + 1, size + 1))
-            object.__setattr__(self, "_table", table)
-        return table[n - 1]
+        return self._generate(n)
 
     def _generate(self, n: int) -> float:
         if self.generator == "dirichlet":

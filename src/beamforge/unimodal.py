@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MAX_ACTIVE_MODES, Inventory, ModalSolution, Params
-from .modesets import _FAMILIES as FAMILIES, _mode_states, _mode_table, _partition  # noqa: F401
+from .modesets import _FAMILIES as FAMILIES, _mode_states, _mode_table, effective_modes  # noqa: F401
 from .spectrum import Spectrum
 
 # the gamma of family i is sign * (amplitude of family partner)
@@ -59,7 +59,7 @@ def unimodal_inventory(p: Params, spec: Spectrum) -> Inventory:
 
     for a total of ``2|E1| + 4|E2| + 8|E3|`` solutions.
     """
-    part = _partition(spec, p.beta, p.k)
+    part = effective_modes(p, spec)
     states = _mode_states(_mode_table(spec.eigenvalues(part.n_star), p.k), p.beta, p.varrho, p.k)
     row, family = np.nonzero(states.carried)
     alpha = states.amplitude[row, family]

@@ -484,7 +484,6 @@ def test_effective_mode_count_mismatch_exit_code(capsys, monkeypatch, argv):
 
     real = modesets.dirichlet_mode_count
     monkeypatch.setattr(modesets, "dirichlet_mode_count", lambda beta: real(beta) if beta == -200.0 else -1)
-    modesets._partition.cache_clear()
     code, out = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
@@ -497,27 +496,27 @@ def test_effective_mode_count_mismatch_exit_code(capsys, monkeypatch, argv):
         ("enumerate",),
         ("unimodal",),
         ("sweep", "--grid", "0:10:3"),
+        ("single", "--model", "foundation"),
+        ("single", "--model", "plain"),
     ],
     ids=" ".join,
 )
 def test_cost_follows_the_effective_modes(capsys, monkeypatch, argv):
     # one effective mode at -beta = 10 out of n_max = 10**8: the work, and
-    # the spectrum's eigenvalue table, follow the effective modes
-    from beamforge import cli, modesets
+    # the eigenvalues read, follow the effective modes
+    from beamforge.spectrum import Spectrum
 
-    specs = []
-    real = cli._context
+    asked = []
+    real = Spectrum.eigenvalue
 
-    def context(args):
-        p, spec = real(args)
-        specs.append(spec)
-        return p, spec
+    def eigenvalue(self, n):
+        asked.append(n)
+        return real(self, n)
 
-    monkeypatch.setattr(cli, "_context", context)
-    modesets._partition.cache_clear()
+    monkeypatch.setattr(Spectrum, "eigenvalue", eigenvalue)
     code, _ = run_cli(capsys, *argv, "--nmax", "100000000", "--beta=-10")
     assert code == 0
-    assert len(specs[0]._table) <= 8
+    assert max(asked) <= 2
 
 
 def test_trimodal_cross_check_exit_code(capsys):

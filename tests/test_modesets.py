@@ -175,7 +175,6 @@ def test_effective_modes_evaluates_few_eigenvalues(monkeypatch):
         return real(self, n)
 
     monkeypatch.setattr(Spectrum, "eigenvalue", counted)
-    modesets._partition.cache_clear()
     part = effective_modes(Params(-100, 1, 1), Spectrum.dirichlet(10**6))
     assert part.E == (1, 2, 3)
     assert len(calls) <= 6
@@ -183,7 +182,6 @@ def test_effective_modes_evaluates_few_eigenvalues(monkeypatch):
 
 def test_effective_mode_count_mismatch_raises(monkeypatch):
     monkeypatch.setattr(modesets, "dirichlet_mode_count", lambda beta: -1)
-    modesets._partition.cache_clear()
     with pytest.raises(VerificationError):
         effective_modes(Params(-100.0, 1.0, 1.0), Spectrum.dirichlet())
 
