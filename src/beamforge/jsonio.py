@@ -2,17 +2,21 @@
 
 Floats are rendered with 17 significant digits, enough to round-trip any
 double exactly, so identical inputs always produce byte-identical
-output.  NaN and infinities are rejected.  :func:`format_float` is the
-only float formatter.
+output.  NaN and infinities are rejected.  :func:`format_float` defines
+the text of a float; :func:`_format_floats` gives the same texts for a
+whole array.
 
 :func:`dumps` writes a document of dicts, lists and scalars with a
 two-space indent.  A list of solution records is one
 :class:`SolutionRecords` in the document: it is rendered from the
-columns of a :class:`beamforge.core.Inventory` by one text template per
-stored-mode count and spliced into the output, so the record layout
-(``modes`` as ``n``/``alpha``/``gamma`` dicts, then ``tag``, ``C_u`` and
-``C_v``) is written down only in :func:`_record_template`.  The bytes
-are those the recursive emitter gives the same records as dicts.
+arrays of a :class:`beamforge.core.Inventory` and spliced into the
+output.  All floats of the records are formatted in one array pass,
+each distinct magnitude once.  Each run of consecutive records with the
+same stored-mode count repeats one text template, and one ``%`` fills
+the whole list, so the record layout (``modes`` as
+``n``/``alpha``/``gamma`` dicts, then ``tag``, ``C_u`` and ``C_v``) is
+written down only in :func:`_record_template`.  The bytes are those the
+recursive emitter gives the same records as dicts.
 
 CSV cells are written by :func:`csv_cell`.  ``sweep`` writes its own
 lines, one compression at a time: it formats each amplitude magnitude
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -61,35 +67,45 @@ class SolutionRecords:
         inv = self.inventory
         if not len(inv):
             return "[]"
-        # one column of text per slot; padded cells are formatted but unused
+        # slot j < used holds n, alpha and gamma of mode j, slot `used` the
+        # tag, C_u and C_v; a record's fields are its stored slots and the last
         used = int(inv.width.max())
-        columns = []
-        for j in range(used):
-            columns += [
-                [repr(n) for n in inv.n[:, j].tolist()],
-                _format_floats(inv.alpha[:, j].tolist()),
-                _format_floats(inv.gamma[:, j].tolist()),
-            ]
+        values = np.empty((len(inv), used + 1, 2))
+        values[:, :used, 0] = inv.alpha[:, :used]
+        values[:, :used, 1] = inv.gamma[:, :used]
+        values[:, used, 0] = self.checks.C_u
+        values[:, used, 1] = self.checks.C_v
+        fields = np.empty((len(inv), used + 1, 3), dtype=object)
+        fields[:, :, 1:] = _format_floats(values)
+        fields[:, :used, 0] = inv.n[:, :used]
         tag_text = {tag: json.dumps(tag) for tag in set(inv.tags)}
-        columns += [
-            [tag_text[tag] for tag in inv.tags],
-            _format_floats(self.checks.C_u.tolist()),
-            _format_floats(self.checks.C_v.tolist()),
-        ]
+        fields[:, used, 0] = list(map(tag_text.__getitem__, inv.tags))
+        stored = np.arange(used + 1) < inv.width[:, None]
+        stored[:, used] = True
+        # each run of rows of one width repeats that width's template
         templates = [_record_template(w, level + 1) for w in range(used + 1)]
-        records = [
-            templates[w] % (fields if w == used else fields[: 3 * w] + fields[-3:])
-            for w, fields in zip(inv.width.tolist(), zip(*columns))
-        ]
-        return "[\n" + ",\n".join(records) + "\n" + " " * (INDENT * level) + "]"
+        cuts = [0, *(np.flatnonzero(np.diff(inv.width)) + 1).tolist(), len(inv)]
+        layout = ",\n".join(
+            ",\n".join([templates[inv.width[a]]] * (b - a)) for a, b in zip(cuts, cuts[1:])
+        )
+        pad = " " * (INDENT * level)
+        return f"[\n{layout}\n{pad}]" % tuple(fields[stored].ravel().tolist())
 
 
-def _format_floats(values: list[float]) -> list[str]:
-    """``format_float`` of each value, each distinct value formatted
-    once: the sign images of a solution share their ``C_u`` and
-    ``C_v`` and repeat each coefficient."""
-    texts = {x: format_float(x) for x in set(values)}
-    return [texts[x] for x in values]
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """``format_float`` of each value, as an object array of the same
+    shape.  The sign images of a solution share their ``C_u`` and
+    ``C_v`` and repeat each coefficient's magnitude, so each distinct
+    magnitude is formatted once, all by one ``%`` (``"%.17g" % x`` is
+    ``format(x, ".17g")``); a negative value takes the
+    :func:`format_negated` image of its magnitude's text."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_float(float(values[~finite][0]))  # raises
+    magnitudes, index = np.unique(np.abs(values).ravel(), return_inverse=True)
+    texts = ("%.17g\n" * len(magnitudes) % tuple(magnitudes.tolist())).split("\n")[:-1]
+    table = np.array(texts + list(map(format_negated, texts)), dtype=object)
+    return table[index.reshape(values.shape) + len(texts) * (values < 0)]
 
 
 def _record_template(width: int, level: int) -> str:

@@ -107,6 +107,23 @@ def test_enumerate_verification_failure_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "beta",
+    [
+        "-1e6",
+        # the mode-1 unimodal row's C_u = beta + varrho sum(lam_n a_n^2)
+        # cancels to about -lam_1, and the residual check's term scale
+        # ignores |beta|: verification fails and enumerate exits 3
+        pytest.param(
+            "-3e6",
+            marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="residual scale ignores |beta|"),
+        ),
+    ],
+)
+def test_enumerate_heavy_load(tmp_path, beta):
+    assert main(["enumerate", f"--beta={beta}", "--out", str(tmp_path / "out.json")]) == 0
+
+
 def test_deterministic_output(capsys):
     _, out1 = run_cli(capsys, "enumerate", *COMMON, "--samples", "3")
     _, out2 = run_cli(capsys, "enumerate", *COMMON, "--samples", "3")

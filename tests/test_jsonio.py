@@ -1,8 +1,14 @@
+import math
 import sys
 
+import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
-from beamforge.jsonio import csv_cell, csv_text, format_float, format_negated
+from beamforge import jsonio
+from beamforge.core import Inventory, InventoryChecks
+from beamforge.errors import ValidationError
+from beamforge.jsonio import SolutionRecords, csv_cell, csv_text, format_float, format_negated
 
 
 def test_csv_text_matches_cell_by_cell():
@@ -27,3 +33,75 @@ def test_csv_text_matches_cell_by_cell():
 @example(-1e-05)
 def test_format_negated_is_the_text_of_the_negated_value(x):
     assert format_negated(format_float(x)) == format_float(-x)
+
+
+@st.composite
+def float_arrays(draw):
+    """Floats drawn from a few values, each possibly repeated and negated,
+    as the sign images of an inventory repeat their coefficients."""
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([1.0, -1.0])), max_size=30))
+    return [sign * x for x, sign in picks]
+
+
+@given(float_arrays())
+@example([-0.0, 0.0, 5e-324, -5e-324])
+@example([2.225073858507201e-308, sys.float_info.max, -sys.float_info.max])  # largest subnormal
+@example([1e-05, -1e-05, 1e16, 1e17, -1e16, 0.1, -0.1])
+def test_format_floats_is_format_float_of_each_value(values):
+    texts = jsonio._format_floats(np.array(values, dtype=float)).tolist()
+    assert texts == [format_float(x) for x in values]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_format_floats_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="^non-finite float in output"):
+        jsonio._format_floats(np.array([1.0, -2.5, bad, 1.0]))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# a stored mode's alpha and gamma vanish together
+COEFFS = st.one_of(
+    st.sampled_from([(0.0, 0.0), (-0.0, -0.0)]),
+    st.tuples(FINITE.filter(bool), FINITE.filter(bool)),
+)
+
+
+@st.composite
+def inventories(draw):
+    """Rows, tags, C_u and C_v of an inventory: runs of widths 0-3 in any
+    order, some of one row and some longer, and two or more tags."""
+    tags = draw(st.lists(st.text(max_size=6), min_size=2, max_size=4, unique=True))
+    runs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), max_size=6))
+    rows = []
+    for width, length in runs:
+        for _ in range(length):
+            ns = sorted(draw(st.lists(st.integers(1, 999), min_size=width, max_size=width, unique=True)))
+            rows.append([(n, *draw(COEFFS)) for n in ns])
+    return (
+        rows,
+        [draw(st.sampled_from(tags)) for _ in rows],
+        draw(st.lists(FINITE, min_size=len(rows), max_size=len(rows))),
+        draw(st.lists(FINITE, min_size=len(rows), max_size=len(rows))),
+    )
+
+
+@given(inventories(), st.integers(0, 3))
+@example(([], [], [], []), 0)
+def test_solution_records_text_is_the_recursive_emitters(records, level):
+    rows, tags, C_u, C_v = records
+    inv = Inventory.from_rows(rows, tags)
+    zeros = np.zeros(len(rows))
+    checks = InventoryChecks(np.array(C_u, dtype=float), np.array(C_v, dtype=float), zeros, zeros)
+    dicts = [
+        {
+            "modes": [{"n": n, "alpha": a, "gamma": g} for n, a, g in row],
+            "tag": tag,
+            "C_u": cu,
+            "C_v": cv,
+        }
+        for row, tag, cu, cv in zip(rows, tags, C_u, C_v)
+    ]
+    parts = []
+    jsonio._emit(dicts, parts, level)
+    assert SolutionRecords(inv, checks).text(level) == "".join(parts)
