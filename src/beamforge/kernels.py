@@ -16,16 +16,6 @@ A capped start ends unconverged with ``iterations == DEFAULT_MAX_ITER``;
 every start that converges within the cap keeps its iterates bit for
 bit.
 
-The line search tries the full Newton step for every live start in one
-residual call.  The starts that fail the Armijo test evaluate their next
-halvings in chunks of ``_HALVINGS_PER_PASS``, one residual call per
-chunk over all of them, and each takes the first halving that passes;
-a start that no halving up to ``DEFAULT_MAX_BACKTRACK`` accepts stops.
-The slow starts accept steps near ``2^-29`` for many iterations, so one
-call per halving would be almost all per-call overhead.  Grouping the
-halvings changes no trial point, so the iterates are those of the
-one-halving-per-call search, bit for bit.
-
 The unknown vector packs the two coefficient blocks as
 ``x = (alpha_1..alpha_N, gamma_1..gamma_N)`` and the residual is
 
@@ -35,19 +25,38 @@ The unknown vector packs the two coefficient blocks as
 with ``C_u = beta + varrho sum(lam_j a_j^2)`` and ``C_v`` alike.  The
 Jacobian is the block-diagonal linear part plus one rank-one coupling
 term per block.
+
+The line search evaluates no residual.  ``F`` is cubic, so along a
+Newton step ``d`` it is exactly ``F + t F1 + t^2 F2 + t^3 F3``, and
+``|F(x + t d)|^2 - |F|^2 = t h(t)`` for a quintic ``h`` whose
+coefficients come from the Gram matrix of ``F..F3``.  The Armijo test
+``|F(x + t d)|^2 <= |F|^2 (1 - ARMIJO_SLOPE t)`` reads
+``h(t) <= -ARMIJO_SLOPE |F|^2``.  Every start tests ``t = 1``; those that
+fail test all later halvings ``t = 2^-j``, ``j < DEFAULT_MAX_BACKTRACK``,
+at once, and each takes the first that passes.  The next iterate
+``x + t d`` is the same float expression as the trial point of a search
+that evaluates the residual at each halving.  A start stops when no
+halving passes or its next iterate is not finite.
+
+Inside ``newton_batch`` the live starts are columns of shape
+``(2, N, S)`` (beam, mode, start), so each elementwise operation runs
+over contiguous rows of starts; a start that stops is written back to
+its row once.  Sums over modes and components are chains of
+elementwise adds in index order, not BLAS products or pairwise
+reductions, whose rounding varies with the batch, so a start's
+iterates are the same bits in any batch, alone included.  ``residual``
+and ``jacobian`` wrap the column formulas in the row layout ``(S, 2N)``.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
 ARMIJO_SLOPE = 1e-4
 DEFAULT_MAX_ITER = 60
 DEFAULT_MAX_BACKTRACK = 40
-# halvings per residual call once the full step fails; all 39 in one call
-# raised the oracle's peak RSS by about 10%, since the first iterations
-# backtrack on most of a block of starts
-_HALVINGS_PER_PASS = 8
 
 
 def newton_batch(
@@ -67,111 +76,154 @@ def newton_batch(
     """
     lams = np.ascontiguousarray(lams, dtype=np.float64)
     starts = np.ascontiguousarray(starts, dtype=np.float64)
-    if starts.ndim != 2 or starts.shape[1] != 2 * lams.size:
-        raise ValueError("starts must have shape (S, 2N)")
+    if lams.size == 0 or starts.ndim != 2 or starts.shape[1] != 2 * lams.size:
+        raise ValueError("starts must have shape (S, 2N) with N >= 1")
     beta, varrho, k, tol = float(beta), float(varrho), float(k), float(tol)
-    x = starts.copy()
-    S = x.shape[0]
-    converged = np.zeros(S, dtype=bool)
-    done = np.zeros(S, dtype=bool)
-    iterations = np.zeros(S, dtype=np.int64)
-    while True:
-        act = np.flatnonzero(~done)
-        if act.size == 0:
+    roots = starts.copy()
+    converged = np.zeros(starts.shape[0], dtype=bool)
+    iterations = np.zeros(starts.shape[0], dtype=np.int64)
+    x = _columns(starts)
+    live = np.arange(starts.shape[0])
+    # every live start has taken ``it`` steps
+    for it in range(DEFAULT_MAX_ITER + 1):
+        c = _loads(lams, beta, varrho, x)
+        F = _residual(lams, k, x, c)
+        hit = np.abs(F).max(axis=(0, 1)) < tol
+        converged[live[hit]] = True
+        moved = ~hit if it < DEFAULT_MAX_ITER else np.zeros_like(hit)
+        if moved.any():
+            xm, Fm, cm = x, F, c
+            if not moved.all():
+                xm, Fm, cm = (np.compress(moved, a, axis=-1) for a in (x, F, c))
+            d = _columns(_solve_batch(_jacobian(lams, varrho, k, xm, cm), -_rows(Fm)))
+            x_next, accepted = _line_search(lams, varrho, k, xm, d, cm, Fm)
+            moved[moved] = accepted
+        stop = ~moved
+        roots[live[stop]] = _rows(np.compress(stop, x, axis=-1))
+        iterations[live[stop]] = it
+        if not moved.any():
             break
-        xa = x[act]
-        F = residual(lams, beta, varrho, k, xa)
-        max_f = np.abs(F).max(axis=1)
-        hit = max_f < tol
-        converged[act[hit]] = True
-        done[act[hit]] = True
-        over = ~hit & (iterations[act] >= DEFAULT_MAX_ITER)
-        done[act[over]] = True
-        live = ~hit & ~over
-        li = act[live]
-        if li.size == 0:
-            continue
-        xl = xa[live]
-        Fl = F[live]
-        step = _solve_batch(jacobian(lams, beta, varrho, k, xl), -Fl)
-        bad = ~np.isfinite(step).all(axis=1)
-        done[li[bad]] = True
-        gi = li[~bad]
-        if gi.size == 0:
-            continue
-        xg = xl[~bad]
-        d = step[~bad]
-        f2 = np.einsum("ij,ij->i", Fl[~bad], Fl[~bad])
-        x_next, accepted = _line_search(lams, beta, varrho, k, xg, d, f2)
-        done[gi[~accepted]] = True
-        upd = gi[accepted]
-        x[upd] = x_next[accepted]
-        iterations[upd] += 1
-    return x, converged, iterations
+        x = np.compress(accepted, x_next, axis=-1)
+        live = live[moved]
+    return roots, converged, iterations
 
 
-def _line_search(lams, beta, varrho, k, xg, d, f2):
-    """Armijo backtracking from every row of ``xg`` along ``d``.
+def _line_search(lams, varrho, k, x, d, c, F):
+    """Armijo backtracking from every column of ``x`` along ``d``.
 
-    Each row takes the first step ``t = 2^-j``, ``j < DEFAULT_MAX_BACKTRACK``,
-    whose trial point is finite and satisfies
-    ``|F(xg + t d)|^2 <= f2 (1 - ARMIJO_SLOPE t)``; ``t = 1`` is tried
-    alone, the later halvings ``_HALVINGS_PER_PASS`` to a residual call.
-    Returns ``(x_next, accepted)``; ``x_next`` holds the accepted trial
-    point of each accepted row.
+    ``c`` and ``F`` are the loads and the residual at ``x``.  Each
+    column takes the first step ``t = 2^-j``, ``j < DEFAULT_MAX_BACKTRACK``,
+    that the merit polynomial accepts, ``t = 1`` tested alone and the
+    later halvings all at once.  Returns ``(x_next, accepted)``;
+    ``x_next`` holds the next iterate of each accepted column, which is
+    finite.
     """
-    x_next = np.empty_like(xg)
-    accepted = np.zeros(xg.shape[0], dtype=bool)
-    edges = (0, *range(1, DEFAULT_MAX_BACKTRACK, _HALVINGS_PER_PASS), DEFAULT_MAX_BACKTRACK)
-    for first, last in zip(edges, edges[1:]):
-        rem = np.flatnonzero(~accepted)
-        if rem.size == 0:
-            break
-        t = np.ldexp(1.0, -np.arange(first, last))  # exact powers of two
-        trial = xg[rem, None] + t[None, :, None] * d[rem, None]
-        Ft = residual(lams, beta, varrho, k, trial.reshape(-1, xg.shape[1]))
-        ft2 = np.einsum("ij,ij->i", Ft, Ft).reshape(rem.size, t.size)
-        ok = ft2 <= f2[rem, None] * (1.0 - ARMIJO_SLOPE * t)
-        ok &= np.isfinite(trial).all(axis=2)
-        hit = ok.any(axis=1)
-        x_next[rem[hit]] = trial[hit, ok[hit].argmax(axis=1)]
-        accepted[rem[hit]] = True
+    coef, merit = _merit_coefficients(F, *_step_terms(lams, varrho, k, x, d, c))
+    bound = -ARMIJO_SLOPE * merit
+    accepted = _difference_quotient(coef, 1.0) <= bound  # False for NaN
+    t = np.ones(merit.size)
+    failed = ~accepted
+    if failed.any():
+        halvings = np.ldexp(1.0, -np.arange(1, DEFAULT_MAX_BACKTRACK))[:, None]
+        ok = _difference_quotient(np.compress(failed, coef, axis=-1), halvings) <= bound[failed]
+        t[failed] = halvings[ok.argmax(axis=0), 0]
+        accepted[failed] = ok.any(axis=0)
+    x_next = x + t * d
+    accepted &= np.isfinite(x_next).all(axis=(0, 1))
     return x_next, accepted
+
+
+def _step_terms(lams, varrho, k, x, d, c):
+    """``F1, F2, F3`` of ``F(x + t d) = F(x) + t F1 + t^2 F2 + t^3 F3``
+    for columns ``x`` with loads ``c``; the loads along the step are
+    ``c + t c1 + t^2 c2``."""
+    lam = lams[:, None]
+    ld = lam * d
+    c1 = 2.0 * varrho * _ordered_sum((ld * x).swapaxes(0, 1))[:, None]
+    c2 = varrho * _ordered_sum((ld * d).swapaxes(0, 1))[:, None]
+    f1 = d * (lam * lam) + c[:, None] * ld + c1 * (lam * x) + k * (d - d[::-1])
+    f2 = lam * (c1 * d + c2 * x)
+    f3 = c2 * ld
+    return f1, f2, f3
+
+
+def _merit_coefficients(F, f1, f2, f3):
+    """Coefficients ``h_0..h_5``, shape ``(6, S)``, of
+    ``h(t) = (|F(x + t d)|^2 - |F|^2) / t``, and ``|F|^2``, from the
+    Gram matrix of ``F, f1, f2, f3``."""
+    terms = [f.reshape(-1, F.shape[-1]) for f in (F, f1, f2, f3)]
+    g = {(p, q): _ordered_sum(terms[p] * terms[q]) for p in range(4) for q in range(p, 4)}
+    h = [2.0 * g[0, 1], 2.0 * g[0, 2] + g[1, 1], 2.0 * (g[0, 3] + g[1, 2])]
+    h += [2.0 * g[1, 3] + g[2, 2], 2.0 * g[2, 3], g[3, 3]]
+    return np.stack(h), g[0, 0]
+
+
+def _difference_quotient(coef, t):
+    """``h(t)``, the merit's difference quotient, by Horner's rule; ``t``
+    a scalar or a column of steps."""
+    h = coef[5] * t
+    for c in coef[4:0:-1]:
+        h += c
+        h *= t
+    h += coef[0]
+    return h
 
 
 def residual(lams, beta, varrho, k, x):
     """Modal residual of every row of ``x``, shape ``(S, 2N)``."""
-    n = lams.size
-    a = x[:, :n]
-    g = x[:, n:]
-    cu = beta + varrho * (a * a) @ lams
-    cv = beta + varrho * (g * g) @ lams
-    lam2 = lams * lams
-    out = np.empty_like(x)
-    out[:, :n] = a * lam2 + cu[:, None] * (a * lams) + k * (a - g)
-    out[:, n:] = g * lam2 + cv[:, None] * (g * lams) + k * (g - a)
-    return out
+    x = _columns(x)
+    return np.ascontiguousarray(_rows(_residual(lams, k, x, _loads(lams, beta, varrho, x))))
 
 
 def jacobian(lams, beta, varrho, k, x):
     """Analytic Jacobian of every row of ``x``, shape ``(S, 2N, 2N)``."""
-    S, two_n = x.shape
-    n = lams.size
-    a = x[:, :n]
-    g = x[:, n:]
-    cu = beta + varrho * (a * a) @ lams
-    cv = beta + varrho * (g * g) @ lams
-    J = np.zeros((S, two_n, two_n))
-    idx = np.arange(n)
-    J[:, idx, idx] = lams * lams + cu[:, None] * lams + k
-    J[:, n + idx, n + idx] = lams * lams + cv[:, None] * lams + k
-    J[:, idx, n + idx] = -k
-    J[:, n + idx, idx] = -k
-    lam_a = lams * a
-    lam_g = lams * g
-    J[:, :n, :n] += lam_a[:, :, None] * (2.0 * varrho * lam_a)[:, None, :]
-    J[:, n:, n:] += lam_g[:, :, None] * (2.0 * varrho * lam_g)[:, None, :]
-    return J
+    x = _columns(x)
+    return np.ascontiguousarray(_jacobian(lams, varrho, k, x, _loads(lams, beta, varrho, x)))
+
+
+def _columns(x):
+    """Rows ``(S, 2N)`` as contiguous columns ``(2, N, S)``."""
+    return np.ascontiguousarray(x.T).reshape(2, x.shape[1] // 2, x.shape[0])
+
+
+def _rows(x):
+    """Columns ``(2, N, S)`` as a row view ``(S, 2N)``."""
+    return x.reshape(2 * x.shape[1], x.shape[2]).T
+
+
+def _ordered_sum(terms):
+    """Sum of ``terms`` over axis 0, one elementwise add at a time in index
+    order, so a column's bits do not depend on its batch."""
+    return reduce(np.add, terms)
+
+
+def _loads(lams, beta, varrho, x):
+    """``C_u`` and ``C_v`` of every column of ``x``, shape ``(2, S)``."""
+    return beta + varrho * _ordered_sum(((x * x) * lams[:, None]).swapaxes(0, 1))
+
+
+def _residual(lams, k, x, c):
+    """Modal residual of columns ``x`` with loads ``c``, shape ``(2, N, S)``."""
+    lam = lams[:, None]
+    return x * (lam * lam) + c[:, None] * (x * lam) + k * (x - x[::-1])
+
+
+def _jacobian(lams, varrho, k, x, c):
+    """Analytic Jacobian of columns ``x`` with loads ``c``, shape
+    ``(S, 2N, 2N)``, as a view in which ``J[:, i, j]`` is contiguous."""
+    n, S = lams.size, x.shape[-1]
+    lam = lams[:, None]
+    lx = lam * x
+    blocks = lx[:, :, None] * lx[:, None]
+    blocks *= 2.0 * varrho
+    J = np.zeros((2, n, 2, n, S))
+    J[0, :, 0] = blocks[0]
+    J[1, :, 1] = blocks[1]
+    flat = J.reshape(4 * n * n, S)  # the diagonal, then the couplings (i, n + i) and (n + i, i)
+    flat[:: 2 * n + 1] += ((lam * lam + c[:, None] * lam) + k).reshape(2 * n, S)
+    flat[n : 2 * n * n : 2 * n + 1] = -k
+    flat[2 * n * n :: 2 * n + 1] = -k
+    return J.reshape(2 * n, 2 * n, S).transpose(2, 0, 1)
 
 
 def _solve_batch(J, rhs):

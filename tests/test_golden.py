@@ -30,6 +30,12 @@ oracle began to polish one sign representative per symmetry orbit and
 to emit every other root as an exact image of one: each of the 49 roots
 pairs one-to-one with its old value within 3.4e-14, four pairs of sign
 images swapped places, and the counts and the matching report held.
+It was renewed a fourth time when the Newton kernel began to sum
+``C_u``, ``C_v`` and its line-search Gram matrix with elementwise adds
+in mode order, so that a start's iterates no longer depend on its
+batch: 56 lines of coefficients and loads moved in their last digits,
+at most 4.2e-16 relative, and ``found_count``, ``converged_count``, the
+matching report and the labels held.
 The digest of the benchmark's ``sweep`` and ``sweep_scaled_track_pairs.csv``
 were written by the emitter that built one list per row, sorted all
 rows by ``(beta, branch_id)`` and formatted them cell by cell; the
@@ -125,7 +131,7 @@ DIGESTS = [
     # the support blocks, polish of the sign representatives, their exact
     # symmetry images and the matching report
     (
-        "d31d913a86993ab5fbd6dab18ff8671ba3b68480bb558f56e394283d0758ce3a",
+        "081c83aff09d8c309e70a7e86a37fd389489f48182806bee28dba1054b4294be",
         [
             "oracle", "--spectrum", "scaled", "--k", "3", "--beta", "-15.5",
             "--modes", "3", "--starts", "3000", "--seed", "0",

@@ -90,7 +90,7 @@ def test_eigenvalues_array(scaled):
     assert list(vals) == [1.0, 4.0, 9.0, 16.0]
 
 
-def test_table_sized_by_modes_used(monkeypatch):
+def test_lookup_generates_only_the_modes_used(monkeypatch):
     # n_max only caps the index; a lookup near the bottom of a 10**6-mode
     # spectrum computes a handful of eigenvalues
     generated = []
@@ -108,7 +108,7 @@ def test_table_sized_by_modes_used(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", [Spectrum.dirichlet(), Spectrum.scaled(), Spectrum.power(2)])
-def test_table_matches_closed_forms_in_any_order(spec):
+def test_eigenvalues_match_closed_forms_in_any_order(spec):
     def closed_form(n):
         if spec.generator == "dirichlet":
             return (n * math.pi) ** 2
@@ -122,9 +122,9 @@ def test_table_matches_closed_forms_in_any_order(spec):
     assert spec == type(spec)(spec.generator, spec.n_max, spec.p)
 
 
-def test_table_growth_is_thread_safe():
-    # threads grow fresh shared tables side by side; a lost or misplaced
-    # entry would return the wrong eigenvalue
+def test_concurrent_lookups_are_thread_safe():
+    # threads look up one fresh spectrum side by side; any state they
+    # shared and lost or misplaced would return the wrong eigenvalue
     wrong = []
 
     def reader(spec, seed, start):
