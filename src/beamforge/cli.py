@@ -2,12 +2,15 @@
 
 Exit codes: 0 on success, 2 on a validation error (bad input), 3 on a
 verification failure (an emitted solution missed its residual bound,
-which means a bug, and is surfaced loudly).
+which means a bug, and is surfaced loudly).  Output goes to stdout or
+``--out`` piece by piece, after every check that can exit 2: such an
+exit writes nothing and leaves an existing ``--out`` file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -127,11 +130,23 @@ def _context(args) -> tuple[Params, Spectrum]:
     )
 
 
-def _write(text: str, out: Path | None) -> None:
+@contextlib.contextmanager
+def _output(out: Path | None):
+    """The ``write`` of stdout, or of the file ``out``, opened (and an
+    existing one emptied) here: enter it only after the checks that can
+    fail, so that a failed command writes nothing."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
     else:
-        out.write_text(text, encoding="utf-8")
+        with out.open("w", encoding="utf-8") as f:
+            yield f.write
+
+
+def _write(doc, out: Path | None) -> None:
+    """Write the JSON document ``doc`` piece by piece."""
+    jsonio.check(doc)
+    with _output(out) as write:
+        jsonio.dump(doc, write)
 
 
 def _check_gnuplot(args, csv: bool) -> None:
@@ -223,7 +238,7 @@ def cmd_sets(args) -> int:
         "Bstar": [{"pair": list(pair), "kind": kind} for pair, kind in bstar_pairs(p, spec)],
         "notes": _partition_notes(part, spec),
     }
-    _write(jsonio.dumps(doc), args.out)
+    _write(doc, args.out)
     return 0
 
 
@@ -243,7 +258,8 @@ def cmd_unimodal(args) -> int:
             for mb, amps, rep in zip(grid, states.amplitude[:, 0].tolist(), states.reported[:, 0].tolist())
         ]
         text = jsonio.csv_text(header, rows)
-        _write(text, args.out)
+        with _output(args.out) as write:
+            write(text)
         if args.gnuplot is not None:
             args.gnuplot.write_text(_gnuplot_script(args.out, header), encoding="utf-8")
         return 0
@@ -257,7 +273,7 @@ def cmd_unimodal(args) -> int:
         "solutions": records,
         "verification": _verify(checks, args.tol_res),
     }
-    _write(jsonio.dumps(doc), args.out)
+    _write(doc, args.out)
     return 0 if doc["verification"]["passed"] else _verification_failure()
 
 
@@ -296,7 +312,7 @@ def cmd_enumerate(args) -> int:
         "verification": verification,
         "notes": _partition_notes(part, spec),
     }
-    _write(jsonio.dumps(doc), args.out)
+    _write(doc, args.out)
     return 0 if verification["passed"] else _verification_failure()
 
 
@@ -312,7 +328,7 @@ def cmd_single(args) -> int:
         "spectrum": spec.describe(),
         "result": result.describe(),
     }
-    _write(jsonio.dumps(doc), args.out)
+    _write(doc, args.out)
     return 0
 
 
@@ -346,21 +362,20 @@ def cmd_oracle(args) -> int:
         "matching": report.describe(),
         "closed_form_count": len(closed),
     }
-    _write(jsonio.dumps(doc), args.out)
+    _write(doc, args.out)
     if report.unmatched:
         return _verification_failure()
     return 0
 
 
-def _sweep_lines(beta: float, counts, mode_cells: list[str], pairs_table) -> list[str]:
+def _sweep_lines(beta: float, counts, mode_cells: list[str], pair_rows) -> list[str]:
     """The CSV lines of one compression, in branch id order: the rows of
-    the pairs of ``pairs_table`` (``b...``; ``None`` for no pairs), then
-    the tracked modes' rows, whose cells from ``branch_id`` to the two
-    empty pair columns are ``mode_cells``."""
+    the pairs (``b...``), whose :func:`branch_rows` are ``pair_rows``,
+    then the tracked modes' rows, whose cells from ``branch_id`` to the
+    two empty pair columns are ``mode_cells``."""
     beta_text = jsonio.format_float(beta)
     tail = ",".join(map(jsonio.csv_cell, counts))
     pair_lines = []
-    pair_rows = [] if pairs_table is None else branch_rows(pairs_table, beta)
     for (n1, n2), kind, (a1, g1), (a2, g2) in pair_rows:
         sig = ("+" if a1 > 0 else "-") + ("+" if a2 > 0 else "-")
         branch_id = f"b{n1}-{n2}:{kind}{sig}"
@@ -429,13 +444,23 @@ def cmd_sweep(args) -> int:
     bimodal_table = pair_table(top, spec, len(E))
     unimodal = (2 * states.carried.sum(axis=(1, 2))).tolist()
     n_star = (states.band > 0).sum(axis=1).tolist()
-    lines = [",".join(header)]
-    for c, (beta, mode_cells) in enumerate(zip(betas, _mode_cells(modes, states))):
+    # every float written is checked, and every count made, before the
+    # first line is written
+    jsonio.check_floats(states.amplitude[:, : len(modes)][states.reported[:, : len(modes)]])
+    jsonio.check_floats(np.array(betas))
+    counts, pair_rows = [], []
+    for c, beta in enumerate(betas):
         _check_mode_count(spec, beta, n_star[c])
         ee, general = count_ee_families(ee_thresholds, beta), count_general_bimodal(bimodal_table, beta, n_star[c])
-        lines += _sweep_lines(beta, (unimodal[c], ee, general), mode_cells, pairs_table)
-    lines.append("")
-    _write("\n".join(lines), args.out)
+        counts.append((unimodal[c], ee, general))
+        pair_rows.append([] if pairs_table is None else branch_rows(pairs_table, beta))
+    jsonio.check_floats(np.array([a for rows in pair_rows for row in rows for a in (*row[2], *row[3])]))
+    with _output(args.out) as write:
+        write(",".join(header) + "\n")
+        for beta, count, rows, mode_cells in zip(betas, counts, pair_rows, _mode_cells(modes, states)):
+            lines = _sweep_lines(beta, count, mode_cells, rows)
+            lines.append("")
+            write("\n".join(lines))
     if args.gnuplot is not None:
         args.gnuplot.write_text(_gnuplot_script(args.out, header), encoding="utf-8")
     return 0
@@ -475,7 +500,7 @@ def cmd_convert(args) -> int:
         # a product of the beam data underflows to zero
         raise ValidationError(f"beam data out of the floating-point range: {exc}") from exc
     doc = {"params": params.describe(), "diagnostics": diag.describe()}
-    _write(jsonio.dumps(doc), args.out)
+    _write(doc, args.out)
     return 0
 
 

@@ -10,13 +10,19 @@ whole array.
 two-space indent.  A list of solution records is one
 :class:`SolutionRecords` in the document: it is rendered from the
 arrays of a :class:`beamforge.core.Inventory` and spliced into the
-output.  All floats of the records are formatted in one array pass,
-each distinct magnitude once.  Each run of consecutive records with the
-same stored-mode count repeats one text template, and one ``%`` fills
-the whole list, so the record layout (``modes`` as
-``n``/``alpha``/``gamma`` dicts, then ``tag``, ``C_u`` and ``C_v``) is
-written down only in :func:`_record_template`.  The bytes are those the
-recursive emitter gives the same records as dicts.
+output.  The records are written in blocks of ``_BLOCK_ROWS``: the
+floats of a block are formatted in one array pass, each distinct
+magnitude once.  Each run of consecutive records with the same
+stored-mode count repeats one text template, and one ``%`` fills the
+whole block, so the record layout (``modes`` as ``n``/``alpha``/``gamma``
+dicts, then ``tag``, ``C_u`` and ``C_v``) is written down only in
+:func:`_record_template`.  The bytes are those the recursive emitter
+gives the same records as dicts.
+
+:func:`dump` sends a document piece by piece to a ``write`` callable,
+so a large one is never held whole; :func:`dumps` joins the pieces.
+:func:`check` raises, before anything is written, the error that
+writing a document would raise on a non-finite float.
 
 CSV cells are written by :func:`csv_cell`.  ``sweep`` writes its own
 lines, one compression at a time: it formats each amplitude magnitude
@@ -34,6 +40,15 @@ import numpy as np
 from .errors import ValidationError
 
 INDENT = 2
+
+# Solution records per block.  A block's texts, fields and ``%`` result
+# live only while it is written, so the memory a list of records needs is
+# bounded by the block, not by the inventory.  In a fresh process, an
+# ``enumerate`` of 16,640 records grew RSS by about 9.6 MB with blocks of
+# 64 to 4096 records (the rest of the command needs that much), 14 MB
+# with blocks of 8192 and 23 MB as one block; blocks of 256 took 15%
+# longer than blocks of 1024.
+_BLOCK_ROWS = 1024
 
 
 def format_float(x: float) -> str:
@@ -62,34 +77,69 @@ class SolutionRecords:
         self.inventory = inventory
         self.checks = checks
 
-    def text(self, level: int) -> str:
-        """The list as :func:`_emit` writes it at nesting ``level``."""
+    def _values(self, rows: slice, used: int) -> np.ndarray:
+        """The floats of records ``rows`` in their written order: slot
+        ``j < used`` holds alpha and gamma of mode ``j``, slot ``used``
+        ``C_u`` and ``C_v``."""
+        inv = self.inventory
+        alpha = inv.alpha[rows, :used]
+        values = np.empty((len(alpha), used + 1, 2))
+        values[:, :used, 0] = alpha
+        values[:, :used, 1] = inv.gamma[rows, :used]
+        values[:, used, 0] = self.checks.C_u[rows]
+        values[:, used, 1] = self.checks.C_v[rows]
+        return values
+
+    def check(self) -> None:
+        """Raise the error that writing the records would raise on a
+        non-finite float, for all of them at once."""
+        check_floats(self._values(slice(None), int(self.inventory.width.max(initial=0))))
+
+    def write(self, write, level: int) -> None:
+        """Send the list, as :func:`_emit` writes it at nesting ``level``,
+        to ``write`` in blocks of ``_BLOCK_ROWS`` records."""
         inv = self.inventory
         if not len(inv):
-            return "[]"
+            write("[]")
+            return
         # slot j < used holds n, alpha and gamma of mode j, slot `used` the
         # tag, C_u and C_v; a record's fields are its stored slots and the last
         used = int(inv.width.max())
-        values = np.empty((len(inv), used + 1, 2))
-        values[:, :used, 0] = inv.alpha[:, :used]
-        values[:, :used, 1] = inv.gamma[:, :used]
-        values[:, used, 0] = self.checks.C_u
-        values[:, used, 1] = self.checks.C_v
-        fields = np.empty((len(inv), used + 1, 3), dtype=object)
-        fields[:, :, 1:] = _format_floats(values)
-        fields[:, :used, 0] = inv.n[:, :used]
-        tag_text = {tag: json.dumps(tag) for tag in set(inv.tags)}
-        fields[:, used, 0] = list(map(tag_text.__getitem__, inv.tags))
-        stored = np.arange(used + 1) < inv.width[:, None]
-        stored[:, used] = True
-        # each run of rows of one width repeats that width's template
         templates = [_record_template(w, level + 1) for w in range(used + 1)]
-        cuts = [0, *(np.flatnonzero(np.diff(inv.width)) + 1).tolist(), len(inv)]
-        layout = ",\n".join(
-            ",\n".join([templates[inv.width[a]]] * (b - a)) for a, b in zip(cuts, cuts[1:])
-        )
-        pad = " " * (INDENT * level)
-        return f"[\n{layout}\n{pad}]" % tuple(fields[stored].ravel().tolist())
+        tag_text = {tag: json.dumps(tag) for tag in set(inv.tags)}
+        write("[\n")
+        for start in range(0, len(inv), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            width = inv.width[rows]
+            fields = np.empty((len(width), used + 1, 3), dtype=object)
+            fields[:, :, 1:] = _format_floats(self._values(rows, used))
+            fields[:, :used, 0] = inv.n[rows, :used]
+            fields[:, used, 0] = list(map(tag_text.__getitem__, inv.tags[rows]))
+            stored = np.arange(used + 1) < width[:, None]
+            stored[:, used] = True
+            # each run of rows of one width repeats that width's template
+            cuts = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), len(width)]
+            layout = ",\n".join(
+                ",\n".join([templates[width[a]]] * (b - a)) for a, b in zip(cuts, cuts[1:])
+            )
+            if start:
+                write(",\n")
+            write(layout % tuple(fields[stored].ravel().tolist()))
+        write("\n" + " " * (INDENT * level) + "]")
+
+    def text(self, level: int) -> str:
+        """The list as :func:`_emit` writes it at nesting ``level``."""
+        parts: list[str] = []
+        self.write(parts.append, level)
+        return "".join(parts)
+
+
+def check_floats(values: np.ndarray) -> None:
+    """Raise the :func:`format_float` error of the first non-finite
+    value of ``values``, if there is one."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_float(float(values[~finite][0]))  # raises
 
 
 def _format_floats(values: np.ndarray) -> np.ndarray:
@@ -99,9 +149,7 @@ def _format_floats(values: np.ndarray) -> np.ndarray:
     magnitude is formatted once, all by one ``%`` (``"%.17g" % x`` is
     ``format(x, ".17g")``); a negative value takes the
     :func:`format_negated` image of its magnitude's text."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        format_float(float(values[~finite][0]))  # raises
+    check_floats(values)
     magnitudes, index = np.unique(np.abs(values).ravel(), return_inverse=True)
     texts = ("%.17g\n" * len(magnitudes) % tuple(magnitudes.tolist())).split("\n")[:-1]
     table = np.array(texts + list(map(format_negated, texts)), dtype=object)
@@ -124,55 +172,77 @@ def _record_template(width: int, level: int) -> str:
     )
 
 
-def _emit(obj, parts: list[str], level: int) -> None:
+def _emit(obj, write, level: int) -> None:
     pad = " " * (INDENT * level)
     pad_in = " " * (INDENT * (level + 1))
     if obj is None:
-        parts.append("null")
+        write("null")
     elif obj is True:
-        parts.append("true")
+        write("true")
     elif obj is False:
-        parts.append("false")
+        write("false")
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+        write(json.dumps(obj))
     elif isinstance(obj, int):
-        parts.append(repr(obj))
+        write(repr(obj))
     elif isinstance(obj, float):
-        parts.append(format_float(obj))
+        write(format_float(obj))
     elif isinstance(obj, dict):
         if not obj:
-            parts.append("{}")
+            write("{}")
             return
-        parts.append("{\n")
+        write("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(pad_in)
-            parts.append(json.dumps(key))
-            parts.append(": ")
-            _emit(value, parts, level + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "}")
+            write(pad_in)
+            write(json.dumps(key))
+            write(": ")
+            _emit(value, write, level + 1)
+            write(",\n" if i < len(obj) - 1 else "\n")
+        write(pad + "}")
     elif isinstance(obj, SolutionRecords):
-        parts.append(obj.text(level))
+        obj.write(write, level)
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            parts.append("[]")
+            write("[]")
             return
-        parts.append("[\n")
+        write("[\n")
         for i, value in enumerate(obj):
-            parts.append(pad_in)
-            _emit(value, parts, level + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "]")
+            write(pad_in)
+            _emit(value, write, level + 1)
+            write(",\n" if i < len(obj) - 1 else "\n")
+        write(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def check(obj) -> None:
+    """Raise the error that :func:`dump` would raise on a non-finite
+    float of ``obj``, before anything is written."""
+    if isinstance(obj, float):
+        format_float(obj)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            check(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            check(value)
+    elif isinstance(obj, SolutionRecords):
+        obj.check()
+
+
+def dump(obj, write) -> None:
+    """Send ``obj`` as JSON to ``write``, piece by piece.  A non-finite
+    float raises when it is reached; call :func:`check` first to write
+    nothing in that case."""
+    _emit(obj, write, 0)
+    write("\n")
+
+
 def dumps(obj) -> str:
     parts: list[str] = []
-    _emit(obj, parts, 0)
-    parts.append("\n")
+    dump(obj, parts.append)
     return "".join(parts)
 
 

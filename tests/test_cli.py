@@ -103,8 +103,10 @@ def test_enumerate_family_with_samples(capsys):
 
 
 def test_enumerate_verification_failure_exit_code(capsys):
-    code, _ = run_cli(capsys, "enumerate", *COMMON, "--tol-res", "1e-30")
+    code, out = run_cli(capsys, "enumerate", *COMMON, "--tol-res", "1e-30")
     assert code == 3
+    # the whole document is written, its failed verification block too
+    assert json.loads(out)["verification"]["passed"] is False
 
 
 @pytest.mark.parametrize(
@@ -395,10 +397,30 @@ def test_overflow_exit_code(capsys, monkeypatch, tmp_path, argv, code):
     if code:
         assert captured.err.startswith("beamforge: non-finite float in output")
         assert captured.err.count("\n") == 1
+        assert captured.out == ""
     else:
         assert captured.err == ""
     if argv[0] == "sets" and code == 0:
         assert json.loads(captured.out)["B1"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--spectrum", "scaled", "--k", "9e307", "--beta=-100"),
+        # the amplitudes overflow at the top compressions
+        ("sweep", "--grid", "0:1e308:3"),
+    ],
+    ids=" ".join,
+)
+def test_exit_2_leaves_out_file_as_it_was(capsys, tmp_path, argv):
+    # the output is written piece by piece, so every float is checked
+    # before --out is opened
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"an earlier result\n")
+    assert main([*argv, "--out", str(out)]) == 2
+    assert out.read_bytes() == b"an earlier result\n"
+    assert capsys.readouterr().err.startswith("beamforge: non-finite float in output")
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beamforge import jsonio
 from beamforge.core import Inventory, InventoryChecks
@@ -103,5 +103,62 @@ def test_solution_records_text_is_the_recursive_emitters(records, level):
         for row, tag, cu, cv in zip(rows, tags, C_u, C_v)
     ]
     parts = []
-    jsonio._emit(dicts, parts, level)
+    jsonio._emit(dicts, parts.append, level)
     assert SolutionRecords(inv, checks).text(level) == "".join(parts)
+
+
+BLOCK = jsonio._BLOCK_ROWS
+
+
+@st.composite
+def blocked_inventories(draw):
+    """Rows, tags, C_u and C_v of an inventory of 0, 1, a block's length
+    or one more or less, or several blocks: drawn rows of each width
+    repeat in a drawn cycle, and the two rows at each block boundary
+    differ in width."""
+    length = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2]))
+    pool = []
+    for width in range(4):
+        ns = sorted(draw(st.lists(st.integers(1, 999), min_size=width, max_size=width, unique=True)))
+        pool.append([(n, *draw(COEFFS)) for n in ns])
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    widths = [widths[i % len(widths)] for i in range(length)]
+    for boundary in range(BLOCK, length, BLOCK):
+        widths[boundary - 1 : boundary + 1] = draw(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda pair: pair[0] != pair[1])
+        )
+    # C_u and C_v repeat with their own period, so a magnitude recurs across blocks
+    tags = draw(st.lists(st.text(max_size=6), min_size=1, max_size=3))
+    cs = draw(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=7))
+    return (
+        [pool[w] for w in widths],
+        [tags[i % len(tags)] for i in range(length)],
+        [cs[i % len(cs)][0] for i in range(length)],
+        [cs[i % len(cs)][1] for i in range(length)],
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(blocked_inventories(), st.integers(0, 3))
+def test_solution_records_blocks_join_to_the_recursive_emitters(records, level):
+    rows, tags, C_u, C_v = records
+    inv = Inventory.from_rows(rows, tags)
+    zeros = np.zeros(len(rows))
+    checks = InventoryChecks(np.array(C_u, dtype=float), np.array(C_v, dtype=float), zeros, zeros)
+    listed = SolutionRecords(inv, checks)
+    pieces = []
+    listed.write(pieces.append, level)
+    dicts = [
+        {"modes": [{"n": n, "alpha": a, "gamma": g} for n, a, g in row], "tag": tag, "C_u": cu, "C_v": cv}
+        for row, tag, cu, cv in zip(rows, tags, C_u, C_v)
+    ]
+    expected = []
+    jsonio._emit(dicts, expected.append, level)
+    assert "".join(pieces) == listed.text(level) == "".join(expected)
+    # "[", then the blocks with a separator between two, then "]"; every
+    # block but the last holds BLOCK records, each with one "tag" key
+    blocks = pieces[1:-1:2]
+    assert len(pieces) == (2 * len(blocks) + 1 if rows else 1)
+    assert [block.count('"tag": ') for block in blocks] == [
+        min(BLOCK, len(rows) - start) for start in range(0, len(rows), BLOCK)
+    ]
