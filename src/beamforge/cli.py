@@ -368,45 +368,62 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _sweep_lines(beta: float, counts, mode_cells: list[str], pair_rows) -> list[str]:
-    """The CSV lines of one compression, in branch id order: the rows of
-    the pairs (``b...``), whose :func:`branch_rows` are ``pair_rows``,
-    then the tracked modes' rows, whose cells from ``branch_id`` to the
-    two empty pair columns are ``mode_cells``."""
-    beta_text = jsonio.format_float(beta)
-    tail = ",".join(map(jsonio.csv_cell, counts))
+def _pair_lines(beta_text: str, tail: str, pair_rows) -> str:
+    """The CSV lines, each ending in a newline, of the pairs (``b...``)
+    of one compression, whose :func:`branch_rows` are ``pair_rows``, in
+    branch id order."""
     pair_lines = []
     for (n1, n2), kind, (a1, g1), (a2, g2) in pair_rows:
         sig = ("+" if a1 > 0 else "-") + ("+" if a2 > 0 else "-")
         branch_id = f"b{n1}-{n2}:{kind}{sig}"
         amplitudes = ",".join(map(jsonio.format_float, (a1, g1, a2, g2)))
-        pair_lines.append((branch_id, f"{beta_text},{branch_id},{n1};{n2},{amplitudes},{tail}"))
+        pair_lines.append((branch_id, f"{beta_text},{branch_id},{n1};{n2},{amplitudes},{tail}\n"))
     # stable, so a repeated pair keeps its rows in argument order
     pair_lines.sort(key=lambda item: item[0])
-    return [line for _, line in pair_lines] + [f"{beta_text},{cells}{tail}" for cells in mode_cells]
+    return "".join(line for _, line in pair_lines)
 
 
-def _mode_cells(modes: list[int], states):
-    """Per compression of ``states`` in turn, the cells from ``branch_id``
-    to the empty pair columns of the rows of ``modes``, the first modes
-    of the table it evaluates."""
+# the signs of a value's cell on an entry's row and on its sign image's
+# row, by _sign_class; zero has no sign, as format_float normalizes it
+_SIGNS = (("", "-"), ("-", ""), ("", ""))
+
+
+def _sign_class(x: np.ndarray) -> np.ndarray:
+    """0 for a positive value, 1 for a negative one, 2 for zero."""
+    return np.where(x > 0, 0, np.where(x < 0, 1, 2))
+
+
+def _mode_lines(modes: list[int], states, beta_texts: list[str], tails: list[str]):
+    """Per compression of ``states`` in turn, the CSV lines of the rows
+    of ``modes``, the first modes of the table it evaluates, as one text
+    whose lines each end in a newline.  ``beta_texts`` and ``tails`` are
+    the compressions' ``beta`` cells and count cells."""
     compression, row, family = np.nonzero(states.reported[:, : len(modes)])
-    amplitudes = states.amplitude[compression, row, family]
+    alpha = states.amplitude[compression, row, family]
     # gamma is a signed partner amplitude; families 3 and 4 are reported
     # together, so the partner of each entry is next to it
-    step, positive = (_PARTNER - np.arange(4)).tolist(), (_GAMMA_SIGN > 0).tolist()
-    ids = [[(f"n{n}:alpha{i}+,{n},", f"n{n}:alpha{i}-,{n},") for i in (1, 2, 3, 4)] for n in modes]
+    partner = np.arange(len(family)) + (_PARTNER - np.arange(4))[family]
+    sign = 3 * _sign_class(alpha) + _sign_class(_GAMMA_SIGN[family] * alpha[partner])
+    ids = np.array([[(f"n{n}:alpha{i}+,{n},", f"n{n}:alpha{i}-,{n},") for i in (1, 2, 3, 4)] for n in modes],
+                   dtype=object)
     bounds = np.searchsorted(compression, np.arange(len(states.band) + 1)).tolist()
-    for start, end in zip(bounds, bounds[1:]):
-        # each magnitude formatted once; every other cell is its sign image
-        plus = [jsonio.format_float(a) for a in amplitudes[start:end].tolist()]
-        minus = [jsonio.format_negated(text) for text in plus]
-        cells = []
-        for j, (m, i) in enumerate(zip(row[start:end].tolist(), family[start:end].tolist())):
-            k = j + step[i]
-            g_plus, g_minus = (plus[k], minus[k]) if positive[i] else (minus[k], plus[k])
-            cells += [f"{ids[m][i][0]}{plus[j]},{g_plus},,,", f"{ids[m][i][1]}{minus[j]},{g_minus},,,"]
-        yield cells
+    for start, end, beta_text, tail in zip(bounds, bounds[1:], beta_texts, tails):
+        # an entry's row and its sign image's row, per sign class of alpha
+        # and of gamma; beta and count cells hold no "%"
+        templates = [
+            f"{beta_text},%s{a}%s,{g}%s,,,{tail}\n{beta_text},%s{a_image}%s,{g_image}%s,,,{tail}\n"
+            for a, a_image in _SIGNS for g, g_image in _SIGNS
+        ]
+        # each magnitude is formatted once, by one %, and fills the alpha
+        # cells of its entry and the gamma cells of its partner
+        size = end - start
+        texts = ("%.17g\n" * size % tuple(np.abs(alpha[start:end]).tolist())).split("\n")[:-1]
+        magnitudes = np.array(texts, dtype=object)
+        fields = np.empty((size, 2, 3), dtype=object)
+        fields[:, :, 0] = ids[row[start:end], family[start:end]]
+        fields[:, :, 1] = magnitudes[:, None]
+        fields[:, :, 2] = magnitudes[partner[start:end] - start, None]
+        yield "".join(map(templates.__getitem__, sign[start:end].tolist())) % tuple(fields.ravel().tolist())
 
 
 def cmd_sweep(args) -> int:
@@ -448,19 +465,19 @@ def cmd_sweep(args) -> int:
     # first line is written
     jsonio.check_floats(states.amplitude[:, : len(modes)][states.reported[:, : len(modes)]])
     jsonio.check_floats(np.array(betas))
-    counts, pair_rows = [], []
+    tails, pair_rows = [], []
     for c, beta in enumerate(betas):
         _check_mode_count(spec, beta, n_star[c])
         ee, general = count_ee_families(ee_thresholds, beta), count_general_bimodal(bimodal_table, beta, n_star[c])
-        counts.append((unimodal[c], ee, general))
+        tails.append(",".join(map(jsonio.csv_cell, (unimodal[c], ee, general))))
         pair_rows.append([] if pairs_table is None else branch_rows(pairs_table, beta))
     jsonio.check_floats(np.array([a for rows in pair_rows for row in rows for a in (*row[2], *row[3])]))
+    beta_texts = list(map(jsonio.format_float, betas))
     with _output(args.out) as write:
         write(",".join(header) + "\n")
-        for beta, count, rows, mode_cells in zip(betas, counts, pair_rows, _mode_cells(modes, states)):
-            lines = _sweep_lines(beta, count, mode_cells, rows)
-            lines.append("")
-            write("\n".join(lines))
+        mode_lines = _mode_lines(modes, states, beta_texts, tails)
+        for beta_text, tail, rows, mode_text in zip(beta_texts, tails, pair_rows, mode_lines):
+            write(_pair_lines(beta_text, tail, rows) + mode_text)
     if args.gnuplot is not None:
         args.gnuplot.write_text(_gnuplot_script(args.out, header), encoding="utf-8")
     return 0

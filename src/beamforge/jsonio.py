@@ -26,8 +26,8 @@ writing a document would raise on a non-finite float.
 
 CSV cells are written by :func:`csv_cell`.  ``sweep`` writes its own
 lines, one compression at a time: it formats each amplitude magnitude
-once and the cell of its sign image is :func:`format_negated` of that
-text.
+once, and a line template per sign pattern puts the signs in front of
+the magnitudes.
 """
 
 from __future__ import annotations

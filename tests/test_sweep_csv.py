@@ -1,7 +1,8 @@
 """The sweep CSV against the emitter it replaced.
 
 ``sweep`` writes its lines one compression at a time, formats each
-amplitude magnitude once and derives the sign images from that text.
+amplitude magnitude once and puts the signs of a row and of its sign
+image in front of that text by a line template.
 The reference below is the emitter before that: one list per row, every
 row sorted by ``(beta, branch_id)``, then :func:`jsonio.csv_text`, with
 the bands and amplitudes of the scalar reference of
