@@ -2,12 +2,7 @@
 extensible double-beam systems, with residual verification and a
 brute-force Galerkin cross-check."""
 
-from .bimodal import (
-    BimodalInvariants,
-    bstar_pairs,
-    compute_invariants,
-    enumerate_general_bimodal,
-)
+from .bimodal import bstar_pairs, enumerate_general_bimodal
 from .convert import ConversionDiagnostics, PhysicalParams, dimensionless_params
 from .core import (
     CubicReport,
@@ -16,19 +11,11 @@ from .core import (
     ResidualReport,
     axial_coefficients,
     cubic_check,
-    is_ee,
     modal_residual,
 )
 from .ee_families import EEFamily, enumerate_ee_families, sample_family
 from .errors import ValidationError, VerificationError
-from .modesets import (
-    ModeSetPartition,
-    dirichlet_mode_count,
-    ee_bimodal_membership,
-    ee_trimodal_membership,
-    effective_modes,
-    required_k,
-)
+from .modesets import ModeSetPartition, dirichlet_mode_count, effective_modes
 from .oracle import MatchReport, OracleResult, galerkin_solve, match_against
 from .single_beam import SingleBeamSolutionSet, enumerate_foundation, enumerate_plain
 from .spectrum import Spectrum
@@ -37,7 +24,6 @@ from .unimodal import enumerate_unimodal
 __version__ = "0.1.0"
 
 __all__ = [
-    "BimodalInvariants",
     "ConversionDiagnostics",
     "CubicReport",
     "EEFamily",
@@ -54,12 +40,9 @@ __all__ = [
     "VerificationError",
     "axial_coefficients",
     "bstar_pairs",
-    "compute_invariants",
     "cubic_check",
     "dimensionless_params",
     "dirichlet_mode_count",
-    "ee_bimodal_membership",
-    "ee_trimodal_membership",
     "effective_modes",
     "enumerate_ee_families",
     "enumerate_foundation",
@@ -67,9 +50,7 @@ __all__ = [
     "enumerate_plain",
     "enumerate_unimodal",
     "galerkin_solve",
-    "is_ee",
     "match_against",
     "modal_residual",
-    "required_k",
     "sample_family",
 ]

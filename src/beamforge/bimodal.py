@@ -28,17 +28,15 @@ collapse ``X == Y``; there the solutions merge into the EE continua of
 Everything above except the window test and ``(r, t)`` is independent
 of ``beta``: the invariants, the seam flag and the window kind of a list
 of pairs are evaluated once, on arrays, one column per pair
-(:func:`_invariants`, gathered in a :class:`PairTable`), and
-:func:`compute_invariants` is its one-pair view.  One array evaluation
-of a table at a ``beta`` takes the window test, ``F, G -> r^2, s^2`` and
-the positivity test of every pair; the solution inventory,
-:func:`pair_branches`, :func:`bstar_pairs`, the sweep's pair rows and
-:func:`count_general_bimodal` all read it.
+(:func:`_invariants`, gathered in a :class:`PairTable`).  One array
+evaluation of a table at a ``beta`` takes the window test,
+``F, G -> r^2, s^2`` and the positivity test of every pair; the solution
+inventory, :func:`pair_branches`, :func:`bstar_pairs`, the sweep's pair
+rows and :func:`count_general_bimodal` all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,35 +54,16 @@ _TAGS = tuple(f"general-bimodal({kind})" for kind in _KINDS)
 _WINDOWS = (None, "B1*", "B2*")
 
 
-@dataclass(frozen=True)
-class BimodalInvariants:
-    pair: tuple[int, int]
-    lam1: float
-    lam2: float
-    zeta: float
-    sigma: float
-    Phi: float
-    Psi: float
-    X: float
-    Y: float
-    W: float
-    Z: float
-    f: float
-    g: float
-    m_small: float
-    m_big: float
-    nu_shift: float  # k (X - Y) / (varrho lam1^2), the circle/ellipse offset
-
-
 def _invariants(lam1, lam2, k: float, varrho: float) -> tuple[dict, np.ndarray, np.ndarray]:
     """The beta-independent algebra of the pairs with eigenvalues
-    ``lam1 < lam2`` (arrays): one column per :class:`BimodalInvariants`
-    field but ``pair``; the mask of the pairs that have invariants, which
-    can carry real coefficient ratios (not a product in ``(0, k)`` without
-    the gap alternative, nor the degenerate ``lam1*lam2 == k``); and the
-    window each pair can open whatever ``beta``, as a :class:`PairTable`
-    code.  Outside the mask the columns hold whatever the float
-    operations gave."""
+    ``lam1 < lam2`` (arrays): the columns ``lam1, lam2, zeta, sigma,
+    Phi, Psi, X, Y, W, Z, f, g, m_small, m_big`` and ``nu_shift``, the
+    circle/ellipse offset ``k (X - Y) / (varrho lam1^2)``; the mask of
+    the pairs that have invariants, which can carry real coefficient
+    ratios (not a product in ``(0, k)`` without the gap alternative, nor
+    the degenerate ``lam1*lam2 == k``); and the window each pair can open
+    whatever ``beta``, as a :class:`PairTable` code.  Outside the mask
+    the columns hold whatever the float operations gave."""
     with np.errstate(all="ignore"):
         prod = lam1 * lam2
         gap = lam1 * (lam2 - lam1)
@@ -124,20 +103,6 @@ def _ratio_roots(s):
     up = s >= 0.0
     big = np.where(up, 0.5 * (s + root), 0.5 * (s - root))
     return np.where(up, big, 1.0 / big), np.where(up, 1.0 / big, big), ~(disc < 0.0) | clamped
-
-
-def compute_invariants(p: Params, spec: Spectrum, pair: tuple[int, int]) -> BimodalInvariants | None:
-    """Derived algebra for a mode pair, or ``None`` when it cannot carry
-    real coefficient ratios (product in ``(0, k)`` without the gap
-    alternative, or the degenerate ``lam1*lam2 == k``)."""
-    n1, n2 = pair
-    if not n1 < n2:
-        raise ValueError("pair must be strictly increasing")
-    lam1, lam2 = np.array([[spec.eigenvalue(n1)], [spec.eigenvalue(n2)]])
-    columns, has, _ = _invariants(lam1, lam2, p.k, p.varrho)
-    if not has[0]:
-        return None
-    return BimodalInvariants((n1, n2), **{name: column[0].item() for name, column in columns.items()})
 
 
 # the columns zeta, m_small, m_big, f, g, scale, X, Y, W, Z of a pair
@@ -206,10 +171,13 @@ def _circle_ellipse(table: PairTable, beta: float):
     X2, Y2, W2, Z2 = table.X2, table.Y2, table.W2, table.Z2
     mb = -beta
     is_open = ((window == 1) & (m_small < mb) & (mb < m_big)) | ((window == 2) & (m_big < mb))
-    F = (table.f - beta) / table.scale
-    G = (table.g - beta) / table.scale
-    r2 = ((W2 * F - G) / (W2 - X2), (Z2 * G - F) / (Z2 - Y2))
-    s2 = ((G - X2 * F) / (W2 - X2), (F - Y2 * G) / (Z2 - Y2))
+    # at extreme parameters these overflow or cancel to NaN; the
+    # positivity masks reject a NaN, and the emitter rejects an inf root
+    with np.errstate(all="ignore"):
+        F = (table.f - beta) / table.scale
+        G = (table.g - beta) / table.scale
+        r2 = ((W2 * F - G) / (W2 - X2), (Z2 * G - F) / (Z2 - Y2))
+        s2 = ((G - X2 * F) / (W2 - X2), (F - Y2 * G) / (Z2 - Y2))
     # inside an open window a square is nonpositive only by roundoff,
     # within a few ulps of its edge
     return is_open, r2, s2, [is_open & (r > 0.0) & (s > 0.0) for r, s in zip(r2, s2)]

@@ -1,4 +1,4 @@
-"""Verification spine: parameters, modal solutions, residuals, EE test.
+"""Verification spine: parameters, modal solutions, residuals, cubic check.
 
 A stationary state of the coupled system is stored as a finite map from
 mode index ``n`` to the coefficient pair ``(alpha_n, gamma_n)`` of the two
@@ -94,9 +94,6 @@ class ModalSolution:
     @property
     def is_trivial(self) -> bool:
         return not self.active
-
-    def coefficient(self, n: int) -> tuple[float, float]:
-        return self.modes.get(n, (0.0, 0.0))
 
     def to_json_dict(self, p: Params, spec: Spectrum) -> dict:
         """The solution's JSON record, read back from its one-row
@@ -267,18 +264,6 @@ def modal_residual(sol: ModalSolution, p: Params, spec: Spectrum) -> ResidualRep
     return ResidualReport(per_mode, max_abs, max_abs / max(1.0, term_scale))
 
 
-def is_ee(sol: ModalSolution, p: Params, spec: Spectrum, tol: float = 1e-9) -> bool:
-    """True when the energy is equidistributed: ``C_u == C_v`` within
-    ``tol`` relative to ``max(1, |C_u|, |C_v|)``."""
-    return _equidistributed(*axial_coefficients(sol, p, spec), tol)
-
-
-def _equidistributed(cu: float, cv: float, tol: float) -> bool:
-    if not tol > 0.0:
-        raise ValidationError("tolerance must be positive")
-    return abs(cu - cv) <= tol * max(1.0, abs(cu), abs(cv))
-
-
 def cubic_check(sol: ModalSolution, p: Params, spec: Spectrum, ee_tol: float = 1e-9) -> CubicReport:
     """Evaluate ``P(lam) = lam^3 + (C_u+C_v) lam^2 + (C_u C_v + 2k) lam
     + k (C_u+C_v)`` at each active eigenvalue.
@@ -302,7 +287,9 @@ def cubic_check(sol: ModalSolution, p: Params, spec: Spectrum, ee_tol: float = 1
         max_rel = max(max_rel, abs(val) / scale)
     factored = None
     agreement = None
-    if _equidistributed(cu, cv, ee_tol):
+    if not ee_tol > 0.0:
+        raise ValidationError("tolerance must be positive")
+    if abs(cu - cv) <= ee_tol * max(1.0, abs(cu), abs(cv)):
         factored = []
         agreement = 0.0
         for lam, val in values:

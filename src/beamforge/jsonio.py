@@ -127,12 +127,6 @@ class SolutionRecords:
             write(layout % tuple(fields[stored].ravel().tolist()))
         write("\n" + " " * (INDENT * level) + "]")
 
-    def text(self, level: int) -> str:
-        """The list as :func:`_emit` writes it at nesting ``level``."""
-        parts: list[str] = []
-        self.write(parts.append, level)
-        return "".join(parts)
-
 
 def check_floats(values: np.ndarray) -> None:
     """Raise the :func:`format_float` error of the first non-finite

@@ -14,7 +14,7 @@ evaluated in one place, :func:`_mode_states`, on a mode table: the rows
 The resonance equalities depend on the spectrum and ``k`` only, never on
 ``beta``.  They are evaluated in one place, :func:`_resonance`, on the
 eigenvalue columns of a list of pairs; the EE pair and triple scans and
-their membership tests are views of it.  Each EE family then exists
+their thresholds are views of it.  Each EE family then exists
 exactly above one compression threshold, so a sweep over compressions
 collects the thresholds once (:func:`ee_family_thresholds`) and counts
 the families at each compression by bisection.
@@ -256,62 +256,6 @@ def _effective_pairs(p: Params, spec: Spectrum):
     return n1, n2, lam[n1 - 1], lam[n2 - 1]
 
 
-def ee_bimodal_membership(
-    p: Params, spec: Spectrum, pair: tuple[int, int], tol: float = 1e-9
-) -> str | None:
-    """Classify an index pair as ``"B1"``, ``"B2"`` or ``None``.
-
-    B1 requires ``lam1*lam2 == 2k`` and ``lam1+lam2 < -beta``;
-    B2 requires ``lam1*(lam2-lam1) == 2k`` and ``lam2 < -beta``.
-    Equalities are tested with relative tolerance ``tol``, inequalities
-    are strict.
-    """
-    n1, n2 = pair
-    if not n1 < n2:
-        raise ValueError("pair must be strictly increasing")
-    lam1, lam2 = np.array([[spec.eigenvalue(n1)], [spec.eigenvalue(n2)]])
-    kind = int(_ee_kinds(lam1, lam2, p.beta, p.k, tol)[0])
-    return f"B{kind}" if kind else None
-
-
-def ee_trimodal_membership(
-    p: Params, spec: Spectrum, triple: tuple[int, int, int], tol: float = 1e-9
-) -> bool:
-    """True when the triple carries a trimodal EE family:
-    ``lam3 < -beta`` and ``lam1*(lam3-lam1) == lam2*(lam3-lam2) == 2k``."""
-    n1, n2, n3 = triple
-    if not n1 < n2 < n3:
-        raise ValueError("triple must be strictly increasing")
-    lam = np.array([spec.eigenvalue(n) for n in triple])
-    return bool(lam[2] < -p.beta) and _ee_triples(lam, p.k, tol).shape[1] > 0
-
-
-def required_k(spec: Spectrum, indices, family: str) -> float | None:
-    """Invert the resonance equalities: the ``k`` at which the family
-    exists for the given indices, or ``None`` when no such ``k`` exists.
-
-    The inequality constraints (which involve ``beta``) are not checked.
-    """
-    if family == "B1":
-        n1, n2 = indices
-        return spec.eigenvalue(n1) * spec.eigenvalue(n2) / 2.0
-    if family == "B2":
-        n1, n2 = indices
-        lam1 = spec.eigenvalue(n1)
-        return lam1 * (spec.eigenvalue(n2) - lam1) / 2.0
-    if family == "T":
-        n1, n2, n3 = indices
-        lam1 = spec.eigenvalue(n1)
-        lam2 = spec.eigenvalue(n2)
-        lam3 = spec.eigenvalue(n3)
-        k1 = lam1 * (lam3 - lam1) / 2.0
-        k2 = lam2 * (lam3 - lam2) / 2.0
-        if _rel_eq(k1, k2, 1e-12):
-            return k1
-        return None
-    raise ValueError(f"unknown family {family!r}")
-
-
 def bimodal_ee_pairs(p: Params, spec: Spectrum, tol: float = 1e-9):
     """All B1/B2 pairs with both indices effective, as (pair, kind)."""
     n1, n2, lam1, lam2 = _effective_pairs(p, spec)
@@ -335,8 +279,8 @@ def ee_family_thresholds(p: Params, spec: Spectrum, tol: float = 1e-9) -> np.nda
     A family exists at ``-beta`` exactly when its threshold is strictly
     below ``-beta``: ``lam2`` for a B2 pair, else ``lam1 + lam2`` for a
     B1 pair (a pair on both equalities is a member once ``lam2 < -beta``),
-    and ``lam3`` for a triple.  These are the floats the membership tests
-    compare, so :func:`count_ee_families` equals the length of
+    and ``lam3`` for a triple.  These are the floats the pair and triple
+    scans compare, so :func:`count_ee_families` equals the length of
     ``enumerate_ee_families`` at any ``beta >= p.beta``.
     """
     _, _, lam1, lam2 = _effective_pairs(p, spec)
@@ -351,21 +295,3 @@ def count_ee_families(thresholds: np.ndarray, beta: float) -> int:
     """The number of EE families at ``beta``, from the thresholds of
     :func:`ee_family_thresholds` built at a compression ``>= -beta``."""
     return int(np.searchsorted(thresholds, -beta, "left"))
-
-
-def trimodal_candidates(spec: Spectrum, n_limit: int | None = None):
-    """Triples admitting *some* coupling ``k`` (and the ``k`` value).
-
-    A triple qualifies when ``lam1*(lam3-lam1) == lam2*(lam3-lam2)``
-    to ``1e-12`` relative; equivalently ``lam1 + lam2 == lam3``.  For power
-    spectra with exponent above one this scan is provably empty.
-    """
-    limit = spec.n_max if n_limit is None else min(n_limit, spec.n_max)
-    out = []
-    for n1 in range(1, limit + 1):
-        for n2 in range(n1 + 1, limit + 1):
-            for n3 in range(n2 + 1, limit + 1):
-                k = required_k(spec, (n1, n2, n3), "T")
-                if k is not None:
-                    out.append(((n1, n2, n3), k))
-    return out

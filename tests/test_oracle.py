@@ -21,8 +21,8 @@ from beamforge import (
 )
 from beamforge import kernels, oracle
 from beamforge.core import solution_sort_key
-from beamforge.modesets import trimodal_candidates
 from beamforge.oracle import DEDUP_RTOL, _dedup_merge
+from pair_reference import trimodal_candidates
 
 
 def closed_inventory(p, spec):
