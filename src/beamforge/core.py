@@ -8,7 +8,7 @@ consulted when residuals are evaluated.
 
 A list of isolated solutions is held as an :class:`Inventory`: fixed-shape
 rows of up to three stored modes, which :func:`check_inventory` verifies
-in one vectorized pass.  :func:`axial_coefficients`, :func:`modal_residual`
+in vectorized blocks of rows.  :func:`axial_coefficients`, :func:`modal_residual`
 and :func:`cubic_check` are the scalar reference it reproduces bit for bit.
 """
 
@@ -301,25 +301,41 @@ def cubic_check(sol: ModalSolution, p: Params, spec: Spectrum, ee_tol: float = 1
     return CubicReport(tuple(values), max_rel, factored, agreement)
 
 
-# an overflowed check is non-finite, which the emitter rejects
-@np.errstate(over="ignore", invalid="ignore")
 def check_inventory(inv: Inventory, p: Params, spec: Spectrum) -> InventoryChecks:
     """:func:`axial_coefficients`, :func:`modal_residual` and
-    :func:`cubic_check` of every row at once, tag-blind.
+    :func:`cubic_check` of every row, tag-blind.
 
     Each value equals the scalar one bit for bit: the float operations
     are the same and run in the same order, ``C_u`` and ``C_v`` are summed
     column by column over the stored modes only, the cubic sees the
     active modes only, and ``lam ** 3`` is read from a table computed
     with Python floats (NumPy's ``pow`` can round a cube differently).
+
+    The rows are checked in blocks of the writer's ``_BLOCK_ROWS``, so
+    the temporaries of the checks are bounded by a block, not by the
+    inventory; every value depends on its own row only.
     """
     top = int(inv.n.max(initial=0))
     lams = [1.0] + [spec.eigenvalue(m) for m in range(1, top + 1)]  # 0 pads
-    lam = np.array(lams)[inv.n]
-    cube = np.array([x ** 3 for x in lams])[inv.n]
-    a, g = inv.alpha, inv.gamma
-    stored = inv.stored
-    cu = np.full(len(inv), float(p.beta))
+    tables = np.array(lams), np.array([x ** 3 for x in lams])
+    checks = InventoryChecks(*(np.empty(len(inv)) for _ in InventoryChecks._fields))
+    for start in range(0, len(inv), jsonio._BLOCK_ROWS):
+        rows = slice(start, start + jsonio._BLOCK_ROWS)
+        block = _check_block(inv.n[rows], inv.alpha[rows], inv.gamma[rows], inv.width[rows], *tables, p)
+        for column, values in zip(checks, block):
+            column[rows] = values
+    return checks
+
+
+# an overflowed check is non-finite, which the emitter rejects
+@np.errstate(over="ignore", invalid="ignore")
+def _check_block(n, a, g, width, lam_table, cube_table, p: Params):
+    """``C_u``, ``C_v``, residual and cubic of the rows ``n``, ``a``,
+    ``g``, ``width`` of an :class:`Inventory`."""
+    lam = lam_table[n]
+    cube = cube_table[n]
+    stored = np.arange(n.shape[1]) < width[:, None]
+    cu = np.full(len(n), float(p.beta))
     cv = cu.copy()
     for j in range(a.shape[1]):
         on = stored[:, j]
@@ -343,7 +359,7 @@ def check_inventory(inv: Inventory, p: Params, spec: Spectrum) -> InventoryCheck
     scale = _maximum(1.0, cube, np.abs(s) * lam * lam, np.abs(q) * np.abs(lam), np.abs(p.k * s))
     active = stored & ~((a == 0.0) & (g == 0.0))
     cubic = np.where(active, np.abs(val) / scale, 0.0).max(axis=1)
-    return InventoryChecks(cu, cv, residual, cubic)
+    return cu, cv, residual, cubic
 
 
 def _maximum(*values):

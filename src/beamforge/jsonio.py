@@ -41,13 +41,15 @@ from .errors import ValidationError
 
 INDENT = 2
 
-# Solution records per block.  A block's texts, fields and ``%`` result
-# live only while it is written, so the memory a list of records needs is
-# bounded by the block, not by the inventory.  In a fresh process, an
-# ``enumerate`` of 16,640 records grew RSS by about 9.6 MB with blocks of
-# 64 to 4096 records (the rest of the command needs that much), 14 MB
-# with blocks of 8192 and 23 MB as one block; blocks of 256 took 15%
-# longer than blocks of 1024.
+# Solution records per block, written here and verified in
+# ``core.check_inventory``.  A block's temporaries, texts, fields and ``%``
+# result live only while it is checked or written, so the memory a list
+# of records needs is bounded by the block, not by the inventory.  In a
+# fresh process, an ``enumerate`` of 16,640 records grew RSS by about
+# 3.2 MB with blocks of 64 to 512 records (the rest of the command needs
+# that much), 4.0-4.4 MB with blocks of 1024, 5.6 MB with 2048, 8.7 MB
+# with 4096, 13.6 MB with 8192 and 22.6 MB as one block; blocks of 256
+# took 15% longer to write than blocks of 1024.
 _BLOCK_ROWS = 1024
 
 
@@ -58,14 +60,6 @@ def format_float(x: float) -> str:
     if x == 0.0:
         x = 0.0  # normalize the sign of zero
     return format(float(x), ".17g")
-
-
-def format_negated(text: str) -> str:
-    """``format_float(-x)`` from ``text == format_float(x)``: the sign
-    of zero is normalized, every other value's text just changes sign."""
-    if text == "0":
-        return text
-    return text[1:] if text[0] == "-" else "-" + text
 
 
 class SolutionRecords:
@@ -141,12 +135,13 @@ def _format_floats(values: np.ndarray) -> np.ndarray:
     shape.  The sign images of a solution share their ``C_u`` and
     ``C_v`` and repeat each coefficient's magnitude, so each distinct
     magnitude is formatted once, all by one ``%`` (``"%.17g" % x`` is
-    ``format(x, ".17g")``); a negative value takes the
-    :func:`format_negated` image of its magnitude's text."""
+    ``format(x, ".17g")``); a negative value takes its magnitude's text
+    with a ``-`` in front (its magnitude is not 0, so the text is not
+    ``"0"``, and ``-0.0`` is not negative)."""
     check_floats(values)
     magnitudes, index = np.unique(np.abs(values).ravel(), return_inverse=True)
     texts = ("%.17g\n" * len(magnitudes) % tuple(magnitudes.tolist())).split("\n")[:-1]
-    table = np.array(texts + list(map(format_negated, texts)), dtype=object)
+    table = np.array(texts + ["-" + t for t in texts], dtype=object)
     return table[index.reshape(values.shape) + len(texts) * (values < 0)]
 
 

@@ -59,6 +59,9 @@ DEFAULT_MAX_ITER = 60
 DEFAULT_MAX_BACKTRACK = 40
 
 
+# an overflow reports nothing here: a NaN merit fails the Armijo test, and a
+# start whose next iterate is not finite stops
+@np.errstate(over="ignore", invalid="ignore")
 def newton_batch(
     lams,
     beta: float,

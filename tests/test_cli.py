@@ -387,6 +387,8 @@ def test_file_errors_exit_code(capsys, monkeypatch, tmp_path, argv):
         (("sets", "--varrho", "1e-300", "--beta=-100"), 0),
         (("sweep", "--k", "1e-300", "--grid", "0:100:3"), 0),
         (("enumerate", "--varrho", "1e-300", "--beta=-100"), 2),
+        # the Newton iterates of the oracle's starts overflow
+        (("oracle", "--varrho", "1e-300", "--beta=-100", "--starts", "50"), 0),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, tuple) else None,
 )

@@ -8,6 +8,7 @@ to tags.
 
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from beamforge import (
     modal_residual,
     sample_family,
 )
-from beamforge import cli
+from beamforge import cli, jsonio
 from beamforge.bimodal import general_bimodal_inventory
 from beamforge.core import Inventory, check_inventory
 from beamforge.unimodal import unimodal_inventory
@@ -69,12 +70,64 @@ def test_checks_equal_scalar_reference(token, beta, varrho, k, sols):
     assert_matches_scalar(sols, Params(beta, varrho, k), Spectrum.from_token(token))
 
 
-def test_checks_equal_scalar_reference_on_deep_inventory():
+BLOCK = jsonio._BLOCK_ROWS
+
+
+@st.composite
+def blocked_solutions(draw):
+    """Solutions of 0, 1, a block's length or one more or less, or several
+    blocks: drawn solutions of each width repeat in a drawn cycle, and the
+    two rows at each block boundary differ in width."""
+    length = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2]))
+    pool = []
+    for width in range(4):
+        indices = sorted(draw(st.lists(st.integers(1, 20), min_size=width, max_size=width, unique=True)))
+        pool.append(ModalSolution({n: draw(MODE) for n in indices}, tag="untagged"))
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    widths = [widths[i % len(widths)] for i in range(length)]
+    for boundary in range(BLOCK, length, BLOCK):
+        widths[boundary - 1 : boundary + 1] = draw(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda pair: pair[0] != pair[1])
+        )
+    return [pool[w] for w in widths]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["scaled", "dirichlet", "power:2"]),
+    st.floats(-1e4, 1e3, allow_nan=False),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+    blocked_solutions(),
+)
+def test_checks_equal_scalar_reference_across_blocks(token, beta, varrho, k, sols):
+    assert_matches_scalar(sols, Params(beta, varrho, k), Spectrum.from_token(token))
+
+
+def deep_inventory():
     # 16,640 rows on the default Dirichlet spectrum at -beta = 45000
     p, spec = Params(-45000.0, 1.0, 1.0), Spectrum.dirichlet()
     sols = unimodal_inventory(p, spec).solutions() + general_bimodal_inventory(p, spec).solutions()
     assert len(sols) == 16640
-    assert_matches_scalar(sols, p, spec)
+    return sols, p, spec
+
+
+def test_checks_equal_scalar_reference_on_deep_inventory():
+    assert_matches_scalar(*deep_inventory())
+
+
+def test_check_inventory_peak_memory_is_bounded_by_a_block():
+    # the four output columns take 0.53 MB and a block's temporaries about
+    # 0.5 MB; one pass over all rows at once takes about 7.2 MB
+    sols, p, spec = deep_inventory()
+    inv = Inventory.from_solutions(sols)
+    tracemalloc.start()
+    try:
+        check_inventory(inv, p, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 def test_checks_equal_scalar_reference_on_family_samples():
