@@ -1,56 +1,62 @@
 """beamforge: closed-form steady states of elastically coupled
 extensible double-beam systems, with residual verification and a
-brute-force Galerkin cross-check."""
+brute-force Galerkin cross-check.
 
-from .bimodal import bstar_pairs, enumerate_general_bimodal
-from .convert import ConversionDiagnostics, PhysicalParams, dimensionless_params
-from .core import (
-    CubicReport,
-    ModalSolution,
-    Params,
-    ResidualReport,
-    axial_coefficients,
-    cubic_check,
-    modal_residual,
-)
-from .ee_families import EEFamily, enumerate_ee_families, sample_family
-from .errors import ValidationError, VerificationError
-from .modesets import ModeSetPartition, dirichlet_mode_count, effective_modes
-from .oracle import MatchReport, OracleResult, galerkin_solve, match_against
-from .single_beam import SingleBeamSolutionSet, enumerate_foundation, enumerate_plain
-from .spectrum import Spectrum
-from .unimodal import enumerate_unimodal
+A public name loads its home submodule when it is first used (PEP 562),
+so importing the package, or a command of its CLI, compiles only the
+layers that are run.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConversionDiagnostics",
-    "CubicReport",
-    "EEFamily",
-    "MatchReport",
-    "ModalSolution",
-    "ModeSetPartition",
-    "OracleResult",
-    "Params",
-    "PhysicalParams",
-    "ResidualReport",
-    "SingleBeamSolutionSet",
-    "Spectrum",
-    "ValidationError",
-    "VerificationError",
-    "axial_coefficients",
-    "bstar_pairs",
-    "cubic_check",
-    "dimensionless_params",
-    "dirichlet_mode_count",
-    "effective_modes",
-    "enumerate_ee_families",
-    "enumerate_foundation",
-    "enumerate_general_bimodal",
-    "enumerate_plain",
-    "enumerate_unimodal",
-    "galerkin_solve",
-    "match_against",
-    "modal_residual",
-    "sample_family",
-]
+# public name -> home submodule
+_HOME = {
+    "ConversionDiagnostics": "convert",
+    "CubicReport": "core",
+    "EEFamily": "ee_families",
+    "MatchReport": "oracle",
+    "ModalSolution": "core",
+    "ModeSetPartition": "modesets",
+    "OracleResult": "oracle",
+    "Params": "core",
+    "PhysicalParams": "convert",
+    "ResidualReport": "core",
+    "SingleBeamSolutionSet": "single_beam",
+    "Spectrum": "spectrum",
+    "ValidationError": "errors",
+    "VerificationError": "errors",
+    "axial_coefficients": "core",
+    "bstar_pairs": "bimodal",
+    "cubic_check": "core",
+    "dimensionless_params": "convert",
+    "dirichlet_mode_count": "modesets",
+    "effective_modes": "modesets",
+    "enumerate_ee_families": "ee_families",
+    "enumerate_foundation": "single_beam",
+    "enumerate_general_bimodal": "bimodal",
+    "enumerate_plain": "single_beam",
+    "enumerate_unimodal": "unimodal",
+    "galerkin_solve": "oracle",
+    "match_against": "oracle",
+    "modal_residual": "core",
+    "sample_family": "ee_families",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    # read through the submodule on every access and never bound here, so
+    # a name patched on its home module (a tracer's wrapper) is seen here
+    # while it is patched and gone once it is restored
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{home}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

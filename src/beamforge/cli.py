@@ -27,7 +27,6 @@ from .bimodal import (
     pair_table,
 )
 from .core import Inventory, ModalSolution, Params, check_inventory, solution_sort_key
-from .convert import PhysicalParams, dimensionless_params
 from .ee_families import enumerate_ee_families, sample_family
 from .errors import ValidationError, VerificationError
 from .modesets import (
@@ -41,8 +40,6 @@ from .modesets import (
     effective_modes,
     trimodal_ee_triples,
 )
-from .oracle import galerkin_solve, match_against
-from .single_beam import enumerate_foundation, enumerate_plain
 from .spectrum import Spectrum
 from .unimodal import _GAMMA_SIGN, _PARTNER, unimodal_inventory
 
@@ -317,6 +314,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_single(args) -> int:
+    from .single_beam import enumerate_foundation, enumerate_plain
+
     p, spec = _context(args)
     result = (
         enumerate_plain(p, spec)
@@ -341,6 +340,8 @@ def _solutions_up_to(inv: Inventory, n_modes: int) -> list[ModalSolution]:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import galerkin_solve, match_against
+
     p, spec = _context(args)
     result = galerkin_solve(p, spec, args.modes, args.starts, seed=args.seed)
     # reconcile against the closed forms the truncation can represent
@@ -501,6 +502,8 @@ def _gnuplot_script(csv_path: Path, header: list[str]) -> str:
 
 
 def cmd_convert(args) -> int:
+    from .convert import PhysicalParams, dimensionless_params
+
     phys = PhysicalParams(
         ell=args.ell,
         h=args.h,

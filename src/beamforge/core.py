@@ -281,8 +281,8 @@ def cubic_check(sol: ModalSolution, p: Params, spec: Spectrum, ee_tol: float = 1
     max_rel = 0.0
     for n in sol.active:
         lam = spec.eigenvalue(n)
-        val = lam ** 3 + s * lam * lam + q * lam + p.k * s
-        scale = max(1.0, abs(lam) ** 3, abs(s) * lam * lam, abs(q) * abs(lam), abs(p.k * s))
+        val = _cube(lam) + s * lam * lam + q * lam + p.k * s
+        scale = max(1.0, _cube(abs(lam)), abs(s) * lam * lam, abs(q) * abs(lam), abs(p.k * s))
         values.append((lam, val))
         max_rel = max(max_rel, abs(val) / scale)
     factored = None
@@ -295,10 +295,20 @@ def cubic_check(sol: ModalSolution, p: Params, spec: Spectrum, ee_tol: float = 1
         for lam, val in values:
             fval = (lam + cu) * (lam * lam + cu * lam + 2.0 * p.k)
             factored.append((lam, fval))
-            scale = max(1.0, abs(lam) ** 3, abs(cu) * lam * lam, 2.0 * p.k * abs(lam))
+            scale = max(1.0, _cube(abs(lam)), abs(cu) * lam * lam, 2.0 * p.k * abs(lam))
             agreement = max(agreement, abs(fval - val) / scale)
         factored = tuple(factored)
     return CubicReport(tuple(values), max_rel, factored, agreement)
+
+
+def _cube(x: float) -> float:
+    """``x ** 3`` of a Python float, or ``±inf`` where the cube overflows:
+    Python raises ``OverflowError`` there, and a non-finite check is for
+    the emitter to reject."""
+    try:
+        return x ** 3
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def check_inventory(inv: Inventory, p: Params, spec: Spectrum) -> InventoryChecks:
@@ -309,7 +319,8 @@ def check_inventory(inv: Inventory, p: Params, spec: Spectrum) -> InventoryCheck
     are the same and run in the same order, ``C_u`` and ``C_v`` are summed
     column by column over the stored modes only, the cubic sees the
     active modes only, and ``lam ** 3`` is read from a table computed
-    with Python floats (NumPy's ``pow`` can round a cube differently).
+    with Python floats by :func:`_cube` (NumPy's ``pow`` can round a cube
+    differently).
 
     The rows are checked in blocks of the writer's ``_BLOCK_ROWS``, so
     the temporaries of the checks are bounded by a block, not by the
@@ -317,7 +328,7 @@ def check_inventory(inv: Inventory, p: Params, spec: Spectrum) -> InventoryCheck
     """
     top = int(inv.n.max(initial=0))
     lams = [1.0] + [spec.eigenvalue(m) for m in range(1, top + 1)]  # 0 pads
-    tables = np.array(lams), np.array([x ** 3 for x in lams])
+    tables = np.array(lams), np.array([_cube(x) for x in lams])
     checks = InventoryChecks(*(np.empty(len(inv)) for _ in InventoryChecks._fields))
     for start in range(0, len(inv), jsonio._BLOCK_ROWS):
         rows = slice(start, start + jsonio._BLOCK_ROWS)

@@ -382,6 +382,8 @@ def test_file_errors_exit_code(capsys, monkeypatch, tmp_path, argv):
         (("enumerate", "--k", "6.5e307", "--beta=-100"), 2),
         # lam1 lam2 overflows, so the pair (1, 2) is on no EE equality
         (("sets", "--spectrum", "file:big.txt", "--beta=-1e201", "--k", "1"), 0),
+        # lam ** 3 overflows in the cubic check
+        (("enumerate", "--spectrum", "file:cubes.txt", "--beta=-2e110", "--k", "1"), 2),
         # the circle-ellipse right-hand sides overflow, or cancel to NaN
         (("sweep", "--varrho", "1e-300", "--grid", "0:100:3"), 0),
         (("sets", "--varrho", "1e-300", "--beta=-100"), 0),
@@ -397,6 +399,7 @@ def test_overflow_exit_code(capsys, monkeypatch, tmp_path, argv, code):
     # a non-finite value is reported once, by the emitter
     monkeypatch.chdir(tmp_path)
     (tmp_path / "big.txt").write_text("1e200\n2e200\n")
+    (tmp_path / "cubes.txt").write_text("1e110\n3e110\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(list(argv)) == code
@@ -417,17 +420,23 @@ def test_overflow_exit_code(capsys, monkeypatch, tmp_path, argv, code):
         ("enumerate", "--spectrum", "scaled", "--k", "9e307", "--beta=-100"),
         # the amplitudes overflow at the top compressions
         ("sweep", "--grid", "0:1e308:3"),
+        # lam ** 3 overflows in the cubic check
+        ("enumerate", "--spectrum", "file:cubes.txt", "--beta=-2e110", "--k", "1"),
     ],
     ids=" ".join,
 )
-def test_exit_2_leaves_out_file_as_it_was(capsys, tmp_path, argv):
+def test_exit_2_leaves_out_file_as_it_was(capsys, monkeypatch, tmp_path, argv):
     # the output is written piece by piece, so every float is checked
     # before --out is opened
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cubes.txt").write_text("1e110\n3e110\n")
     out = tmp_path / "out.txt"
     out.write_bytes(b"an earlier result\n")
     assert main([*argv, "--out", str(out)]) == 2
     assert out.read_bytes() == b"an earlier result\n"
-    assert capsys.readouterr().err.startswith("beamforge: non-finite float in output")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("beamforge: non-finite float in output")
 
 
 @pytest.mark.parametrize(

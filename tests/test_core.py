@@ -8,6 +8,7 @@ from beamforge import (
     Params,
     ValidationError,
     axial_coefficients,
+    Spectrum,
     cubic_check,
     modal_residual,
 )
@@ -107,6 +108,16 @@ def test_cubic_check_rejects_random_coefficients(scaled):
     p = Params(beta=-15.5, varrho=1.0, k=3.0)
     report = cubic_check(ModalSolution({1: (1.234, -0.777), 2: (0.5, 2.0)}), p, scaled)
     assert max(abs(v) for _, v in report.values) > 1e-3
+
+
+def test_cubic_check_overflowed_cube_is_not_finite():
+    # lam ** 3 overflows a Python float: the check reads a non-finite
+    # value, for the emitter to reject, instead of raising OverflowError
+    p = Params(beta=-2e110, varrho=1.0, k=1.0)
+    report = cubic_check(ModalSolution({1: (1.0, 1.0)}), p, Spectrum.explicit([1e110, 3e110]))
+    (lam, val), = report.values
+    assert lam == 1e110
+    assert not math.isfinite(val)
 
 
 def test_cubic_check_needs_nontrivial(scaled):

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 import beamforge
 
@@ -47,3 +53,69 @@ def test_star_import_resolves_every_public_name_once():
 def test_public_names_are_pinned():
     # a name added to or dropped from the package's surface shows here
     assert sorted(beamforge.__all__) == PUBLIC
+
+
+def test_public_names_are_their_home_module_objects():
+    for name in beamforge.__all__:
+        obj = getattr(beamforge, name)
+        assert obj.__module__.startswith("beamforge.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    # resolved anew on each access, never bound in the package, so a name
+    # patched on its home module (by a tracer) is patched here too, and
+    # restored with it
+    assert set(beamforge.__all__).isdisjoint(vars(beamforge))
+
+
+def test_dir_lists_every_public_name():
+    assert set(beamforge.__all__) <= set(dir(beamforge))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        beamforge.no_such_name
+    assert not hasattr(beamforge, "check_inventory")
+
+
+SRC = Path(beamforge.__file__).resolve().parents[1]
+
+# each command writes to --out, so stdout holds the list of loaded modules alone
+CLOSED_FORM_COMMANDS = """
+from beamforge import cli
+for argv in (
+    ["enumerate", "--spectrum", "scaled", "--k", "3", "--beta=-15.5"],
+    ["sweep", "--spectrum", "scaled", "--k", "3", "--grid", "0:40:5", "--pairs", "1,2"],
+    ["sets", "--spectrum", "scaled", "--k", "72", "--beta=-600", "--nmax", "24"],
+    ["unimodal", "--spectrum", "scaled", "--k", "3", "--beta=-15.5"],
+    ["unimodal", "--spectrum", "scaled", "--k", "3", "--csv", "--mode", "1", "--grid", "0:20:5"],
+):
+    if cli.main([*argv, "--out", "out.txt"]) != 0:
+        raise SystemExit(f"{argv} failed")
+"""
+
+
+@pytest.mark.parametrize(
+    "code,absent",
+    [
+        # every submodule loads on the first use of one of its names
+        ("import beamforge", None),
+        # the closed-form commands load neither the oracle nor the converter
+        # nor the single-beam models
+        (CLOSED_FORM_COMMANDS, ("oracle", "kernels", "convert", "single_beam")),
+        # the oracle checks the closed forms, so it loads none of them
+        ("import beamforge.oracle", ("unimodal", "bimodal", "modesets", "ee_families")),
+    ],
+    ids=["package", "closed-form commands", "oracle"],
+)
+def test_a_fresh_interpreter_loads_only_what_it_runs(tmp_path, code, absent):
+    script = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('beamforge.')))\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    if absent is None:
+        assert loaded == set()
+    else:
+        assert loaded, "the case loaded no submodule at all"
+        assert loaded.isdisjoint(f"beamforge.{name}" for name in absent)

@@ -28,3 +28,20 @@ spans = _load_spans()
 @pytest.mark.parametrize("name,module,attr", spans.TARGETS, ids=[t[0] for t in spans.TARGETS])
 def test_trace_target_resolves(name, module, attr):
     assert spans._resolve(module, attr) is not None, f"{name}: {module}.{attr} is gone"
+
+
+def test_uninstalled_tracer_leaves_the_package_names_unwrapped():
+    # the package resolves its names through their home modules, so it
+    # sees a wrapper while the tracer is installed and not after
+    import beamforge
+    from beamforge import oracle
+
+    original = oracle.galerkin_solve
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert beamforge.galerkin_solve is oracle.galerkin_solve
+        assert beamforge.galerkin_solve is not original
+    finally:
+        tracer.uninstall()
+    assert beamforge.galerkin_solve is oracle.galerkin_solve is original
