@@ -26,7 +26,7 @@ from .bimodal import (
     general_bimodal_inventory,
     pair_table,
 )
-from .core import Inventory, ModalSolution, Params, check_inventory, solution_sort_key
+from .core import Inventory, ModalSolution, Params, solution_sort_key, verified_records
 from .ee_families import enumerate_ee_families, sample_family
 from .errors import ValidationError, VerificationError
 from .modesets import (
@@ -183,18 +183,12 @@ def _parse_pairs(tokens) -> list[tuple[int, int]] | None:
     return pairs
 
 
-def _records(inv: Inventory, p: Params, spec: Spectrum, checks: list) -> jsonio.SolutionRecords:
-    """The inventory's JSON records; its checks join ``checks``."""
-    checked = check_inventory(inv, p, spec)
-    checks.append(checked)
-    return jsonio.SolutionRecords(inv, checked)
-
-
-def _verify(checks, tol_res) -> dict:
+def _verify(records, tol_res) -> dict:
     """Tag-blind verification block over the checks of every emitted
-    solution."""
-    max_res = max((float(c.residual.max(initial=0.0)) for c in checks), default=0.0)
-    max_cubic = max((float(c.cubic.max(initial=0.0)) for c in checks), default=0.0)
+    solution, held by its :func:`verified_records`.  A NaN check is the
+    maximum, so the block fails and the emitter rejects it."""
+    columns = [np.zeros((2, 1)), *(np.stack((r.checks.residual, r.checks.cubic)) for r in records)]
+    max_res, max_cubic = np.concatenate(columns, axis=1).max(axis=1).tolist()
     passed = max_res <= tol_res and max_cubic <= CUBIC_TOL
     return {
         "max_relative_residual": max_res,
@@ -261,14 +255,13 @@ def cmd_unimodal(args) -> int:
             args.gnuplot.write_text(_gnuplot_script(args.out, header), encoding="utf-8")
         return 0
     sols = unimodal_inventory(p, spec)
-    checks: list = []
-    records = _records(sols, p, spec, checks)
+    records = verified_records(sols, p, spec)
     doc = {
         "params": p.describe(),
         "spectrum": spec.describe(),
         "count": len(sols),
         "solutions": records,
-        "verification": _verify(checks, args.tol_res),
+        "verification": _verify([records], args.tol_res),
     }
     _write(doc, args.out)
     return 0 if doc["verification"]["passed"] else _verification_failure()
@@ -284,17 +277,18 @@ def cmd_enumerate(args) -> int:
     unimodal = unimodal_inventory(p, spec)
     families = enumerate_ee_families(p, spec, args.tol_cond)
     general = general_bimodal_inventory(p, spec, pairs)
-    checks: list = []
-    unimodal_records = _records(unimodal, p, spec, checks)
-    general_records = _records(general, p, spec, checks)
+    unimodal_records = verified_records(unimodal, p, spec)
+    general_records = verified_records(general, p, spec)
+    records = [unimodal_records, general_records]
     family_docs = []
     for fi, fam in enumerate(families):
         fdoc = fam.to_json_dict()
         if args.samples > 0:
             drawn = Inventory.from_solutions(sample_family(fam, args.samples, seed=args.seed + fi))
-            fdoc["samples"] = _records(drawn, p, spec, checks)
+            fdoc["samples"] = verified_records(drawn, p, spec)
+            records.append(fdoc["samples"])
         family_docs.append(fdoc)
-    verification = _verify(checks, args.tol_res)
+    verification = _verify(records, args.tol_res)
     doc = {
         "params": p.describe(),
         "spectrum": spec.describe(),

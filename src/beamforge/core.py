@@ -8,8 +8,10 @@ consulted when residuals are evaluated.
 
 A list of isolated solutions is held as an :class:`Inventory`: fixed-shape
 rows of up to three stored modes, which :func:`check_inventory` verifies
-in vectorized blocks of rows.  :func:`axial_coefficients`, :func:`modal_residual`
-and :func:`cubic_check` are the scalar reference it reproduces bit for bit.
+in vectorized blocks of rows, and :func:`verified_records` renders with
+those checks.  :func:`axial_coefficients`, :func:`modal_residual` and
+:func:`cubic_check` are the scalar reference it reproduces bit for bit,
+non-finite values included.
 """
 
 from __future__ import annotations
@@ -98,8 +100,7 @@ class ModalSolution:
     def to_json_dict(self, p: Params, spec: Spectrum) -> dict:
         """The solution's JSON record, read back from its one-row
         rendering by :class:`beamforge.jsonio.SolutionRecords`."""
-        inv = Inventory.from_solutions([self])
-        text = jsonio.dumps(jsonio.SolutionRecords(inv, check_inventory(inv, p, spec)))
+        text = jsonio.dumps(verified_records(Inventory.from_solutions([self]), p, spec))
         return json.loads(text)[0]
 
 
@@ -191,14 +192,13 @@ class InventoryChecks(NamedTuple):
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Per-mode residual pairs of the modal system plus scalar summaries.
+    """Scalar summaries of the residual of the modal system.
 
     ``relative`` divides ``max_abs`` by the largest individual term
     magnitude (floored at 1) so that tolerances do not depend on the
     parameter scale.
     """
 
-    per_mode: dict[int, tuple[float, float]]
     max_abs: float
     relative: float
 
@@ -208,16 +208,11 @@ class CubicReport:
     """Values of the characteristic cubic at the active eigenvalues.
 
     ``values`` holds ``(lam_n, P(lam_n))`` pairs; ``max_relative`` is the
-    largest magnitude normalized by the cubic's own term sizes.  When the
-    solution has equidistributed energy the factored form
-    ``(lam + C_u)(lam^2 + C_u lam + 2k)`` is evaluated as well and its
-    worst relative disagreement with the expanded form is reported.
+    largest magnitude normalized by the cubic's own term sizes.
     """
 
     values: tuple[tuple[float, float], ...]
     max_relative: float
-    factored_values: tuple[tuple[float, float], ...] | None = None
-    factored_agreement: float | None = None
 
 
 def axial_coefficients(sol: ModalSolution, p: Params, spec: Spectrum) -> tuple[float, float]:
@@ -243,34 +238,25 @@ def modal_residual(sol: ModalSolution, p: Params, spec: Spectrum) -> ResidualRep
     with the axial coefficients computed from the solution itself.
     """
     cu, cv = axial_coefficients(sol, p, spec)
-    per_mode: dict[int, tuple[float, float]] = {}
-    max_abs = 0.0
-    term_scale = 0.0
+    misfits = [0.0]
+    terms = [1.0]  # the scale is floored at 1
     for n, (a, g) in sol.modes.items():
         lam = spec.eigenvalue(n)
         r1 = lam * lam * a + cu * lam * a + p.k * (a - g)
         r2 = lam * lam * g + cv * lam * g - p.k * (a - g)
-        per_mode[n] = (r1, r2)
-        max_abs = max(max_abs, abs(r1), abs(r2))
-        term_scale = max(
-            term_scale,
-            abs(lam * lam * a),
-            abs(cu * lam * a),
-            abs(lam * lam * g),
-            abs(cv * lam * g),
-            abs(p.k * a),
-            abs(p.k * g),
-        )
-    return ResidualReport(per_mode, max_abs, max_abs / max(1.0, term_scale))
+        misfits += (abs(r1), abs(r2))
+        terms += (abs(lam * lam * a), abs(cu * lam * a), abs(lam * lam * g), abs(cv * lam * g),
+                  abs(p.k * a), abs(p.k * g))
+    max_abs = _max(misfits)
+    return ResidualReport(max_abs, max_abs / _max(terms))
 
 
-def cubic_check(sol: ModalSolution, p: Params, spec: Spectrum, ee_tol: float = 1e-9) -> CubicReport:
+def cubic_check(sol: ModalSolution, p: Params, spec: Spectrum) -> CubicReport:
     """Evaluate ``P(lam) = lam^3 + (C_u+C_v) lam^2 + (C_u C_v + 2k) lam
     + k (C_u+C_v)`` at each active eigenvalue.
 
     Every active eigenvalue of a valid nontrivial solution is a root of
-    this cubic, so all values should vanish to roundoff.  When the
-    solution is EE the factored form is evaluated as a cross-check.
+    this cubic, so all values should vanish to roundoff.
     """
     if sol.is_trivial:
         raise ValidationError("cubic_check needs a nontrivial solution")
@@ -278,27 +264,21 @@ def cubic_check(sol: ModalSolution, p: Params, spec: Spectrum, ee_tol: float = 1
     s = cu + cv
     q = cu * cv + 2.0 * p.k
     values = []
-    max_rel = 0.0
+    relative = [0.0]
     for n in sol.active:
         lam = spec.eigenvalue(n)
         val = _cube(lam) + s * lam * lam + q * lam + p.k * s
-        scale = max(1.0, _cube(abs(lam)), abs(s) * lam * lam, abs(q) * abs(lam), abs(p.k * s))
+        scale = _max([1.0, _cube(abs(lam)), abs(s) * lam * lam, abs(q) * abs(lam), abs(p.k * s)])
         values.append((lam, val))
-        max_rel = max(max_rel, abs(val) / scale)
-    factored = None
-    agreement = None
-    if not ee_tol > 0.0:
-        raise ValidationError("tolerance must be positive")
-    if abs(cu - cv) <= ee_tol * max(1.0, abs(cu), abs(cv)):
-        factored = []
-        agreement = 0.0
-        for lam, val in values:
-            fval = (lam + cu) * (lam * lam + cu * lam + 2.0 * p.k)
-            factored.append((lam, fval))
-            scale = max(1.0, _cube(abs(lam)), abs(cu) * lam * lam, 2.0 * p.k * abs(lam))
-            agreement = max(agreement, abs(fval - val) / scale)
-        factored = tuple(factored)
-    return CubicReport(tuple(values), max_rel, factored, agreement)
+        relative.append(abs(val) / scale)
+    return CubicReport(tuple(values), _max(relative))
+
+
+def _max(values: list[float]) -> float:
+    """``max(values)``, or NaN if one is NaN, as NumPy's maximum reads it:
+    Python's ``max`` keeps a number against a later NaN.  The maximum of
+    numbers is one of them, so the result has the bits of ``np.max``."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def _cube(x: float) -> float:
@@ -309,6 +289,12 @@ def _cube(x: float) -> float:
         return x ** 3
     except OverflowError:
         return math.copysign(math.inf, x)
+
+
+def verified_records(inv: Inventory, p: Params, spec: Spectrum) -> jsonio.SolutionRecords:
+    """The JSON records of ``inv``, holding its :func:`check_inventory`
+    values as ``.checks``."""
+    return jsonio.SolutionRecords(inv, check_inventory(inv, p, spec))
 
 
 def check_inventory(inv: Inventory, p: Params, spec: Spectrum) -> InventoryChecks:

@@ -44,12 +44,6 @@ def nu_value(lam: float, k: float) -> float:
     return 3.0 * k / lam + lam
 
 
-def _rel_eq(a: float, b: float, tol: float) -> bool:
-    """``|a - b| <= tol * max(1, |a|, |b|)``; an equality with a
-    non-finite side is false, so an overflowed value equals nothing."""
-    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
 # the amplitude families each band carries
 _FAMILIES = {"E1": (1,), "E2": (1, 2), "E3": (1, 2, 3, 4)}
 # _CARRIED[code, i - 1]: band E<code> carries family i; code 0 is no band
@@ -78,13 +72,8 @@ def _bands(table: np.ndarray, mb) -> np.ndarray:
     """The band of every mode of ``table`` at the compression ``mb =
     -beta``, an index of ``_CARRIED``, with the boundary collapse."""
     lam, mu, nu = table
-    with np.errstate(all="ignore"):
-        # mb <= x or _rel_eq(mb, x, BOUNDARY_RTOL), for x = mu and nu
-        scale = np.maximum(1.0, np.abs(mb))
-        at_mu, at_nu = (
-            (mb <= x) | (np.abs(mb - x) <= BOUNDARY_RTOL * np.maximum(scale, np.abs(x))) for x in (mu, nu)
-        )
-        return np.where(lam < mb, np.where(at_mu, 1, np.where(at_nu, 2, 3)), 0)
+    at_mu, at_nu = ((mb <= x) | _rel_eqs(mb, x, BOUNDARY_RTOL) for x in (mu, nu))
+    return np.where(lam < mb, np.where(at_mu, 1, np.where(at_nu, 2, 3)), 0)
 
 
 def _mode_states(table: np.ndarray, beta, varrho: float, k: float) -> _ModeStates:
@@ -172,23 +161,22 @@ def _check_mode_count(spec: Spectrum, beta: float, n_star: int) -> None:
     """Cross-check ``n_star``, the effective-mode count at ``beta``, with
     the closed-form count of the Dirichlet spectrum."""
     if spec.generator == "dirichlet" and beta < 0.0 and n_star < spec.n_max:
+        expected = dirichlet_mode_count(beta)
+        if n_star == expected:
+            return
         # skipped within roundoff of an eigenvalue boundary where ceil() is
         # unstable.  Eigenvalues increase strictly, so only lam_{n*} and
         # lam_{n*+1} can be that close to -beta.
-        near_boundary = any(
-            _rel_eq(-beta, spec.eigenvalue(n), 1e-12)
-            for n in (n_star, n_star + 1)
-            if n >= 1
-        )
-        if not near_boundary and n_star != dirichlet_mode_count(beta):
+        near = np.array([spec.eigenvalue(n) for n in (n_star, n_star + 1) if n >= 1])
+        if not _rel_eqs(-beta, near, 1e-12).any():
             raise VerificationError(
-                f"effective-mode count {n_star} disagrees with closed form "
-                f"{dirichlet_mode_count(beta)} at beta={beta}"
+                f"effective-mode count {n_star} disagrees with closed form {expected} at beta={beta}"
             )
 
 
 def _rel_eqs(a, b, tol: float) -> np.ndarray:
-    """:func:`_rel_eq` elementwise, on arrays, in the same float operations."""
+    """``|a - b| <= tol * max(1, |a|, |b|)`` elementwise; an equality with
+    a non-finite side is false, so an overflowed value equals nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
         close = np.abs(a - b) <= tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
     return np.isfinite(a) & np.isfinite(b) & close

@@ -50,8 +50,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import jsonio, kernels
-from .core import MAX_ACTIVE_MODES, Inventory, ModalSolution, Params, check_inventory, solution_sort_key
+from . import kernels
+from .core import MAX_ACTIVE_MODES, Inventory, ModalSolution, Params, solution_sort_key, verified_records
 from .errors import ValidationError, VerificationError
 from .spectrum import Spectrum
 
@@ -120,14 +120,9 @@ class OracleResult:
             "matched": report.matched,
             "on_family": report.on_family,
             "unmatched_count": len(report.unmatched),
-            "found": _records(self.found, p, spec),
-            "unmatched": _records(report.unmatched, p, spec),
+            "found": verified_records(Inventory.from_solutions(self.found), p, spec),
+            "unmatched": verified_records(Inventory.from_solutions(report.unmatched), p, spec),
         }
-
-
-def _records(sols: list[ModalSolution], p: Params, spec: Spectrum) -> jsonio.SolutionRecords:
-    inv = Inventory.from_solutions(sols)
-    return jsonio.SolutionRecords(inv, check_inventory(inv, p, spec))
 
 
 def _accurate_polish(lams, p: Params, roots: np.ndarray) -> np.ndarray:
@@ -137,9 +132,9 @@ def _accurate_polish(lams, p: Params, roots: np.ndarray) -> np.ndarray:
     direction lets the search park iterates ~sqrt(tol) off the manifold,
     where a full-rank solve amplifies noise along that direction.  The
     step here drops singular values below ``1e-10`` of the largest
-    (``pinv``).  A step is accepted when one of 8 halvings strictly lowers
-    the max-abs residual; a root stops at the first step that none does,
-    or after 60 steps.
+    (``pinv``).  All 8 halvings of a step are tried at once, and the
+    first that strictly lowers the max-abs residual is taken; a root stops
+    at the first step that none does, or after 60 steps.
     """
     x = roots.copy()
     live = np.arange(x.shape[0])
@@ -151,16 +146,11 @@ def _accurate_polish(lams, p: Params, roots: np.ndarray) -> np.ndarray:
         best = np.abs(F).max(axis=1)
         J = kernels.jacobian(lams, p.beta, p.varrho, p.k, xl)
         step = -(np.linalg.pinv(J, rcond=1e-10) @ F[:, :, None])[:, :, 0]
-        improved = np.zeros(live.size, dtype=bool)
-        for halvings in range(8):
-            rem = np.flatnonzero(~improved)
-            if rem.size == 0:
-                break
-            trial = xl[rem] + 0.5 ** halvings * step[rem]
-            mag = np.abs(kernels.residual(lams, p.beta, p.varrho, p.k, trial)).max(axis=1)
-            ok = mag < best[rem]  # False for NaN
-            x[live[rem[ok]]] = trial[ok]
-            improved[rem[ok]] = True
+        trial = xl[:, None] + 0.5 ** np.arange(8)[:, None] * step[:, None]
+        F_trial = kernels.residual(lams, p.beta, p.varrho, p.k, trial.reshape(-1, xl.shape[1]))
+        ok = np.abs(F_trial).max(axis=1).reshape(live.size, 8) < best[:, None]  # False for NaN
+        improved = ok.any(axis=1)
+        x[live[improved]] = trial[improved, ok[improved].argmax(axis=1)]
         live = live[improved]
     return x
 

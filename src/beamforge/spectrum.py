@@ -124,12 +124,15 @@ class Spectrum:
         return self._generate(n)
 
     def _generate(self, n: int) -> float:
-        if self.generator == "dirichlet":
-            return (n * math.pi) ** 2
-        if self.generator == "scaled":
-            return float(n * n)
-        if self.generator == "power":
-            return (n * math.pi) ** (self.p + 1)
+        try:
+            if self.generator == "dirichlet":
+                return (n * math.pi) ** 2
+            if self.generator == "scaled":
+                return float(n * n)
+            if self.generator == "power":
+                return (n * math.pi) ** (self.p + 1)
+        except OverflowError as exc:
+            raise ValidationError(f"lam_{n} of the {self.generator} spectrum leaves the float range") from exc
         return self.values[n - 1]
 
     def eigenvalue_past_cap(self) -> float | None:

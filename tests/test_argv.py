@@ -6,15 +6,21 @@ then any of its options, each with a value drawn by the option's type,
 or a malformed, non-finite or ``-``-prefixed one, given as a separate
 token or in the ``--option=value`` form.  Runs are in-process
 through ``cli.main``, each in a fresh directory that holds a good, a
-malformed and a non-UTF-8 spectrum file and a subdirectory, so that
-file options can name each of them.
+malformed and a non-UTF-8 spectrum file, files of huge and of tiny
+eigenvalues, and a subdirectory, so that file options can name each of
+them.  Power spectra include exponents whose eigenvalues leave the float
+range, and mode indices include huge ones.
 
 Values are bounded so that every example runs in well under a second:
-``--nmax`` <= 12, ``--modes`` <= 4, ``--starts`` <= 40 (always given to
-``oracle``), ``--samples`` <= 3, and grid counts <= 6.  The property
-therefore does not explore large truncations, long oracle searches or
-large grids, nor the defaults ``--nmax 64`` together with the extreme
-loads that make every mode effective.
+``--nmax`` <= 12 or huge (below), ``--modes`` <= 4, ``--starts`` <= 40
+(always given to ``oracle``), ``--samples`` <= 3, and grid counts <= 6.
+A huge ``--nmax`` comes only with loads of magnitude <= 60, where a few
+modes are effective: the effective modes are found one eigenvalue at a
+time and the pair scans are quadratic in their count, so a huge
+``--nmax`` at a large load runs for ever or asks for gigabytes.  The
+property therefore does not explore large truncations, long oracle
+searches or large grids, nor the defaults ``--nmax 64`` together with
+the extreme loads that make every mode effective.
 """
 
 import argparse
@@ -49,15 +55,17 @@ BOUNDED_INTS = {
     "mode": (-1, 14),
     "seed": (-3, 2**64),
 }
+# mode indices whose eigenvalues, or their squares, leave the float range
+HUGE_INTS = [2**31, 2**63, 10**160, 10**400]
 MALFORMED = ["", "x", "-", "--", "-x", "--beta", "1e", "0x10", "1,2,", "nan:1:2"]
-FLOATS = st.one_of(
-    st.floats(min_value=-60.0, max_value=60.0),
-    st.floats(),
-    st.sampled_from(["nan", "inf", "-inf", "-1e1", "1e999", "-0.0", "5e-324"]),
-)
+SPECIAL_FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1e1", "1e999", "-0.0", "5e-324"])
+FLOATS = st.one_of(st.floats(min_value=-60.0, max_value=60.0), st.floats(), SPECIAL_FLOATS)
+SMALL_FLOATS = st.one_of(st.floats(min_value=-60.0, max_value=60.0), SPECIAL_FLOATS)
 SPECTRA = [
     "dirichlet", "scaled", "power:2", "power:3", "power:0", "power:x", "bogus",
+    "power:100", "power:400", "power:700", f"power:{10**6}",
     "file:spectrum.txt", "file:malformed.txt", "file:latin1.txt", "file:sub", "file:missing.txt",
+    "file:huge.txt", "file:tiny.txt",
 ]
 # a valid beam for ``convert``, which needs all seven values to pass
 PHYSICAL = {
@@ -65,35 +73,42 @@ PHYSICAL = {
     "kappa_core": "0.05", "omega_area": "1", "rho_density": "1",
 }
 PATHS = ["out.txt", "plot.gp", ".", "sub", "sub/missing/out.txt", "spectrum.txt"]
-MODE_LISTS = ["1", "1,2", "2,1,2", "0", "-1", "3,99", "x", ""]
+MODE_LISTS = ["1", "1,2", "2,1,2", "0", "-1", "3,99", "x", "", *(f"1,{n}" for n in HUGE_INTS)]
 
 
 def _text(value) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
-def _grid(draw) -> str:
-    lo, hi = draw(FLOATS), draw(FLOATS)
+def _grid(draw, floats) -> str:
+    lo, hi = draw(floats), draw(floats)
     return f"{_text(lo)}:{_text(hi)}:{draw(st.integers(-1, 6))}"
 
 
-def _value(draw, action: argparse.Action) -> str:
+def _value(draw, action: argparse.Action, huge_nmax: bool) -> str:
+    """A value for ``action``; with ``huge_nmax``, ``--nmax`` is huge and
+    every float is of magnitude <= 60, non-finite or malformed."""
+    floats = SMALL_FLOATS if huge_nmax else FLOATS
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from(MALFORMED))
     if action.choices:
         return draw(st.sampled_from([*action.choices, "bogus"]))
+    if action.dest == "nmax" and huge_nmax:
+        return str(draw(st.sampled_from(HUGE_INTS)))
+    if action.dest == "mode" and draw(st.integers(0, 4)) == 0:
+        return str(draw(st.sampled_from(HUGE_INTS)))
     if action.dest in BOUNDED_INTS:
         return str(draw(st.integers(*BOUNDED_INTS[action.dest])))
     if action.dest in PHYSICAL and draw(st.integers(0, 9)):
         return PHYSICAL[action.dest]
     if action.type is float:
-        return _text(draw(FLOATS))
+        return _text(draw(floats))
     if action.type is Path:
         return draw(st.sampled_from(PATHS))
     if action.dest == "spectrum":
         return draw(st.sampled_from(SPECTRA))
     if action.dest == "grid":
-        return _grid(draw)
+        return _grid(draw, floats)
     if action.dest == "track":
         return draw(st.sampled_from(MODE_LISTS))
     assert action.dest == "pairs", action.dest
@@ -106,15 +121,16 @@ def command_lines(draw) -> list[str]:
     actions = OPTIONS[command]
     required = [a for a in actions if a.required or a.dest == "starts"]
     chosen = required + draw(st.lists(st.sampled_from(actions), max_size=5))
+    huge_nmax = draw(st.integers(0, 4)) == 0
     argv = [command]
     for action in draw(st.permutations(chosen)):
         option = action.option_strings[0]
         if action.nargs == 0:
             argv.append(option)
         elif draw(st.booleans()):
-            argv.append(f"{option}={_value(draw, action)}")
+            argv.append(f"{option}={_value(draw, action, huge_nmax)}")
         else:
-            argv += [option, _value(draw, action)]
+            argv += [option, _value(draw, action, huge_nmax)]
     if draw(st.integers(0, 19)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-h", "bogus"])))
     return argv
@@ -129,6 +145,10 @@ def _run(argv: list[str]):
         (root / "spectrum.txt").write_text("1\n4\n9\n16\n25\n36\n", encoding="utf-8")
         (root / "malformed.txt").write_text("1\n4\nnine\n", encoding="utf-8")
         (root / "latin1.txt").write_bytes("1\n4\n9\xe9\n".encode("latin-1"))
+        # squares and cubes that overflow, and eigenvalues down to the
+        # smallest subnormal
+        (root / "huge.txt").write_text("1e110\n3e110\n1e155\n1e200\n1e300\n1.7e308\n", encoding="utf-8")
+        (root / "tiny.txt").write_text("5e-324\n1e-300\n1e-160\n1e-100\n1e-10\n", encoding="utf-8")
         (root / "sub").mkdir()
         out, err = io.StringIO(), io.StringIO()
         os.chdir(root)

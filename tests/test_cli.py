@@ -370,6 +370,29 @@ def test_file_errors_exit_code(capsys, monkeypatch, tmp_path, argv):
     assert captured.err.startswith("beamforge: ")
 
 
+B = str(10**160)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sets", "--spectrum", "power:700"),
+        ("enumerate", "--spectrum", "power:400", "--beta=-1e300"),
+        ("oracle", "--spectrum", "power:400", "--beta=-1e300", "--modes", "2", "--starts", "10"),
+        ("unimodal", "--spectrum", "scaled", "--csv", "--mode", B, "--nmax", B),
+        ("sweep", "--track", B, "--nmax", B, "--grid", "0:1:2"),
+    ],
+    ids=["power-700", "power-400", "oracle-power-400", "scaled-mode-B", "dirichlet-track-B"],
+)
+def test_overflowing_eigenvalue_exit_code(capsys, argv):
+    # (n pi) ** (p + 1), (n pi) ** 2 and n * n past the float range
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("beamforge: lam_")
+    assert "spectrum leaves the float range" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [

@@ -8,10 +8,11 @@ to tags.
 
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from beamforge import (
     ModalSolution,
@@ -26,7 +27,7 @@ from beamforge import (
 )
 from beamforge import cli, jsonio
 from beamforge.bimodal import general_bimodal_inventory
-from beamforge.core import Inventory, check_inventory
+from beamforge.core import Inventory, check_inventory, verified_records
 from beamforge.unimodal import unimodal_inventory
 
 
@@ -39,7 +40,8 @@ def assert_matches_scalar(sols, p, spec):
         cubic = 0.0 if sol.is_trivial else cubic_check(sol, p, spec).max_relative
         scalar = (*axial_coefficients(sol, p, spec), modal_residual(sol, p, spec).relative, cubic)
         vector = (checks.C_u[i], checks.C_v[i], checks.residual[i], checks.cubic[i])
-        if scalar != vector:
+        # bit for bit, with a NaN equal to a NaN and -0.0 apart from 0.0
+        if list(map(float.hex, scalar)) != list(map(float.hex, vector)):
             wrong.append((i, scalar, vector))
     assert wrong == []
 
@@ -56,18 +58,28 @@ def solutions(draw):
     return ModalSolution({n: draw(MODE) for n in indices}, tag="untagged")
 
 
+TOKENS = st.sampled_from(["scaled", "dirichlet", "power:2"])
+# eigenvalues whose squares or cubes overflow, or underflow, so that
+# checks read inf or NaN
+EXTREME = st.builds(lambda scale: Spectrum.explicit([scale * n for n in range(1, 21)]),
+                    st.one_of(st.floats(1e100, 1e160), st.floats(1e-160, 1e-100)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(["scaled", "dirichlet", "power:2"]),
-    st.floats(-1e4, 1e3, allow_nan=False),
+    st.one_of(TOKENS.map(Spectrum.from_token), EXTREME),
+    st.one_of(st.floats(-1e4, 1e3, allow_nan=False), st.floats(-1e300, -1e100)),
     st.floats(1e-3, 1e3),
     st.floats(1e-3, 1e3),
     st.lists(solutions(), min_size=1, max_size=8),
 )
-def test_checks_equal_scalar_reference(token, beta, varrho, k, sols):
+# a NaN cubic, and a NaN residual, after the 0.0 a maximum starts from
+@example(Spectrum.explicit([1e110, 3e110]), -2e110, 1.0, 1.0, [ModalSolution({1: (1.0, 1.0)})])
+@example(Spectrum.explicit([1e155]), -1e300, 1.0, 1.0, [ModalSolution({1: (1.0, 1.0)})])
+def test_checks_equal_scalar_reference(spec, beta, varrho, k, sols):
     # 0 to 3 stored modes, stored (0, 0) modes, trivial rows and -0.0
     sols = [*sols, ModalSolution.trivial()]
-    assert_matches_scalar(sols, Params(beta, varrho, k), Spectrum.from_token(token))
+    assert_matches_scalar(sols, Params(beta, varrho, k), spec)
 
 
 BLOCK = jsonio._BLOCK_ROWS
@@ -193,6 +205,18 @@ def test_verification_catches_nudged_family_sample(tmp_path, monkeypatch):
     (sol,) = nudged
     emitted = doc["ee_families"][-1]["samples"][-1]["modes"][2]
     assert (emitted["n"], emitted["alpha"]) == (sol.active[2], sol.modes[sol.active[2]][0])
+
+
+def test_verification_block_keeps_a_nan_check_of_any_group():
+    # the cubic of the second group reads NaN; a maximum that kept the
+    # first group's 0.0 would pass the block
+    p, spec = Params(-2e110, 1.0, 1.0), Spectrum.explicit([1e110, 3e110])
+    finite = verified_records(Inventory.from_solutions([ModalSolution.trivial()]), p, spec)
+    nan = verified_records(Inventory.from_solutions([ModalSolution({1: (1.0, 1.0)})]), p, spec)
+    for records in ([finite, nan], [nan, finite]):
+        block = cli._verify(records, 1e-10)
+        assert math.isnan(block["max_cubic_relative"])
+        assert block["passed"] is False
 
 
 def test_verification_is_tag_blind(tmp_path, monkeypatch):
