@@ -388,37 +388,44 @@ def _sign_class(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, 0, np.where(x < 0, 1, 2))
 
 
-def _mode_lines(modes: list[int], states, beta_texts: list[str], tails: list[str]):
+def _mode_ids(modes: list[int]) -> np.ndarray:
+    """The ``branch_id`` and ``modes`` cells of the rows of ``modes``, per
+    family and sign, for :func:`_mode_lines`."""
+    ids = np.empty(8 * len(modes), dtype=object)
+    ids[:] = [f"n{n}:alpha{i}{sign},{n}," for n in modes for i in (1, 2, 3, 4) for sign in "+-"]
+    return ids.reshape(-1, 4, 2)
+
+
+def _mode_lines(ids: np.ndarray, states, beta_texts: list[str], tails: list[str]):
     """Per compression of ``states`` in turn, the CSV lines of the rows
-    of ``modes``, the first modes of the table it evaluates, as one text
-    whose lines each end in a newline.  ``beta_texts`` and ``tails`` are
-    the compressions' ``beta`` cells and count cells."""
-    compression, row, family = np.nonzero(states.reported[:, : len(modes)])
+    of the modes of ``ids`` (:func:`_mode_ids`), whose table ``states``
+    evaluates, as one text whose lines each end in a newline.
+    ``beta_texts`` and ``tails`` are the compressions' ``beta`` cells and
+    count cells."""
+    compression, row, family = np.nonzero(states.reported)
     alpha = states.amplitude[compression, row, family]
     # gamma is a signed partner amplitude; families 3 and 4 are reported
     # together, so the partner of each entry is next to it
     partner = np.arange(len(family)) + (_PARTNER - np.arange(4))[family]
     sign = 3 * _sign_class(alpha) + _sign_class(_GAMMA_SIGN[family] * alpha[partner])
-    ids = np.array([[(f"n{n}:alpha{i}+,{n},", f"n{n}:alpha{i}-,{n},") for i in (1, 2, 3, 4)] for n in modes],
-                   dtype=object)
-    bounds = np.searchsorted(compression, np.arange(len(states.band) + 1)).tolist()
-    for start, end, beta_text, tail in zip(bounds, bounds[1:], beta_texts, tails):
-        # an entry's row and its sign image's row, per sign class of alpha
-        # and of gamma; beta and count cells hold no "%"
-        templates = [
-            f"{beta_text},%s{a}%s,{g}%s,,,{tail}\n{beta_text},%s{a_image}%s,{g_image}%s,,,{tail}\n"
-            for a, a_image in _SIGNS for g, g_image in _SIGNS
-        ]
-        # each magnitude is formatted once, by one %, and fills the alpha
-        # cells of its entry and the gamma cells of its partner
-        size = end - start
-        texts = ("%.17g\n" * size % tuple(np.abs(alpha[start:end]).tolist())).split("\n")[:-1]
-        magnitudes = np.array(texts, dtype=object)
-        fields = np.empty((size, 2, 3), dtype=object)
-        fields[:, :, 0] = ids[row[start:end], family[start:end]]
-        fields[:, :, 1] = magnitudes[:, None]
-        fields[:, :, 2] = magnitudes[partner[start:end] - start, None]
-        yield "".join(map(templates.__getitem__, sign[start:end].tolist())) % tuple(fields.ravel().tolist())
+    # an entry's row and its sign image's row, per compression and sign
+    # class of alpha and of gamma; beta and count cells hold no "%"
+    templates = [
+        f"{beta_text},%s{a}%s,{g}%s,,,{tail}\n{beta_text},%s{a_image}%s,{g_image}%s,,,{tail}\n"
+        for beta_text, tail in zip(beta_texts, tails) for a, a_image in _SIGNS for g, g_image in _SIGNS
+    ]
+    lines = list(map(templates.__getitem__, (9 * compression + sign).tolist()))
+    # each magnitude is formatted once, by one %, and fills the alpha
+    # cells of its entry and the gamma cells of its partner
+    texts = ("%.17g\n" * len(alpha) % tuple(np.abs(alpha).tolist())).split("\n")[:-1]
+    magnitudes = np.array(texts, dtype=object)
+    fields = np.empty((len(alpha), 2, 3), dtype=object)
+    fields[:, :, 0] = ids[row, family]
+    fields[:, :, 1] = magnitudes[:, None]
+    fields[:, :, 2] = magnitudes[partner, None]
+    bounds = np.searchsorted(compression, np.arange(len(beta_texts) + 1)).tolist()
+    for start, end in zip(bounds, bounds[1:]):
+        yield "".join(lines[start:end]) % tuple(fields[start:end].ravel().tolist())
 
 
 def cmd_sweep(args) -> int:
@@ -446,7 +453,6 @@ def cmd_sweep(args) -> int:
     lo, hi = min(grid, default=math.inf), max(grid, default=-math.inf)
     boundaries = table[:, : len(modes)].ravel().tolist()
     betas = [-mb for mb in sorted({*grid, *(b for b in boundaries if lo <= b <= hi)}, reverse=True)]
-    states = _mode_states(table, betas, p.varrho, p.k)
     header = [
         "beta", "branch_id", "modes", "alpha_1", "gamma_1", "alpha_2", "gamma_2",
         "count_unimodal", "count_ee_families", "count_general_bimodal",
@@ -454,25 +460,37 @@ def cmd_sweep(args) -> int:
     # the count columns read tables built once, at the top compression
     ee_thresholds = ee_family_thresholds(top, spec, args.tol_cond)
     bimodal_table = pair_table(top, spec, len(E))
-    unimodal = (2 * states.carried.sum(axis=(1, 2))).tolist()
-    n_star = (states.band > 0).sum(axis=1).tolist()
-    # every float written is checked, and every count made, before the
-    # first line is written
-    jsonio.check_floats(states.amplitude[:, : len(modes)][states.reported[:, : len(modes)]])
-    jsonio.check_floats(np.array(betas))
-    tails, pair_rows = [], []
-    for c, beta in enumerate(betas):
-        _check_mode_count(spec, beta, n_star[c])
-        ee, general = count_ee_families(ee_thresholds, beta), count_general_bimodal(bimodal_table, beta, n_star[c])
-        tails.append(",".join(map(jsonio.csv_cell, (unimodal[c], ee, general))))
-        pair_rows.append([] if pairs_table is None else branch_rows(pairs_table, beta))
-    jsonio.check_floats(np.array([a for rows in pair_rows for row in rows for a in (*row[2], *row[3])]))
-    beta_texts = list(map(jsonio.format_float, betas))
+    # the compressions go in blocks of about the writer's block of rows,
+    # twice: every float written is checked, and every count made, before
+    # the first line is written; then the lines are written.  Only the
+    # count cells are kept per compression, so the memory of a sweep is
+    # bounded by the block, not by the grid
+    size = max(1, jsonio._BLOCK_ROWS // len(rows))
+    blocks = [slice(start, start + size) for start in range(0, len(betas), size)]
+    tails = []
+    for block in blocks:
+        states = _mode_states(table, betas[block], p.varrho, p.k)
+        jsonio.check_floats(states.amplitude[:, : len(modes)][states.reported[:, : len(modes)]])
+        jsonio.check_floats(np.array(betas[block]))
+        unimodal = (2 * states.carried.sum(axis=(1, 2))).tolist()
+        n_star = (states.band > 0).sum(axis=1).tolist()
+        for beta, count, n in zip(betas[block], unimodal, n_star):
+            _check_mode_count(spec, beta, n)
+            ee, general = count_ee_families(ee_thresholds, beta), count_general_bimodal(bimodal_table, beta, n)
+            tails.append(f"{count},{ee},{general}")
+            if pairs_table is not None:
+                jsonio.check_floats(np.array([a for row in branch_rows(pairs_table, beta) for a in (*row[2], *row[3])]))
+    ids = _mode_ids(modes)
     with _output(args.out) as write:
         write(",".join(header) + "\n")
-        mode_lines = _mode_lines(modes, states, beta_texts, tails)
-        for beta_text, tail, rows, mode_text in zip(beta_texts, tails, pair_rows, mode_lines):
-            write(_pair_lines(beta_text, tail, rows) + mode_text)
+        for block in blocks:
+            states = _mode_states(table[:, : len(modes)], betas[block], p.varrho, p.k)
+            beta_texts = list(map(jsonio.format_float, betas[block]))
+            mode_lines = _mode_lines(ids, states, beta_texts, tails[block])
+            for beta, beta_text, tail, mode_text in zip(betas[block], beta_texts, tails[block], mode_lines):
+                if pairs_table is not None:
+                    mode_text = _pair_lines(beta_text, tail, branch_rows(pairs_table, beta)) + mode_text
+                write(mode_text)
     if args.gnuplot is not None:
         args.gnuplot.write_text(_gnuplot_script(args.out, header), encoding="utf-8")
     return 0

@@ -25,9 +25,10 @@ so a large one is never held whole; :func:`dumps` joins the pieces.
 writing a document would raise on a non-finite float.
 
 CSV cells are written by :func:`csv_cell`.  ``sweep`` writes its own
-lines, one compression at a time: it formats each amplitude magnitude
-once, and a line template per sign pattern puts the signs in front of
-the magnitudes.
+lines, one compression at a time, from blocks of compressions of about
+``_BLOCK_ROWS`` mode-table rows: it formats each amplitude magnitude of
+a block once, and a line template per sign pattern puts the signs in
+front of the magnitudes.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .errors import ValidationError
 INDENT = 2
 
 # Solution records per block, written here and verified in
-# ``core.check_inventory``.  A block's temporaries, texts, fields and ``%``
+# ``core.check_inventory``; ``sweep`` takes as many mode-table rows per
+# block of compressions.  A block's temporaries, texts, fields and ``%``
 # result live only while it is checked or written, so the memory a list
 # of records needs is bounded by the block, not by the inventory.  In a
 # fresh process, an ``enumerate`` of 16,640 records grew RSS by about

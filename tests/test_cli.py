@@ -394,6 +394,59 @@ def test_overflowing_eigenvalue_exit_code(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # 318,309 effective modes: the pair scan asked for 94 GiB
+        ("sets", "--nmax", B, "--beta=-1e12"),
+        # every mode up to n_max effective: the scan never ended
+        ("sets", "--nmax", B, "--beta=-1e300"),
+        ("enumerate", "--nmax", B, "--beta=-1e12"),
+        ("unimodal", "--nmax", B, "--beta=-1e300"),
+        ("sweep", "--nmax", B, "--grid", "0:1e12:3"),
+        ("single", "--model", "foundation", "--nmax", B, "--beta=-1e12"),
+        # one mode past the bound
+        ("sets", "--spectrum", "scaled", "--nmax", "1001", "--beta=-1002002"),
+    ],
+    ids=lambda argv: " ".join(argv).replace(B, "10**160"),
+)
+def test_many_effective_modes_exit_code(capsys, monkeypatch, argv):
+    # past MAX_EFFECTIVE_MODES the input is rejected, after one eigenvalue
+    # more is read and before any scan of the pairs
+    from beamforge.modesets import MAX_EFFECTIVE_MODES
+    from beamforge.spectrum import Spectrum
+
+    real = Spectrum.eigenvalue
+
+    def eigenvalue(self, n):
+        assert n <= MAX_EFFECTIVE_MODES + 1, "read past the bound"
+        return real(self, n)
+
+    monkeypatch.setattr(Spectrum, "eigenvalue", eigenvalue)
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"beamforge: more than {MAX_EFFECTIVE_MODES} effective modes")
+
+
+def test_heavy_load_radicand_exit_code(capsys):
+    # the radicand (beta+lam+mu-nu)(beta+nu) overflows at these loads,
+    # while the amplitudes it gives are representable: the sweep writes
+    # them, and enumerate reports its NaN cubic check as out of range,
+    # never an internal invariant of the inventory
+    code = main(["enumerate", "--varrho", "1e300", "--beta=-1e300", "--nmax", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "beamforge: non-finite float in output: nan; the input is out of range\n"
+    code, out = run_cli(capsys, "sweep", "--varrho", "1e300", "--grid", "0:1e300:3", "--nmax", "4")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    top = [r[3] for r in rows if r[0] == "-1.0000000000000001e+300" and r[1] in ("n1:alpha1+", "n1:alpha3+")]
+    assert top == ["0.31830988618379069"] * 2
+    assert all(math.isfinite(float(x)) for r in rows for x in r[3:5])
+
+
+@pytest.mark.parametrize(
     "argv,code",
     [
         # 2k overflows, so no pair or triple is on an EE equality; mu and nu

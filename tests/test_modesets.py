@@ -7,6 +7,7 @@ import pair_reference as reference
 from beamforge import (
     Params,
     Spectrum,
+    ValidationError,
     VerificationError,
     dirichlet_mode_count,
     effective_modes,
@@ -173,6 +174,22 @@ def test_effective_modes_evaluates_few_eigenvalues(monkeypatch):
     part = effective_modes(Params(-100, 1, 1), Spectrum.dirichlet(10**6))
     assert part.E == (1, 2, 3)
     assert len(calls) <= 6
+
+
+def test_effective_modes_up_to_the_bound():
+    # lam_n = n^2: at -beta = (B + 0.5)^2 the first B modes are effective,
+    # at (B + 1.5)^2 one more, which is past the bound; the scan stops there
+    bound = modesets.MAX_EFFECTIVE_MODES
+    spec = Spectrum.scaled(10**160)
+    part = effective_modes(Params(-((bound + 0.5) ** 2), 1.0, 1.0), spec)
+    assert part.n_star == bound
+    assert not part.truncated
+    with pytest.raises(ValidationError, match=f"more than {bound} effective modes"):
+        effective_modes(Params(-((bound + 1.5) ** 2), 1.0, 1.0), spec)
+    with pytest.raises(ValidationError, match=f"lam_{bound + 1} = "):
+        effective_modes(Params(-1e300, 1.0, 1.0), spec)
+    # capped at the bound by n_max, the partition is truncated instead
+    assert effective_modes(Params(-1e300, 1.0, 1.0), Spectrum.scaled(bound)).truncated
 
 
 def test_effective_mode_count_mismatch_raises(monkeypatch):

@@ -15,10 +15,12 @@ row reports.
 import contextlib
 import io
 import math
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamforge import cli
+from beamforge import cli, jsonio
 from beamforge.bimodal import count_general_bimodal, pair_branches, pair_table
 from beamforge.core import Params
 from beamforge.jsonio import csv_text
@@ -131,3 +133,53 @@ def test_sweep_csv_matches_the_row_list_emitter(sweep):
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
     assert out.getvalue() == reference_sweep(spectrum, k, varrho, cli._parse_grid(grid), track, pairs)
+
+
+# on `scaled` with k = 3 no threshold of mode 1 (1, 7 and 10) lies in
+# 20..30, so each grid below has as many compressions as points; five
+# modes are effective at the top, so a block holds 1024 // 5 = 204
+BLOCK_MULTIPLES = [f"--grid=20:30:{count}" for count in (203, 204, 205, 407, 408, 409)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--grid=0:40:21", "--pairs=1,2", "--pairs=2,3", "--pairs=1,2"),
+        ("--grid=0:40:21", "--track=1,2,10", "--pairs=1,2"),
+        ("--grid=0:40:0",),
+        ("--grid=0:40:0", "--pairs=1,2"),
+        ("--grid=15.5:15.5:1", "--pairs=1,2"),
+        *((grid, "--track=1") for grid in BLOCK_MULTIPLES),
+    ],
+    ids=" ".join,
+)
+def test_sweep_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path, argv):
+    # the compressions are checked, counted and written in blocks of
+    # about jsonio._BLOCK_ROWS mode-table rows; one compression per block
+    # and the whole grid as one block write the same bytes
+    def sweep(name):
+        out = tmp_path / name
+        assert cli.main(["sweep", "--spectrum=scaled", "--k=3", *argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    written = sweep("default.csv")
+    for rows in (1, 10**9):
+        monkeypatch.setattr(jsonio, "_BLOCK_ROWS", rows)
+        assert sweep(f"{rows}.csv") == written
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    # only the count cells are kept per compression: from 201 to 4,001
+    # grid points the traced peak grows by about 0.5 MB (it grew by 23 MB
+    # when the mode states of the whole grid were held)
+    def peak(count):
+        tracemalloc.start()
+        try:
+            argv = ["sweep", "--spectrum=dirichlet", f"--grid=0:45000:{count}", "--track=1"]
+            assert cli.main([*argv, "--out", str(tmp_path / "sweep.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(201), peak(4001)
+    assert large - small < 4_000_000, (small, large)

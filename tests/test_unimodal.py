@@ -59,6 +59,23 @@ def test_e3_amplitudes_frozen_values(scaled):
     assert (p.beta + lam + mu - nu) * (p.beta + nu) == pytest.approx(96.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("varrho,beta", [(1e300, -1e300), (1.0, -1e200), (1e-100, -1e160)])
+def test_radicand_overflow_keeps_the_e3_amplitudes(varrho, beta):
+    # the radicand (beta+lam+mu-nu)(beta+nu) overflows past |beta| ~ 1e154
+    # although the roots it gives are representable: at such a load a3 is
+    # a1 to rounding, and a3 a4 = k / (varrho lam^2)
+    spec, k = Spectrum.dirichlet(4), 1.0
+    p = Params(beta=beta, varrho=varrho, k=k)
+    lam = spec.eigenvalues()
+    states = _mode_states(_mode_table(lam, k), beta, varrho, k)
+    for m, n in enumerate(range(1, 5)):
+        curves = amplitude_curves(p, spec, n)
+        assert [x.hex() for x in states.amplitude[m].tolist()] == [x.hex() for x in curves.values()]
+        a1, _, a3, a4 = curves.values()
+        assert a3 == pytest.approx(a1, rel=1e-12)
+        assert a3 * a4 == pytest.approx(k / (varrho * lam[m] ** 2), rel=1e-12)
+
+
 def test_outside_effective_set_empty(scaled):
     p = Params(beta=-0.5, varrho=1.0, k=3.0)
     band, amps = signed_amplitudes(p, scaled, 1)

@@ -56,9 +56,12 @@ def amplitude_curves(p, spec, n):
         out[2] = math.sqrt((mb - mu) / (p.varrho * lam))
     if mb >= nu:
         # radicand kept as a product of signed factors; both are negative
-        # strictly inside E3, so the product is positive there
-        inner = (p.beta + lam + mu - nu) * (p.beta + nu)
-        a3 = math.sqrt(((mb + mu - nu - lam) + math.sqrt(max(inner, 0.0))) / (2.0 * p.varrho * lam))
+        # strictly inside E3, so the product is positive there; where it
+        # overflows, its root is the product of the factors' roots
+        below, above = p.beta + lam + mu - nu, p.beta + nu
+        inner = below * above
+        root = math.sqrt(max(inner, 0.0)) if math.isfinite(inner) else math.sqrt(-below) * math.sqrt(-above)
+        a3 = math.sqrt(((mb + mu - nu - lam) + root) / (2.0 * p.varrho * lam))
         out[3] = a3
         # smaller root via the product of roots: a3^2 a4^2 = (k/(varrho lam^2))^2
         out[4] = p.k / (p.varrho * lam * lam * a3) if a3 > 0.0 else 0.0
