@@ -23,7 +23,8 @@ four sign-symmetric roots exist per system exactly when
 
 The equality seams ``lam1*lam2 == 2k`` and ``lam1*(lam2-lam1) == 2k``
 collapse ``X == Y``; there the solutions merge into the EE continua of
-:mod:`beamforge.ee_families`, and :func:`pair_branches` gives no rows.
+:mod:`beamforge.ee_families`, and :func:`branch_rows` gives the pair no
+rows.
 
 Everything above except the window test and ``(r, t)`` is independent
 of ``beta``: the invariants, the seam flag and the window kind of a list
@@ -31,8 +32,8 @@ of pairs are evaluated once, on arrays, one column per pair
 (:func:`_invariants`, gathered in a :class:`PairTable`).  One array
 evaluation of a table at a ``beta`` takes the window test,
 ``F, G -> r^2, s^2`` and the positivity test of every pair; the solution
-inventory, :func:`pair_branches`, :func:`bstar_pairs`, the sweep's pair
-rows and :func:`count_general_bimodal` all read it.
+inventory, :func:`branch_rows` (the sweep's pair rows),
+:func:`bstar_pairs` and :func:`count_general_bimodal` all read it.
 """
 
 from __future__ import annotations
@@ -54,15 +55,14 @@ _TAGS = tuple(f"general-bimodal({kind})" for kind in _KINDS)
 _WINDOWS = (None, "B1*", "B2*")
 
 
-def _invariants(lam1, lam2, k: float, varrho: float) -> tuple[dict, np.ndarray, np.ndarray]:
+def _invariants(lam1, lam2, k: float) -> tuple[dict, np.ndarray, np.ndarray]:
     """The beta-independent algebra of the pairs with eigenvalues
     ``lam1 < lam2`` (arrays): the columns ``lam1, lam2, zeta, sigma,
-    Phi, Psi, X, Y, W, Z, f, g, m_small, m_big`` and ``nu_shift``, the
-    circle/ellipse offset ``k (X - Y) / (varrho lam1^2)``; the mask of
-    the pairs that have invariants, which can carry real coefficient
-    ratios (not a product in ``(0, k)`` without the gap alternative, nor
-    the degenerate ``lam1*lam2 == k``); and the window each pair can open
-    whatever ``beta``, as a :class:`PairTable` code.  Outside the mask
+    Phi, Psi, X, Y, W, Z, f, g, m_small, m_big``; the mask of the pairs
+    that have invariants, which can carry real coefficient ratios (not a
+    product in ``(0, k)`` without the gap alternative, nor the degenerate
+    ``lam1*lam2 == k``); and the window each pair can open whatever
+    ``beta``, as a :class:`PairTable` code.  Outside the mask
     the columns hold whatever the float operations gave."""
     with np.errstate(all="ignore"):
         prod = lam1 * lam2
@@ -78,11 +78,10 @@ def _invariants(lam1, lam2, k: float, varrho: float) -> tuple[dict, np.ndarray, 
         g = (k * Y - lam1 * lam1 - k) / lam1
         m_small = (k * k + k * lam2 * (lam2 - lam1) + prod * prod) / ((prod - k) * lam2)
         m_big = (k * k - k * lam1 * (lam2 - lam1) + prod * prod) / ((prod - k) * lam1)
-        nu_shift = k * (X - Y) / (varrho * lam1 * lam1)
         window = np.where((k < prod) & (prod < 2.0 * k), 1, np.where(gap > 2.0 * k, 2, 0))
     columns = dict(
-        lam1=lam1, lam2=lam2, zeta=zeta, sigma=sigma, Phi=Phi, Psi=Psi, X=X, Y=Y, W=W, Z=Z,
-        f=f, g=g, m_small=m_small, m_big=m_big, nu_shift=nu_shift,
+        lam1=lam1, lam2=lam2, zeta=zeta, sigma=sigma, Phi=Phi, Psi=Psi, X=X, Y=Y, W=W, Z=Z, f=f, g=g,
+        m_small=m_small, m_big=m_big,
     )
     has &= real_xy & real_wz
     on_seam = np.logical_or(*_resonance(lam1, lam2, k, SEAM_RTOL))
@@ -143,7 +142,7 @@ def _pair_table(p: Params, spec: Spectrum, pairs) -> PairTable:
         raise ValueError("pair must be strictly increasing")
     modes, index = np.unique(np.concatenate([n1, n2]), return_inverse=True)
     lam1, lam2 = np.array([spec.eigenvalue(n) for n in modes.tolist()], dtype=float)[index].reshape(2, -1)
-    columns, _, window = _invariants(lam1, lam2, p.k, p.varrho)
+    columns, _, window = _invariants(lam1, lam2, p.k)
     columns["scale"] = p.varrho * lam1
     values = [
         np.where(window > 0, columns[name], closed)
@@ -207,16 +206,6 @@ def branch_rows(table: PairTable, beta: float) -> list:
         ((n1, n2), _KINDS[i], (a1, g1), (a2, g2))
         for (n1, n2), i, (a1, a2), (g1, g2) in zip(*(x.tolist() for x in _branches(table, beta)))
     ]
-
-
-def pair_branches(
-    p: Params, spec: Spectrum, pair: tuple[int, int]
-) -> list[tuple[str, tuple[float, float], tuple[float, float]]]:
-    """The isolated states of one pair as ``(kind, (a1, g1), (a2, g2))``
-    rows: four of kind ``"XW"`` (v-ratios ``X, W``) then four of kind
-    ``"YZ"``, or none when the pair has no invariants, sits on an EE
-    seam or its window is closed."""
-    return [row[1:] for row in branch_rows(_pair_table(p, spec, [pair]), p.beta)]
 
 
 def bstar_pairs(p: Params, spec: Spectrum) -> list[tuple[tuple[int, int], str]]:

@@ -1,16 +1,18 @@
 """``beamforge`` command line: enumeration, verification, sweeps, export.
 
-Exit codes: 0 on success, 2 on a validation error (bad input), 3 on a
-verification failure (an emitted solution missed its residual bound,
-which means a bug, and is surfaced loudly).  Output goes to stdout or
-``--out`` piece by piece, after every check that can exit 2: such an
-exit writes nothing and leaves an existing ``--out`` file as it was.
+Exit codes: 0 on success, 2 on a validation error (bad input) or a
+failed allocation, 3 on a verification failure (an emitted solution
+missed its residual bound, which means a bug, and is surfaced loudly).
+Output goes to stdout or ``--out`` piece by piece, after every check
+that can exit 2: such an exit writes nothing and leaves an existing
+``--out`` file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -26,7 +28,7 @@ from .bimodal import (
     general_bimodal_inventory,
     pair_table,
 )
-from .core import Inventory, ModalSolution, Params, solution_sort_key, verified_records
+from .core import Inventory, Params, solution_sort_key, verified_records
 from .ee_families import enumerate_ee_families, sample_family
 from .errors import ValidationError, VerificationError
 from .modesets import (
@@ -325,30 +327,16 @@ def cmd_single(args) -> int:
     return 0
 
 
-def _solutions_up_to(inv: Inventory, n_modes: int) -> list[ModalSolution]:
-    """Solution objects for the rows whose highest stored mode is at
-    most ``n_modes`` (padding holds ``n = 0``), built for those alone."""
-    keep = inv.n.max(axis=1) <= n_modes
-    tags = [tag for tag, kept in zip(inv.tags, keep.tolist()) if kept]
-    return Inventory(inv.n[keep], inv.alpha[keep], inv.gamma[keep], inv.width[keep], tags).solutions()
-
-
 def cmd_oracle(args) -> int:
     from .oracle import galerkin_solve, match_against
 
     p, spec = _context(args)
     result = galerkin_solve(p, spec, args.modes, args.starts, seed=args.seed)
-    # reconcile against the closed forms the truncation can represent
-    closed = sorted(
-        _solutions_up_to(unimodal_inventory(p, spec), args.modes)
-        + _solutions_up_to(general_bimodal_inventory(p, spec), args.modes),
-        key=solution_sort_key,
-    )
-    families = [
-        f
-        for f in enumerate_ee_families(p, spec, args.tol_cond)
-        if max(f.modes) <= args.modes
-    ]
+    # reconcile against the closed forms on the modes of the truncation
+    truncated = dataclasses.replace(spec, n_max=args.modes)
+    closed = unimodal_inventory(p, truncated).solutions() + general_bimodal_inventory(p, truncated).solutions()
+    closed.sort(key=solution_sort_key)
+    families = enumerate_ee_families(p, truncated, args.tol_cond)
     report = match_against(closed, families, result.found)
     doc = {
         "params": p.describe(),
@@ -605,6 +593,9 @@ def main(argv=None) -> int:
         return 3
     except (IndexError, OSError) as exc:
         print(f"beamforge: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"beamforge: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

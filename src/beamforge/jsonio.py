@@ -238,18 +238,10 @@ def dumps(obj) -> str:
 
 
 def csv_cell(value) -> str:
+    """The text of a float, nothing for ``None``, else ``str(value)``, unquoted."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, int):
-        return repr(value)
-    text = str(value)
-    if "," in text or '"' in text or "\n" in text:
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+    return format_float(value) if isinstance(value, float) else str(value)
 
 
 def csv_text(header: list[str], rows) -> str:

@@ -122,14 +122,6 @@ class ModeSetPartition:
     # effective modes exist above ``n_max`` (not part of ``describe``)
     truncated: bool = False
 
-    def band(self, n: int) -> str:
-        """``"E1"``, ``"E2"`` or ``"E3"`` for an effective mode ``n``,
-        else ``"outside"``."""
-        for name in ("E1", "E2", "E3"):
-            if n in getattr(self, name):
-                return name
-        return "outside"
-
     def describe(self) -> dict:
         return {
             "E": list(self.E),

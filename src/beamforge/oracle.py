@@ -265,12 +265,16 @@ def galerkin_solve(
     radius = start_box_radius(p, spec)
     if not np.isfinite(radius):
         raise ValidationError(f"start box radius overflows at beta = {p.beta}, varrho = {p.varrho}")
+    try:
+        x0 = np.zeros((starts, 2 * n_modes))
+    except ValueError as exc:  # more bytes than an array can address
+        raise MemoryError(str(exc)) from None
     rng = np.random.default_rng(seed)
-    subsets = _mode_subsets(n_modes)
-    proper = len(subsets) - 1
+    proper = 2**n_modes - 2
     share = (starts // 2) // proper if proper else 0
-    budgets = [share] * proper + [starts - share * proper]
-    x0 = np.zeros((starts, 2 * n_modes))
+    # the 2^N - 1 subsets are listed only when each proper one gets starts
+    subsets = _mode_subsets(n_modes) if share else [tuple(range(1, n_modes + 1))]
+    budgets = [share] * (len(subsets) - 1) + [starts - share * (len(subsets) - 1)]
     row = 0
     for subset, budget in zip(subsets, budgets):
         cols = _columns_for(subset, n_modes)
@@ -280,18 +284,19 @@ def galerkin_solve(
     reps = roots[converged]
     reps *= np.tile(np.where(reps[:, :n_modes] < 0.0, -1.0, 1.0), 2)
     reps = _accurate_polish(lams, p, _dedup_merge(reps, radius))
-    known = _dedup_merge(_orbits(reps[_settled(lams, p, reps, radius)]), radius)
-
-    active = _active_modes(known)
+    reps = reps[_settled(lams, p, reps, radius)]
+    # checked before the images are formed, 2^m of a root with m active modes
+    active = _active_modes(reps)
     crowded = np.flatnonzero(active.sum(axis=1) > MAX_ACTIVE_MODES)
     if crowded.size:
         raise VerificationError(
             f"oracle root with {int(active[crowded[0]].sum())} active modes contradicts the "
-            f"three-mode bound: {known[crowded[0]].tolist()}"
+            f"three-mode bound: {reps[crowded[0]].tolist()}"
         )
+    known = _dedup_merge(_orbits(reps), radius)
     found = [
         ModalSolution({j + 1: (row[j], row[n_modes + j]) for j in np.flatnonzero(on)}, tag="oracle")
-        for row, on in zip(known.tolist(), active)
+        for row, on in zip(known.tolist(), _active_modes(known))
     ]
     found.sort(key=solution_sort_key)
     return OracleResult(

@@ -12,10 +12,10 @@ Four amplitude families exist (index ``i``):
 * ``i = 3, 4`` out-of-phase nonsymmetric, the two roots of a quadratic
   whose radicand is the signed product ``(beta+lam+mu-nu)(beta+nu)``.
 
-A mode carries the ``FAMILIES`` of its band, E1, E2 or E3 (1, 2 or 4
+A mode carries the families of its band, E1, E2 or E3 (1, 2 or 4
 families, hence 2, 4 or 8 signed amplitudes).  Bands and amplitudes are
 evaluated in one place, the mode table of :mod:`beamforge.modesets`;
-:func:`unimodal_inventory` and :func:`amplitude_curves` are views of it.
+:func:`unimodal_inventory` is a view of it.
 """
 
 from __future__ import annotations
@@ -23,31 +23,15 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MAX_ACTIVE_MODES, Inventory, ModalSolution, Params
-from .modesets import _FAMILIES as FAMILIES, _mode_states, _mode_table, effective_modes  # noqa: F401
+from .modesets import _mode_states, _mode_table, effective_modes
 from .spectrum import Spectrum
 
-# the gamma of family i is sign * (amplitude of family partner)
-GAMMA_PARTNER = {1: (1, +1), 2: (2, -1), 3: (4, -1), 4: (3, -1)}
-# GAMMA_PARTNER as arrays over the family axis of the mode states
-_PARTNER = np.array([GAMMA_PARTNER[i][0] - 1 for i in (1, 2, 3, 4)])
-_GAMMA_SIGN = np.array([float(GAMMA_PARTNER[i][1]) for i in (1, 2, 3, 4)])
+# gamma = sign * (amplitude of the partner family), per family index
+# 0-3: families 1 and 2 are their own partners, 3 and 4 each other's
+_PARTNER = np.array([0, 1, 3, 2])
+_GAMMA_SIGN = np.array([1.0, -1.0, -1.0, -1.0])
 # one shared tag string per family and sign, not one per solution
 _TAGS = {(i, sig): f"unimodal({i},{sig})" for i in (1, 2, 3, 4) for sig in "+-"}
-
-
-def amplitude_curves(p: Params, spec: Spectrum, n: int) -> dict[int, float | None]:
-    """Raw positive amplitude of each family, ``None`` where undefined.
-
-    Each family is gated on ``-beta`` against its own threshold, without
-    the boundary collapse, so boundary-degenerate values (zeros and
-    coincident roots) stay in; the families a mode carries are
-    ``FAMILIES[effective_modes(p, spec).band(n)]``.
-    """
-    states = _mode_states(_mode_table([spec.eigenvalue(n)], p.k), p.beta, p.varrho, p.k)
-    return {
-        i: a if defined else None
-        for i, a, defined in zip((1, 2, 3, 4), states.amplitude[0].tolist(), states.defined[0].tolist())
-    }
 
 
 def unimodal_inventory(p: Params, spec: Spectrum) -> Inventory:

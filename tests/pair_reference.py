@@ -45,7 +45,6 @@ class BimodalInvariants:
     g: float
     m_small: float
     m_big: float
-    nu_shift: float  # k (X - Y) / (varrho lam1^2), the circle/ellipse offset
 
 
 def _rel_eq(a, b, tol):
@@ -151,7 +150,7 @@ def _unit_product_roots(s):
     return 1.0 / big, big
 
 
-def _pair_algebra(spec, k, varrho, pair):
+def _pair_algebra(spec, k, pair):
     """The beta-independent part of a pair: its invariants, or ``None``,
     and whether it sits on an EE seam."""
     n1, n2 = pair
@@ -179,10 +178,7 @@ def _pair_algebra(spec, k, varrho, pair):
     g = (k * Y - lam1 * lam1 - k) / lam1
     m_small = (k * k + k * lam2 * (lam2 - lam1) + prod * prod) / ((prod - k) * lam2)
     m_big = (k * k - k * lam1 * (lam2 - lam1) + prod * prod) / ((prod - k) * lam1)
-    nu_shift = k * (X - Y) / (varrho * lam1 * lam1)
-    inv = BimodalInvariants(
-        (n1, n2), lam1, lam2, zeta, sigma, Phi, Psi, X, Y, W, Z, f, g, m_small, m_big, nu_shift
-    )
+    inv = BimodalInvariants((n1, n2), lam1, lam2, zeta, sigma, Phi, Psi, X, Y, W, Z, f, g, m_small, m_big)
     return inv, _rel_eq(prod, 2.0 * k, SEAM_RTOL) or _rel_eq(gap, 2.0 * k, SEAM_RTOL)
 
 
@@ -209,7 +205,7 @@ def pair_table_columns(p, spec, pairs):
     without invariants, on an EE seam or with no window)."""
     rows = []
     for pair in pairs:
-        inv, on_seam = _pair_algebra(spec, p.k, p.varrho, pair)
+        inv, on_seam = _pair_algebra(spec, p.k, pair)
         window = None if inv is None or on_seam else _window(inv, p.k)
         rows.append(
             CLOSED_COLUMNS
@@ -227,7 +223,7 @@ def program_invariants(p, spec, pair):
     one-element columns as a :class:`BimodalInvariants`, or ``None``
     outside its ``has`` mask."""
     lam1, lam2 = (np.array([spec.eigenvalue(n)]) for n in pair)
-    columns, has, _ = _invariants(lam1, lam2, p.k, p.varrho)
+    columns, has, _ = _invariants(lam1, lam2, p.k)
     if not has[0]:
         return None
     return BimodalInvariants(tuple(pair), **{name: column[0].item() for name, column in columns.items()})

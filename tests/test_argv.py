@@ -18,9 +18,14 @@ A huge ``--nmax`` comes with any load: past ``MAX_EFFECTIVE_MODES``
 effective modes the input is rejected before the quadratic pair scans.
 A load that makes hundreds of modes effective, and so runs for seconds
 (``|beta|`` of about 1e5 to 1e7), is rare among the floats drawn.
-The property does not explore large truncations, long oracle searches
-or large grids, nor the defaults ``--nmax 64`` together with the
-extreme loads that make every mode effective.
+A second, slower property with a fixed example budget draws ``oracle``
+alone with ``--nmax`` <= 32, ``--modes`` up to ``--nmax`` and
+``--starts`` <= 40 or one of ``LARGE_STARTS``, whose start array fails
+to allocate at once.  It never draws a start count between 41 and
+1e13, where that allocation can succeed and fill gigabytes.  Neither
+property explores long oracle searches or large grids, nor the defaults
+``--nmax 64`` together with the extreme loads that make every mode
+effective.
 """
 
 import argparse
@@ -55,6 +60,9 @@ BOUNDED_INTS = {
     "mode": (-1, 14),
     "seed": (-3, 2**64),
 }
+# start counts whose start array is more than memory, or than an array
+# can hold
+LARGE_STARTS = [10**14, 10**15, 2**62]
 # mode indices whose eigenvalues, or their squares, leave the float range
 HUGE_INTS = [2**31, 2**63, 10**160, 10**400]
 MALFORMED = ["", "x", "-", "--", "-x", "--beta", "1e", "0x10", "1,2,", "nan:1:2"]
@@ -175,6 +183,30 @@ def _run(argv: list[str]):
 @example(["sweep", "--pairs=--"])
 @example(["sets", "--nmax", str(10**160), "--beta=-1e12"])  # past the effective-mode bound
 def test_every_argv_exits_0_2_or_3_and_repeats(argv):
+    first = _run(argv)
+    assert first[0] in (0, 2, 3), first[2]
+    assert _run(argv) == first
+
+
+@st.composite
+def large_oracle_lines(draw) -> list[str]:
+    """``oracle`` with a truncation up to 32 modes, a start count of
+    ``LARGE_STARTS`` or up to 40, and any of its other options."""
+    nmax = draw(st.integers(1, 32))
+    starts = draw(st.one_of(st.integers(1, 40), st.sampled_from(LARGE_STARTS)))
+    argv = ["oracle", f"--nmax={nmax}", f"--modes={draw(st.integers(1, nmax))}", f"--starts={starts}"]
+    others = [a for a in OPTIONS["oracle"] if a.dest not in ("nmax", "modes", "starts")]
+    for action in draw(st.lists(st.sampled_from(others), max_size=4)):
+        argv.append(f"{action.option_strings[0]}={_value(draw, action, False)}")
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(large_oracle_lines())
+@example(["oracle", "--nmax=32", "--modes=32", "--starts=40"])
+@example(["oracle", "--nmax=32", "--modes=26", "--starts=10"])
+@example(["oracle", "--nmax=32", "--modes=32", f"--starts={2**62}"])
+def test_large_oracle_argv_exits_0_2_or_3_and_repeats(argv):
     first = _run(argv)
     assert first[0] in (0, 2, 3), first[2]
     assert _run(argv) == first

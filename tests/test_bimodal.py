@@ -16,7 +16,6 @@ from beamforge.bimodal import (
     branch_rows,
     bstar_pairs,
     count_general_bimodal,
-    pair_branches,
     pair_table,
 )
 from beamforge.modesets import (
@@ -37,18 +36,18 @@ def rel_close(a, b, tol):
 
 def circle_ellipse_roots(p, spec, pair, kind):
     """The ``(r, t)`` roots of one circle-ellipse system, in row order:
-    the u-amplitudes ``(a1, a2)`` of the ``pair_branches`` rows of kind
-    ``"XW"`` (SIS1) or ``"YZ"`` (SIS2)."""
-    rows = pair_branches(p, spec, pair)
-    return [(a1, a2) for row_kind, (a1, _g1), (a2, _g2) in rows if row_kind == kind]
+    the u-amplitudes ``(a1, a2)`` of the ``branch_rows`` of the pair of
+    kind ``"XW"`` (SIS1) or ``"YZ"`` (SIS2)."""
+    rows = branch_rows(_pair_table(p, spec, [pair]), p.beta)
+    return [(a1, a2) for _, row_kind, (a1, _g1), (a2, _g2) in rows if row_kind == kind]
 
 
 def scalar_branches(p, spec, pair):
-    """The rows of ``pair_branches`` solved for one pair with Python
-    floats: the window test, ``F, G -> r^2, s^2`` and the positivity test
-    in the float operations of the array evaluation, which must equal
-    this reference bit for bit."""
-    inv, on_seam = _pair_algebra(spec, p.k, p.varrho, pair)
+    """The ``branch_rows`` of one pair, less their pair column, solved
+    with Python floats: the window test, ``F, G -> r^2, s^2`` and the
+    positivity test in the float operations of the array evaluation,
+    which must equal this reference bit for bit."""
+    inv, on_seam = _pair_algebra(spec, p.k, pair)
     window = None if inv is None or on_seam else _window(inv, p.k)
     mb = -p.beta
     if not ((window == "B1*" and inv.m_small < mb < inv.m_big) or (window == "B2*" and inv.m_big < mb)):
@@ -207,7 +206,7 @@ def test_ee_seam_reported(scaled):
     # to the EE family machinery
     p = Params(beta=-10.0, varrho=1.0, k=2.0)
     assert program_invariants(p, scaled, (1, 2)) is not None
-    assert pair_branches(p, scaled, (1, 2)) == []
+    assert branch_rows(_pair_table(p, scaled, [(1, 2)]), p.beta) == []
     assert (1, 2) not in [pair for pair, _kind in bstar_pairs(p, scaled)]
     assert ((1, 2), "B1") in bimodal_ee_pairs(p, scaled)
 
@@ -282,9 +281,10 @@ def check_identities(k, lam1, lam2, tol=1e-11):
     # the two tensions from either mode agree
     assert rel_close(inv.f, (k * inv.W - lam2 * lam2 - k) / lam2, tol)
     assert rel_close(inv.g, (k * inv.Z - lam2 * lam2 - k) / lam2, tol)
-    # circle/ellipse offset: (f - g)/(varrho lam1) equals the shift field
-    assert rel_close((inv.f - inv.g) / (p.varrho * lam1), inv.nu_shift, tol)
-    assert inv.nu_shift >= 0.0
+    # circle/ellipse offset: (f - g)/(varrho lam1) equals k (X - Y)/(varrho lam1^2)
+    nu_shift = k * (inv.X - inv.Y) / (p.varrho * lam1 * lam1)
+    assert rel_close((inv.f - inv.g) / (p.varrho * lam1), nu_shift, tol)
+    assert nu_shift >= 0.0
     # threshold forms through the ratio roots match the closed forms
     m_small_alt = -inv.g - k * inv.W**2 * (inv.X - inv.Y) / (lam1 * (inv.W**2 - 1.0))
     m_small_alt2 = -inv.g - k * (inv.X - inv.Y) / (lam1 * (1.0 - inv.Z**2))

@@ -565,6 +565,66 @@ def test_oracle_root_with_four_modes_exit_code(capsys, monkeypatch):
     assert out == ""
 
 
+def test_oracle_rejects_a_crowded_root_before_its_images(capsys, monkeypatch):
+    # a root with m active modes has 2^m sign images; one with more than
+    # three is rejected first, so a spurious root on many modes never
+    # asks for that many
+    from beamforge import oracle
+
+    def fake_newton(lams, beta, varrho, k, starts, tol, max_iter=200):
+        starts = np.asarray(starts)
+        return np.full_like(starts, 0.5), np.ones(starts.shape[0], bool), np.zeros(starts.shape[0], int)
+
+    def no_images(reps):
+        raise AssertionError("formed the images of a crowded root")
+
+    monkeypatch.setattr(oracle.kernels, "newton_batch", fake_newton)
+    monkeypatch.setattr(oracle, "_accurate_polish", lambda lams, p, roots: roots)
+    monkeypatch.setattr(oracle, "_settled", lambda lams, p, roots, radius: np.ones(roots.shape[0], bool))
+    monkeypatch.setattr(oracle, "_orbits", no_images)
+    code, out = run_cli(capsys, "oracle", *COMMON, "--modes", "4", "--starts", "40")
+    assert code == 3
+    assert out == ""
+
+
+def test_oracle_lists_no_mode_subsets_that_get_no_starts(capsys, monkeypatch):
+    # at 26 modes, 10 starts give no proper mode subset a start, so the
+    # 2^26 - 1 subsets are never listed and the full support takes all 10
+    from beamforge import oracle
+
+    mode_subsets = oracle._mode_subsets
+
+    def bounded(n_modes):
+        if n_modes > 20:
+            raise AssertionError(f"listed the subsets of {n_modes} modes")
+        return mode_subsets(n_modes)
+
+    monkeypatch.setattr(oracle, "_mode_subsets", bounded)
+    code, out = run_cli(capsys, "oracle", "--modes", "26", "--starts", "10")
+    assert code == 0
+    assert json.loads(out)["oracle"]["starts_used"] == 10
+
+
+@pytest.mark.parametrize("starts", [10**15, 2**62])
+def test_oracle_start_array_past_memory_exit_code(capsys, starts):
+    # the start array fails to allocate at once, before any memory is
+    # touched: more bytes than the machine has, or than an array can hold
+    code = main(["oracle", f"--starts={starts}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("beamforge: out of memory: ") and captured.err.count("\n") == 1
+
+
+def test_oracle_reconciles_on_its_truncation(capsys):
+    # the closed forms are read on the three modes of the truncation, so
+    # a load with more effective modes than the bound below a huge --nmax
+    # still reconciles
+    doc = run_json(capsys, "oracle", "--nmax", str(10**160), "--beta=-1e12", "--modes", "3", "--starts", "20")
+    assert doc["closed_form_count"] == 48
+    assert doc["matching"]["unmatched_count"] == 0
+
+
 @pytest.mark.parametrize("name", ["beta", "varrho", "k"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_nonfinite_params_exit_code(capsys, monkeypatch, name, value):

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from itertools import product
 
@@ -351,9 +352,9 @@ def test_found_is_exactly_orbit_closed_in_a_stable_order(scaled):
 
 CLOSED_FORMS = (
     "unimodal_inventory",
-    "amplitude_curves",
+    "_mode_states",
     "general_bimodal_inventory",
-    "pair_branches",
+    "_circle_ellipse",
     "enumerate_ee_families",
 )
 
@@ -464,6 +465,27 @@ def test_match_against_equals_the_per_root_reference(spectrum, k, beta, n_modes,
     _assert_same_report(
         match_against(doubled, families, found), _match_reference(doubled, families, found)
     )
+
+
+@pytest.mark.parametrize(
+    "spectrum,k,beta,n_modes",
+    [
+        ("scaled", 3.0, -15.5, 3),  # paper
+        ("dirichlet", 3.0, -200.0, 3),
+        ("scaled", 72.0, -40.0, 5),
+        ("dirichlet", 1.0, -45000.0, 3),
+    ],
+    ids=["paper", "dirichlet", "family", "deep"],
+)
+def test_capped_spectrum_gives_the_row_filtered_closed_forms(spectrum, k, beta, n_modes):
+    # oracle reconciles on the closed forms of its spectrum capped at the
+    # truncation: the solutions and families of the full spectrum whose
+    # modes the truncation holds, in the same order
+    p, spec = Params(beta=beta, varrho=1.0, k=k), Spectrum.from_token(spectrum)
+    capped = dataclasses.replace(spec, n_max=n_modes)
+    for enumerate_closed in (enumerate_unimodal, enumerate_general_bimodal, enumerate_ee_families):
+        full = enumerate_closed(p, spec)
+        assert enumerate_closed(p, capped) == [x for x in full if max(x.modes) <= n_modes]
 
 
 _MATCH_TOL = 2.0 ** -20  # a power of two, so that c + tol * max(1, |c|) is exact

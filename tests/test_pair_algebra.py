@@ -62,7 +62,7 @@ def outcome(scan):
 
 def check_pair(p, spec, pair, tol):
     """The invariants and the EE pair kind of one pair."""
-    inv, _ = reference._pair_algebra(spec, p.k, p.varrho, pair)
+    inv, _ = reference._pair_algebra(spec, p.k, pair)
     got = reference.program_invariants(p, spec, pair)
     assert (got is None) == (inv is None)
     if inv is not None:

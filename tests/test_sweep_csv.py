@@ -21,13 +21,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamforge import cli, jsonio
-from beamforge.bimodal import count_general_bimodal, pair_branches, pair_table
+from beamforge.bimodal import _pair_table, branch_rows, count_general_bimodal, pair_table
 from beamforge.core import Params
 from beamforge.jsonio import csv_text
 from beamforge.modesets import count_ee_families, ee_family_thresholds, mu_value, nu_value
 from beamforge.spectrum import Spectrum
-from beamforge.unimodal import FAMILIES, GAMMA_PARTNER
-from unimodal_reference import amplitude_curves, effective_modes
+from unimodal_reference import FAMILIES, GAMMA_PARTNER, amplitude_curves, effective_modes
 
 HEADER = [
     "beta", "branch_id", "modes", "alpha_1", "gamma_1", "alpha_2", "gamma_2",
@@ -74,7 +73,7 @@ def reference_sweep(spectrum, k, varrho, grid, track, pairs) -> str:
                          None, None, *counts]
                     )
         for n1, n2 in pairs:
-            for kind, (a1, g1), (a2, g2) in pair_branches(p, spec, (n1, n2)):
+            for _, kind, (a1, g1), (a2, g2) in branch_rows(_pair_table(p, spec, [(n1, n2)]), p.beta):
                 sig = ("+" if a1 > 0 else "-") + ("+" if a2 > 0 else "-")
                 rows.append(
                     [p.beta, f"b{n1}-{n2}:{kind}{sig}", f"{n1};{n2}", a1, g1, a2, g2, *counts]

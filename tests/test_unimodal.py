@@ -7,9 +7,8 @@ import unimodal_reference as reference
 from beamforge import Params, Spectrum, cubic_check, modal_residual
 from beamforge.modesets import _mode_states, _mode_table, effective_modes, mu_value, nu_value
 from beamforge.oracle import newton_scale
-from beamforge.unimodal import FAMILIES, GAMMA_PARTNER, enumerate_unimodal, unimodal_inventory
-from beamforge.unimodal import amplitude_curves as program_amplitude_curves
-from unimodal_reference import amplitude_curves
+from beamforge.unimodal import enumerate_unimodal, unimodal_inventory
+from unimodal_reference import FAMILIES, GAMMA_PARTNER, amplitude_curves, band_of
 
 # frozen via the closed forms and confirmed by residual substitution below
 E3_AMPLITUDES = {
@@ -23,7 +22,7 @@ E3_AMPLITUDES = {
 def signed_amplitudes(p, spec, n):
     """Band of mode ``n`` and its signed u-amplitudes keyed by
     ``(family, sign)``: the ``alpha`` of the unimodal rows on mode ``n``."""
-    band = effective_modes(p, spec).band(n)
+    band = band_of(effective_modes(p, spec), n)
     curves = amplitude_curves(p, spec, n)
     amps = {(i, sign): sign * curves[i] for i in FAMILIES.get(band, ()) for sign in (+1, -1)}
     rows = [s.modes[n][0] for s in enumerate_unimodal(p, spec) if s.active == (n,)]
@@ -202,10 +201,10 @@ def test_amplitude_curves_for_sweeps(scaled):
 
 def test_mode_class_thresholds(scaled):
     k = 3.0
-    assert effective_modes(Params(-0.5, 1.0, k), scaled).band(1) == "outside"
-    assert effective_modes(Params(-5.0, 1.0, k), scaled).band(1) == "E1"
-    assert effective_modes(Params(-8.0, 1.0, k), scaled).band(1) == "E2"
-    assert effective_modes(Params(-15.5, 1.0, k), scaled).band(1) == "E3"
+    assert band_of(effective_modes(Params(-0.5, 1.0, k), scaled), 1) == "outside"
+    assert band_of(effective_modes(Params(-5.0, 1.0, k), scaled), 1) == "E1"
+    assert band_of(effective_modes(Params(-8.0, 1.0, k), scaled), 1) == "E2"
+    assert band_of(effective_modes(Params(-15.5, 1.0, k), scaled), 1) == "E3"
 
 
 @settings(max_examples=80, deadline=None)
@@ -256,8 +255,9 @@ def hexes(values):
 @given(near_thresholds())
 def test_mode_table_matches_the_scalar_reference(case):
     # the bands and amplitudes of the mode table, evaluated at a grid of
-    # compressions at once, and the partition, amplitude_curves and the
-    # inventory read from it, equal the scalar reference bit for bit
+    # compressions at once and for one mode at one compression, and the
+    # partition and the inventory read from it, equal the scalar
+    # reference bit for bit
     spec, k, varrho, minus_betas = case
     modes = range(1, spec.n_max + 1)
     states = _mode_states(_mode_table(spec.eigenvalues(), k), [-mb for mb in minus_betas], varrho, k)
@@ -270,13 +270,15 @@ def test_mode_table_matches_the_scalar_reference(case):
         )
         rows, tags = [], []
         for m, n in enumerate(modes):
-            band = part.band(n)
+            band = band_of(part, n)
             assert states.band[c, m] == ("outside", "E1", "E2", "E3").index(band)
             curves = amplitude_curves(p, spec, n)
             defined = states.defined[c, m].tolist()
             table_curves = [a if ok else None for a, ok in zip(states.amplitude[c, m].tolist(), defined)]
             assert hexes(table_curves) == hexes(curves.values())
-            assert hexes(program_amplitude_curves(p, spec, n).values()) == hexes(curves.values())
+            one = _mode_states(_mode_table([spec.eigenvalue(n)], k), p.beta, varrho, k)
+            one_curves = [a if ok else None for a, ok in zip(one.amplitude[0].tolist(), one.defined[0].tolist())]
+            assert hexes(one_curves) == hexes(curves.values())
             for i in FAMILIES.get(band, ()):
                 partner, sign = GAMMA_PARTNER[i]
                 a, g = curves[i], sign * curves[partner]

@@ -4,14 +4,19 @@ compression at a time, with Python floats.
 
 The program evaluates the same float expressions on arrays, in
 ``modesets._mode_states``; the tests hold it to this reference bit for
-bit.  The thresholds and the relative comparison are written out here
-rather than imported, so that a change to the program's arithmetic cannot
-move the reference with it.
+bit.  The thresholds, the relative comparison, the families of each band
+and the gamma partners are written out here rather than imported, so that
+a change to the program's arithmetic cannot move the reference with it.
 """
 
 import math
 
 from beamforge.modesets import BOUNDARY_RTOL, ModeSetPartition
+
+# the amplitude families each band carries
+FAMILIES = {"E1": (1,), "E2": (1, 2), "E3": (1, 2, 3, 4)}
+# the gamma of family i is sign * (amplitude of family partner)
+GAMMA_PARTNER = {1: (1, +1), 2: (2, -1), 3: (4, -1), 4: (3, -1)}
 
 
 def thresholds(lam, k):
@@ -41,6 +46,12 @@ def effective_modes(p, spec):
         else:
             E3.append(n)
     return ModeSetPartition(tuple(E), tuple(E1), tuple(E2), tuple(E3), E[-1] if E else 0)
+
+
+def band_of(part, n):
+    """``"E1"``, ``"E2"`` or ``"E3"`` for an effective mode ``n`` of the
+    partition ``part``, else ``"outside"``."""
+    return next((name for name in FAMILIES if n in getattr(part, name)), "outside")
 
 
 def amplitude_curves(p, spec, n):
