@@ -49,8 +49,9 @@ CUBIC_TOL = 1e-9
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--beta", type=float, default=0.0, help="axial load parameter (negative compresses)")
+    # the options every model command reads, one parent for each option
+    # that only some of them read, and --out, which comes last in each
+    common, beta, tol_cond, tol_res, seed, out = (argparse.ArgumentParser(add_help=False) for _ in range(6))
     common.add_argument("--varrho", type=float, default=1.0, help="extensibility coefficient, positive")
     common.add_argument("--k", type=float, default=1.0, help="coupling stiffness ratio, positive")
     common.add_argument(
@@ -59,12 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="eigenvalue generator: dirichlet | scaled | power:p | file:<path>",
     )
     common.add_argument("--nmax", type=int, default=64, help="enumeration cap on mode indices")
-    common.add_argument("--tol-cond", type=float, default=1e-9, dest="tol_cond",
-                        help="relative tolerance for resonance equalities")
-    common.add_argument("--tol-res", type=float, default=1e-10, dest="tol_res",
-                        help="relative residual bound for verification")
-    common.add_argument("--seed", type=int, default=0, help="random seed for sampling")
-    common.add_argument("--out", type=Path, default=None, help="write output here instead of stdout")
+    beta.add_argument("--beta", type=float, default=0.0, help="axial load parameter (negative compresses)")
+    tol_cond.add_argument("--tol-cond", type=float, default=1e-9, dest="tol_cond",
+                          help="relative tolerance for resonance equalities")
+    tol_res.add_argument("--tol-res", type=float, default=1e-10, dest="tol_res",
+                         help="relative residual bound for verification")
+    seed.add_argument("--seed", type=int, default=0, help="random seed for sampling")
+    out.add_argument("--out", type=Path, default=None, help="write output here instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="beamforge",
@@ -73,28 +75,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("sets", parents=[common], help="effective-mode partition and resonant index sets")
+    sub.add_parser("sets", parents=[beta, common, tol_cond, out], help="effective-mode partition and resonant index sets")
 
-    p_uni = sub.add_parser("unimodal", parents=[common], help="single-mode solutions; CSV gives amplitude-vs-compression branches")
+    p_uni = sub.add_parser("unimodal", parents=[beta, common, tol_res, out], help="single-mode solutions; CSV gives amplitude-vs-compression branches")
     p_uni.add_argument("--csv", action="store_true", help="emit the branch table as CSV instead of JSON")
     p_uni.add_argument("--mode", type=int, default=1, help="mode index for the CSV branch table")
     p_uni.add_argument("--grid", default=None, help="compression grid lo:hi:count (in -beta) for the CSV")
     p_uni.add_argument("--gnuplot", type=Path, default=None,
                        help="also write a gnuplot script for the CSV (needs --csv and --out)")
 
-    p_enum = sub.add_parser("enumerate", parents=[common], help="full solution inventory with verification block")
+    p_enum = sub.add_parser("enumerate", parents=[beta, common, tol_cond, tol_res, seed, out], help="full solution inventory with verification block")
     p_enum.add_argument("--samples", type=int, default=0, help="verified samples to draw per EE family")
     p_enum.add_argument("--pairs", action="append", default=None, metavar="N1,N2",
                         help="restrict the bimodal scan to these pairs (repeatable)")
 
-    p_single = sub.add_parser("single", parents=[common], help="single-beam comparison models")
+    p_single = sub.add_parser("single", parents=[beta, common, tol_cond, out], help="single-beam comparison models")
     p_single.add_argument("--model", choices=("plain", "foundation"), required=True)
 
-    p_oracle = sub.add_parser("oracle", parents=[common], help="brute-force Galerkin solve and matching report")
+    p_oracle = sub.add_parser("oracle", parents=[beta, common, tol_cond, seed, out], help="brute-force Galerkin solve and matching report")
     p_oracle.add_argument("--modes", type=int, default=3, help="Galerkin truncation order N")
     p_oracle.add_argument("--starts", type=int, default=2000, help="number of random starts")
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="branch coefficients over a compression grid (CSV)")
+    p_sweep = sub.add_parser("sweep", parents=[common, tol_cond, out], help="branch coefficients over a compression grid (CSV)")
     p_sweep.add_argument("--grid", default="0:20:41", help="compression grid lo:hi:count (in -beta)")
     p_sweep.add_argument("--track", default=None, metavar="N,N,...",
                          help="modes to track (default: all effective at max compression)")
@@ -118,13 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _context(args) -> tuple[Params, Spectrum]:
-    for flag, tol in (("--tol-cond", args.tol_cond), ("--tol-res", args.tol_res)):
-        if not (math.isfinite(tol) and tol > 0.0):
-            raise ValidationError(f"{flag} must be a finite positive number, got {tol}")
-    if args.seed < 0:
+    # check only the options the command takes
+    given = vars(args)
+    for flag, dest in (("--tol-cond", "tol_cond"), ("--tol-res", "tol_res")):
+        if dest in given and not (math.isfinite(given[dest]) and given[dest] > 0.0):
+            raise ValidationError(f"{flag} must be a finite positive number, got {given[dest]}")
+    if given.get("seed", 0) < 0:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     return (
-        Params(beta=args.beta, varrho=args.varrho, k=args.k),
+        Params(beta=given.get("beta", 0.0), varrho=args.varrho, k=args.k),
         Spectrum.from_token(args.spectrum, n_max=args.nmax),
     )
 
@@ -179,8 +183,10 @@ def _parse_pairs(tokens) -> list[tuple[int, int]] | None:
             n1, n2 = (int(x) for x in token.split(","))
         except ValueError as exc:
             raise ValidationError(f"bad pair {token!r}, expected N1,N2") from exc
-        if not 0 < n1 < n2:
-            raise ValidationError(f"pair {token!r} must be strictly increasing and positive")
+        # int64, as in bimodal._pair_table; checked here to exit 2 before
+        # any work (the library call raises NumPy's OverflowError)
+        if not 0 < n1 < n2 <= np.iinfo(np.int64).max:
+            raise ValidationError(f"pair {token!r} must be strictly increasing, positive and below 2**63")
         pairs.append((n1, n2))
     return pairs
 
@@ -451,8 +457,8 @@ def cmd_sweep(args) -> int:
     # the compressions go in blocks of about the writer's block of rows,
     # twice: every float written is checked, and every count made, before
     # the first line is written; then the lines are written.  Only the
-    # count cells are kept per compression, so the memory of a sweep is
-    # bounded by the block, not by the grid
+    # grid value, beta and count cells are kept per compression, so the
+    # mode states take memory by the block, not by the grid
     size = max(1, jsonio._BLOCK_ROWS // len(rows))
     blocks = [slice(start, start + size) for start in range(0, len(betas), size)]
     tails = []

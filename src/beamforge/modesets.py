@@ -69,8 +69,7 @@ class _ModeStates(NamedTuple):
     at ``G`` of them, ``(G, M)``, with a last axis for families 1-4."""
 
     band: np.ndarray  # an index of _CARRIED
-    amplitude: np.ndarray  # raw positive amplitude, valid where defined
-    defined: np.ndarray  # -beta at or above the family's own threshold
+    amplitude: np.ndarray  # raw positive amplitude, valid where -beta is at or above the family's own threshold
     carried: np.ndarray  # the families of the band
     reported: np.ndarray  # carried, or -beta exactly on the family's threshold
 
@@ -108,8 +107,8 @@ def _mode_states(table: np.ndarray, beta, varrho: float, k: float) -> _ModeState
         a1, a2 = (np.sqrt((mb - x) / (varrho * lam)) for x in (lam, mu))
     thresholds = np.stack([lam, mu, nu, nu], axis=-1)
     carried = _CARRIED[band]
-    defined, on_threshold = mb[..., None] >= thresholds, mb[..., None] == thresholds
-    return _ModeStates(band, np.stack([a1, a2, a3, a4], -1), defined, carried, carried | on_threshold)
+    on_threshold = mb[..., None] == thresholds
+    return _ModeStates(band, np.stack([a1, a2, a3, a4], -1), carried, carried | on_threshold)
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,7 @@ def _value(draw, action: argparse.Action, huge_nmax: bool) -> str:
     if action.dest == "track":
         return draw(st.sampled_from(MODE_LISTS))
     assert action.dest == "pairs", action.dest
-    return draw(st.sampled_from(["1,2", "2,3", "1,1", "2,1", "1,99", "x", "1"]))
+    return draw(st.sampled_from(["1,2", "2,3", "1,1", "2,1", "1,99", f"1,{2**63}", "x", "1"]))
 
 
 @st.composite

@@ -234,12 +234,26 @@ def test_unimodal_csv_empty_grid(capsys):
         ("sweep", "--gnuplot", "sweep.gp"),
         ("unimodal", "--csv", "--gnuplot", "branches.gp"),
         ("unimodal", "--gnuplot", "branches.gp", "--out", "branches.json"),
+        # each of these options leaves the command's output as it is, so
+        # the command does not take it
+        ("sets", "--tol-res", "1e-10"),
+        ("sets", "--seed", "1"),
+        ("unimodal", "--tol-cond", "1e-9"),
+        ("unimodal", "--seed", "1"),
+        ("single", "--model", "plain", "--tol-res", "1e-10"),
+        ("single", "--model", "plain", "--seed", "1"),
+        ("oracle", "--starts", "10", "--tol-res", "1e-10"),
+        ("sweep", "--beta=-10"),
+        ("sweep", "--tol-res", "1e-10"),
+        ("sweep", "--seed", "1"),
     ],
     ids=" ".join,
 )
 def test_ignored_format_flags_exit_code(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
-    assert main([*argv, *COMMON]) == 2
+    # sweep takes no --beta
+    load = COMMON[:-2] if argv[0] == "sweep" else COMMON
+    assert main([*argv, *load]) == 2
     assert capsys.readouterr().out == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -253,7 +267,7 @@ def test_argparse_rejection_returns_2(capsys):
 def test_sweep_gnuplot_script_plots_the_csv(capsys, tmp_path):
     out, script = tmp_path / "sweep.csv", tmp_path / "sweep.gp"
     code, _ = run_cli(
-        capsys, "sweep", *COMMON, "--grid", "0:20:5", "--out", str(out), "--gnuplot", str(script)
+        capsys, "sweep", *COMMON[:-2], "--grid", "0:20:5", "--out", str(out), "--gnuplot", str(script)
     )
     assert code == 0
     assert "'sweep.csv' using 1:4" in script.read_text()
@@ -653,7 +667,8 @@ def test_bad_tolerance_exit_code(capsys, monkeypatch, command, flag, value):
 
     for stage in ("effective_modes", "unimodal_inventory", "enumerate_ee_families"):
         monkeypatch.setattr(cli, stage, no_work)
-    code, out = run_cli(capsys, command, "--spectrum", "scaled", "--k", "3", "--beta=-15.5", f"{flag}={value}")
+    load = () if command == "sweep" else ("--beta=-15.5",)
+    code, out = run_cli(capsys, command, "--spectrum", "scaled", "--k", "3", *load, f"{flag}={value}")
     assert code == 2
     assert out == ""
 
@@ -705,7 +720,8 @@ def test_cost_follows_the_effective_modes(capsys, monkeypatch, argv):
         return real(self, n)
 
     monkeypatch.setattr(Spectrum, "eigenvalue", eigenvalue)
-    code, _ = run_cli(capsys, *argv, "--nmax", "100000000", "--beta=-10")
+    load = () if argv[0] == "sweep" else ("--beta=-10",)
+    code, _ = run_cli(capsys, *argv, "--nmax", "100000000", *load)
     assert code == 0
     assert max(asked) <= 2
 
@@ -763,3 +779,48 @@ def test_sets_scans_ee_pairs_once(capsys, monkeypatch):
     doc = run_json(capsys, "sets", "--spectrum", "scaled", "--k", "2", "--beta", "-10")
     assert doc["B1"] == [[1, 2]]
     assert len(calls) == 1
+
+
+def assert_rejected(capsys, tmp_path, argv):
+    """``argv`` exits 2, writes nothing to stdout and leaves an existing
+    ``--out`` file as it was."""
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().out == ""
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"an earlier result\n")
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == b"an earlier result\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--beta=-10", "--pairs", f"1,{2**63}"),
+        ("sweep", "--grid", "0:1:2", "--pairs", f"1,{2**63}"),
+    ],
+    ids=" ".join,
+)
+def test_pair_index_past_int64_exit_code(capsys, tmp_path, argv):
+    # the mode arrays of a pair are int64; 2**63 - 1 still runs
+    assert_rejected(capsys, tmp_path, argv)
+    assert main([*argv[:-1], f"1,{2**63 - 1}", "--nmax", str(10**160)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--grid", "1:2"),
+        ("sweep", "--grid", "0:1:x"),
+        ("sweep", "--grid=0:1:-1"),
+        ("unimodal", "--csv", "--grid", "1:2"),
+        ("enumerate", "--pairs", "1"),
+        ("enumerate", "--pairs", "2,1"),
+        ("sweep", "--pairs", "0,1"),
+        ("sweep", "--track", "1,x"),
+    ],
+    ids=" ".join,
+)
+def test_malformed_grid_pairs_and_track_exit_code(capsys, tmp_path, argv):
+    assert_rejected(capsys, tmp_path, argv)

@@ -260,7 +260,8 @@ def test_mode_table_matches_the_scalar_reference(case):
     # reference bit for bit
     spec, k, varrho, minus_betas = case
     modes = range(1, spec.n_max + 1)
-    states = _mode_states(_mode_table(spec.eigenvalues(), k), [-mb for mb in minus_betas], varrho, k)
+    table = _mode_table(spec.eigenvalues(), k)
+    states = _mode_states(table, [-mb for mb in minus_betas], varrho, k)
     for c, mb in enumerate(minus_betas):
         p = Params(beta=-mb, varrho=varrho, k=k)
         part = reference.effective_modes(p, spec)
@@ -273,11 +274,15 @@ def test_mode_table_matches_the_scalar_reference(case):
             band = band_of(part, n)
             assert states.band[c, m] == ("outside", "E1", "E2", "E3").index(band)
             curves = amplitude_curves(p, spec, n)
-            defined = states.defined[c, m].tolist()
+            # an amplitude is defined where -beta is at or above its
+            # family's threshold (lam, mu, nu, nu)
+            defined = [mb >= x for x in table[[0, 1, 2, 2], m].tolist()]
             table_curves = [a if ok else None for a, ok in zip(states.amplitude[c, m].tolist(), defined)]
             assert hexes(table_curves) == hexes(curves.values())
-            one = _mode_states(_mode_table([spec.eigenvalue(n)], k), p.beta, varrho, k)
-            one_curves = [a if ok else None for a, ok in zip(one.amplitude[0].tolist(), one.defined[0].tolist())]
+            one_table = _mode_table([spec.eigenvalue(n)], k)
+            one = _mode_states(one_table, p.beta, varrho, k)
+            one_defined = [-p.beta >= x for x in one_table[[0, 1, 2, 2], 0].tolist()]
+            one_curves = [a if ok else None for a, ok in zip(one.amplitude[0].tolist(), one_defined)]
             assert hexes(one_curves) == hexes(curves.values())
             for i in FAMILIES.get(band, ()):
                 partner, sign = GAMMA_PARTNER[i]
