@@ -125,8 +125,9 @@ def _context(args) -> tuple[Params, Spectrum]:
     for flag, dest in (("--tol-cond", "tol_cond"), ("--tol-res", "tol_res")):
         if dest in given and not (math.isfinite(given[dest]) and given[dest] > 0.0):
             raise ValidationError(f"{flag} must be a finite positive number, got {given[dest]}")
-    if given.get("seed", 0) < 0:
-        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+    for flag, dest in (("--seed", "seed"), ("--samples", "samples")):
+        if given.get(dest, 0) < 0:
+            raise ValidationError(f"{flag} must be nonnegative, got {given[dest]}")
     return (
         Params(beta=given.get("beta", 0.0), varrho=args.varrho, k=args.k),
         Spectrum.from_token(args.spectrum, n_max=args.nmax),
@@ -458,22 +459,25 @@ def cmd_sweep(args) -> int:
     # twice: every float written is checked, and every count made, before
     # the first line is written; then the lines are written.  Only the
     # grid value, beta and count cells are kept per compression, so the
-    # mode states take memory by the block, not by the grid
+    # mode states take memory by the block, not by the grid.  The mode
+    # counts are cross-checked (exit 3) once every float is (exit 2)
     size = max(1, jsonio._BLOCK_ROWS // len(rows))
     blocks = [slice(start, start + size) for start in range(0, len(betas), size)]
-    tails = []
+    tails, n_stars = [], []
     for block in blocks:
         states = _mode_states(table, betas[block], p.varrho, p.k)
         jsonio.check_floats(states.amplitude[:, : len(modes)][states.reported[:, : len(modes)]])
         jsonio.check_floats(np.array(betas[block]))
         unimodal = (2 * states.carried.sum(axis=(1, 2))).tolist()
         n_star = (states.band > 0).sum(axis=1).tolist()
+        n_stars += n_star
         for beta, count, n in zip(betas[block], unimodal, n_star):
-            _check_mode_count(spec, beta, n)
             ee, general = count_ee_families(ee_thresholds, beta), count_general_bimodal(bimodal_table, beta, n)
             tails.append(f"{count},{ee},{general}")
             if pairs_table is not None:
                 jsonio.check_floats(np.array([a for row in branch_rows(pairs_table, beta) for a in (*row[2], *row[3])]))
+    for beta, n in zip(betas, n_stars):
+        _check_mode_count(spec, beta, n)
     ids = _mode_ids(modes)
     with _output(args.out) as write:
         write(",".join(header) + "\n")

@@ -4,14 +4,14 @@ random starts and reconcile the roots with the closed-form inventory.
 The oracle knows nothing about branch structure.  It draws starts
 uniformly from the amplitude box, runs damped Newton (see
 :mod:`beamforge.kernels`), deduplicates converged roots, polishes them
-and reports every distinct solution found.  The polish is one vectorized
-stage of rank-cut Newton steps (a pseudo-inverse that drops singular
-values below ``1e-10`` of the largest): near junctions of solution
-continua the Jacobian is nearly rank deficient, and the search's
-full-rank solves leave such roots too far off the manifold to match.
-A polished root is kept only when its full-rank Newton step is small, so
-points where the residual is flat but no root is near do not pass.
-``match_against`` then classifies each root as a known isolated
+and reports every distinct solution found.  The polish is one loop of
+rank-cut Newton steps (a pseudo-inverse that drops singular values below
+``1e-10`` of the largest): near junctions of solution continua the
+Jacobian is nearly rank deficient, and the search's full-rank solves
+leave such roots too far off the manifold to match.  A root stops when
+its residual stops falling, after 60 steps, or when its step moves
+nothing that can merge; it is kept only if its full-rank step there is
+small.  ``match_against`` then classifies each root as a known isolated
 solution, a point on an EE family, or unmatched (a bug somewhere), on
 arrays: support signatures and coefficients, compared per support.
 
@@ -125,20 +125,30 @@ class OracleResult:
         }
 
 
-def _accurate_polish(lams, p: Params, roots: np.ndarray) -> np.ndarray:
-    """Polish every root at once with a rank-cut Newton step.
+def _accurate_polish(lams, p: Params, roots: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Polish every root at once with rank-cut Newton steps; return ``(roots, settled)``.
 
     Near junctions of solution continua an extra near-null Jacobian
     direction lets the search park iterates ~sqrt(tol) off the manifold,
-    where a full-rank solve amplifies noise along that direction.  The
-    step here drops singular values below ``1e-10`` of the largest
-    (``pinv``).  All 8 halvings of a step are tried at once, and the
-    first that strictly lowers the max-abs residual is taken; a root stops
-    at the first step that none does, or after 60 steps.
+    where a full-rank solve amplifies noise along it, so a step drops
+    singular values below ``1e-10`` of the largest (``pinv``).  All 8
+    halvings of a step are tried at once; the first that strictly lowers
+    the max-abs residual is chosen.  A root stops, taking no step, where
+    none does, after 60 steps, or where the chosen step moves no
+    coordinate that is or would be larger than the merge distance
+    ``DEDUP_RTOL * radius``: it would only shrink mode pairs far below it
+    toward underflow.  There it is settled when its full-rank Newton step
+    (Dennis & Schnabel, 1983, section 7.2) from the residual and Jacobian
+    held there is at most the merge distance in max-abs; a non-finite
+    step fails.  A residual test would pass points where the residual is
+    flat: at a band threshold, where it is cubic in the amplitude of the
+    branch leaving the trivial state, and just past a pitchfork, on the
+    arc between two close roots.
     """
-    x = roots.copy()
+    tol = DEDUP_RTOL * radius
+    x, settled = roots.copy(), np.zeros(roots.shape[0], dtype=bool)
     live = np.arange(x.shape[0])
-    for _ in range(60):
+    for steps in range(61):
         if live.size == 0:
             break
         xl = x[live]
@@ -149,31 +159,20 @@ def _accurate_polish(lams, p: Params, roots: np.ndarray) -> np.ndarray:
         trial = xl[:, None] + 0.5 ** np.arange(8)[:, None] * step[:, None]
         F_trial = kernels.residual(lams, p.beta, p.varrho, p.k, trial.reshape(-1, xl.shape[1]))
         ok = np.abs(F_trial).max(axis=1).reshape(live.size, 8) < best[:, None]  # False for NaN
-        improved = ok.any(axis=1)
-        x[live[improved]] = trial[improved, ok[improved].argmax(axis=1)]
-        live = live[improved]
-    return x
+        chosen = trial[np.arange(live.size), ok.argmax(axis=1)]
+        mergeable = np.maximum(np.abs(xl), np.abs(chosen)) > tol
+        moves = ok.any(axis=1) & ((chosen != xl) & mergeable).any(axis=1) & (steps < 60)
+        full = (np.linalg.pinv(J[~moves], rcond=STEP_RCOND) @ F[~moves, :, None])[:, :, 0]
+        settled[live[~moves]] = np.abs(full).max(axis=1) <= tol  # False for NaN
+        x[live[moves]] = chosen[moves]
+        live = live[moves]
+    return x, settled
 
 
 def _active_modes(roots: np.ndarray) -> np.ndarray:
     """Mask of the mode pairs with amplitude above ``1e-7``."""
     n_modes = roots.shape[1] // 2
     return np.maximum(np.abs(roots[:, :n_modes]), np.abs(roots[:, n_modes:])) > ACTIVE_AMPLITUDE_TOL
-
-
-def _settled(lams, p: Params, roots: np.ndarray, radius: float) -> np.ndarray:
-    """Flag the roots whose full-rank Newton step (Dennis & Schnabel,
-    1983, section 7.2) is at most ``DEDUP_RTOL`` times the box radius in
-    max-abs: each is pinned down within the distance at which two roots
-    merge.  A non-finite step fails.  A residual test passes points where
-    the residual is flat: at a band threshold, where it is cubic in the
-    amplitude of the branch leaving the trivial state, and just past a
-    pitchfork, on the arc between two close roots.
-    """
-    F = kernels.residual(lams, p.beta, p.varrho, p.k, roots)
-    J = kernels.jacobian(lams, p.beta, p.varrho, p.k, roots)
-    step = (np.linalg.pinv(J, rcond=STEP_RCOND) @ F[:, :, None])[:, :, 0]
-    return np.abs(step).max(axis=1) <= DEDUP_RTOL * radius  # False for NaN
 
 
 def _dedup_merge(roots: np.ndarray, radius: float) -> np.ndarray:
@@ -283,8 +282,8 @@ def galerkin_solve(
     roots, converged, _ = kernels.newton_batch(lams, p.beta, p.varrho, p.k, x0, tol)
     reps = roots[converged]
     reps *= np.tile(np.where(reps[:, :n_modes] < 0.0, -1.0, 1.0), 2)
-    reps = _accurate_polish(lams, p, _dedup_merge(reps, radius))
-    reps = reps[_settled(lams, p, reps, radius)]
+    reps, settled = _accurate_polish(lams, p, _dedup_merge(reps, radius), radius)
+    reps = reps[settled]
     # checked before the images are formed, 2^m of a root with m active modes
     active = _active_modes(reps)
     crowded = np.flatnonzero(active.sum(axis=1) > MAX_ACTIVE_MODES)

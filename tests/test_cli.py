@@ -529,19 +529,45 @@ def test_exit_2_leaves_out_file_as_it_was(capsys, monkeypatch, tmp_path, argv):
     assert captured.err.startswith("beamforge: non-finite float in output")
 
 
+def test_sweep_checks_every_float_before_a_mode_count(capsys, monkeypatch, tmp_path):
+    # a wrong mode count (exit 3) at deep compressions, which the sweep
+    # visits first, and an overflowing amplitude (exit 2) near beta = 0:
+    # the input error wins over the whole grid, as in enumerate
+    from beamforge import cli, modesets
+
+    real_count, real_states = modesets.dirichlet_mode_count, cli._mode_states
+
+    def overflowing(table, betas, varrho, k):
+        states = real_states(table, betas, varrho, k)
+        near_zero = (np.asarray(betas) > -100.0)[:, None, None]
+        return states._replace(amplitude=np.where(near_zero, np.inf, states.amplitude))
+
+    monkeypatch.setattr(modesets, "dirichlet_mode_count", lambda beta: real_count(beta) + (-39000 < beta < -30000))
+    monkeypatch.setattr(cli, "_mode_states", overflowing)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"an earlier result\n")
+    assert main(["sweep", "--spectrum", "dirichlet", "--grid", "0:45000:41", "--out", str(out)]) == 2
+    assert out.read_bytes() == b"an earlier result\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("beamforge: non-finite float in output")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "flag,argv",
     [
-        ("oracle", *COMMON, "--modes", "1", "--starts", "10", "--seed", "-1"),
-        ("enumerate", "--spectrum", "scaled", "--k", "72", "--beta", "-40", "--samples", "2", "--seed", "-5"),
+        ("--seed", ("oracle", *COMMON, "--modes", "1", "--starts", "10", "--seed", "-1")),
+        ("--seed", ("enumerate", "--spectrum", "scaled", "--k", "72", "--beta", "-40", "--samples", "2", "--seed", "-5")),
+        # a negative count drew no sample and exited 0
+        ("--samples", ("enumerate", "--spectrum", "scaled", "--k", "72", "--beta=-40", "--samples", "-1")),
     ],
-    ids=["oracle", "enumerate"],
+    ids=["oracle", "enumerate", "samples"],
 )
-def test_negative_seed_exit_code(capsys, argv):
+def test_negative_seed_exit_code(capsys, flag, argv):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("beamforge: --seed must be nonnegative")
+    assert captured.err.startswith(f"beamforge: {flag} must be nonnegative")
 
 
 def test_oracle_command(capsys):
@@ -571,9 +597,8 @@ def test_oracle_root_with_four_modes_exit_code(capsys, monkeypatch):
         return np.full_like(starts, 0.5), np.ones(starts.shape[0], bool), np.zeros(starts.shape[0], int)
 
     monkeypatch.setattr(oracle.kernels, "newton_batch", fake_newton)
-    monkeypatch.setattr(oracle, "_accurate_polish", lambda lams, p, roots: roots)
-    # the fake row is no root, so the step test would drop it
-    monkeypatch.setattr(oracle, "_settled", lambda lams, p, roots, radius: np.ones(roots.shape[0], bool))
+    # the fake row is no root, so the polish's step test would drop it
+    monkeypatch.setattr(oracle, "_accurate_polish", lambda lams, p, roots, radius: (roots, np.ones(len(roots), bool)))
     code, out = run_cli(capsys, "oracle", *COMMON, "--modes", "4", "--starts", "40")
     assert code == 3
     assert out == ""
@@ -593,8 +618,7 @@ def test_oracle_rejects_a_crowded_root_before_its_images(capsys, monkeypatch):
         raise AssertionError("formed the images of a crowded root")
 
     monkeypatch.setattr(oracle.kernels, "newton_batch", fake_newton)
-    monkeypatch.setattr(oracle, "_accurate_polish", lambda lams, p, roots: roots)
-    monkeypatch.setattr(oracle, "_settled", lambda lams, p, roots, radius: np.ones(roots.shape[0], bool))
+    monkeypatch.setattr(oracle, "_accurate_polish", lambda lams, p, roots, radius: (roots, np.ones(len(roots), bool)))
     monkeypatch.setattr(oracle, "_orbits", no_images)
     code, out = run_cli(capsys, "oracle", *COMMON, "--modes", "4", "--starts", "40")
     assert code == 3

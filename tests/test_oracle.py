@@ -142,6 +142,21 @@ def test_paper_case_full_inventory_every_seed(scaled, seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
+def test_paper_case_polish_takes_a_few_jacobians(monkeypatch, scaled, seed):
+    # the polish stops once its step moves no coordinate that can merge,
+    # and the step test reads the Jacobian the loop already holds; steps
+    # that only shrank sub-1e-7 mode pairs toward underflow took 22-25.
+    # The search's Newton kernel builds its own, so every call counted
+    # here is the polish's
+    calls = []
+    jacobian = kernels.jacobian
+    monkeypatch.setattr(kernels, "jacobian", lambda *args: calls.append(args) or jacobian(*args))
+    p = Params(beta=-15.5, varrho=1.0, k=3.0)
+    assert len(galerkin_solve(p, scaled, 3, 3000, seed=seed).found) == 49
+    assert 1 <= len(calls) <= 6
+
+
+@pytest.mark.parametrize("seed", range(8))
 def test_paper_case_full_inventory_at_1000_starts(scaled, seed):
     # a third of the budget above already finds every state
     p = Params(beta=-15.5, varrho=1.0, k=3.0)
