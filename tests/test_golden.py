@@ -52,6 +52,8 @@ each pair's resonances and invariants memoized per pair.
 ``single_foundation_scaled_k36.json`` was written by the implementation
 whose foundation model scanned the modes ``1..n_max`` for its unimodal
 states and tested each pair's ``lam1*lam2 == k`` with scalar floats.
+``single_plain_scaled_k36.json`` and ``convert_rho.json`` were written
+by the command line whose commands each returned their own exit code.
 """
 
 import hashlib
@@ -117,6 +119,20 @@ CORPUS = [
     (
         "single_foundation_scaled_k36.json",
         ["single", "--model", "foundation", "--spectrum", "scaled", "--k", "36", "--beta=-36.5"],
+    ),
+    # the plain model at the same load: modes 1-6, those with lam < -beta
+    (
+        "single_plain_scaled_k36.json",
+        ["single", "--model", "plain", "--spectrum", "scaled", "--k", "36", "--beta=-36.5"],
+    ),
+    # steel beam data with a density, so tau0 is set; kappa is far from the
+    # slenderness, which gives the one warning
+    (
+        "convert_rho.json",
+        [
+            "convert", "--ell", "1", "--h", "0.01", "--E", "2e11", "--nu", "0.3", "--D", "-0.001",
+            "--kappa", "1e5", "--area", "1e-4", "--rho", "7800",
+        ],
     ),
 ]
 
