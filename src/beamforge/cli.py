@@ -1,11 +1,13 @@
 """``beamforge`` command line: enumeration, verification, sweeps, export.
 
-Exit codes: 0 on success, 2 on a validation error (bad input) or a
-failed allocation, 3 on a verification failure (an emitted solution
-missed its residual bound, which means a bug, and is surfaced loudly).
-Output goes to stdout or ``--out`` piece by piece, after every check
-that can exit 2: such an exit writes nothing and leaves an existing
-``--out`` file as it was.
+Each command returns 0 or raises; :func:`main` alone maps the outcome
+to an exit code and a ``beamforge: ...`` line on stderr.  Exit codes: 0
+on success, 2 on a validation error (bad input) or a failed allocation,
+3 on a verification failure (an emitted solution missed its residual
+bound, which means a bug, and is surfaced loudly).  Output goes to
+stdout or ``--out`` piece by piece, after every check that can exit 2:
+such an exit writes nothing and leaves an existing ``--out`` file as it
+was, while an exit 3 writes the whole document first.
 """
 
 from __future__ import annotations
@@ -153,6 +155,16 @@ def _write(doc, out: Path | None) -> None:
         jsonio.dump(doc, write)
 
 
+def _finish(args, p: Params, spec: Spectrum, body: dict, passed: bool = True) -> int:
+    """Write the JSON document of a model command: the ``params`` and
+    ``spectrum`` it ran on, then ``body``.  A failed verification raises
+    once the whole document is written."""
+    _write({"params": p.describe(), "spectrum": spec.describe(), **body}, args.out)
+    if not passed:
+        raise VerificationError("verification failed (internal inconsistency)")
+    return 0
+
+
 def _check_gnuplot(args, csv: bool) -> None:
     """The gnuplot script plots the CSV file, so it needs one."""
     if args.gnuplot is not None and not (csv and args.out is not None):
@@ -196,8 +208,8 @@ def _verify(records, tol_res) -> dict:
     """Tag-blind verification block over the checks of every emitted
     solution, held by its :func:`verified_records`.  A NaN check is the
     maximum, so the block fails and the emitter rejects it."""
-    columns = [np.zeros((2, 1)), *(np.stack((r.checks.residual, r.checks.cubic)) for r in records)]
-    max_res, max_cubic = np.concatenate(columns, axis=1).max(axis=1).tolist()
+    maxima = [[np.max(r.checks.residual, initial=0.0), np.max(r.checks.cubic, initial=0.0)] for r in records]
+    max_res, max_cubic = np.max(maxima, axis=0).tolist()
     passed = max_res <= tol_res and max_cubic <= CUBIC_TOL
     return {
         "max_relative_residual": max_res,
@@ -227,9 +239,7 @@ def cmd_sets(args) -> int:
     part = effective_modes(p, spec)
     boundaries = dict(zip(("lambda", "mu", "nu"), _mode_table(spec.eigenvalues(part.n_star), p.k).tolist()))
     ee_pairs = bimodal_ee_pairs(p, spec, args.tol_cond)
-    doc = {
-        "params": p.describe(),
-        "spectrum": spec.describe(),
+    return _finish(args, p, spec, {
         "sets": part.describe(),
         "boundaries": boundaries,
         "B1": [list(pair) for pair, kind in ee_pairs if kind == "B1"],
@@ -237,9 +247,7 @@ def cmd_sets(args) -> int:
         "T": [list(t) for t in trimodal_ee_triples(p, spec, args.tol_cond)],
         "Bstar": [{"pair": list(pair), "kind": kind} for pair, kind in bstar_pairs(p, spec)],
         "notes": _partition_notes(part, spec),
-    }
-    _write(doc, args.out)
-    return 0
+    })
 
 
 def cmd_unimodal(args) -> int:
@@ -265,15 +273,11 @@ def cmd_unimodal(args) -> int:
         return 0
     sols = unimodal_inventory(p, spec)
     records = verified_records(sols, p, spec)
-    doc = {
-        "params": p.describe(),
-        "spectrum": spec.describe(),
-        "count": len(sols),
-        "solutions": records,
-        "verification": _verify([records], args.tol_res),
-    }
-    _write(doc, args.out)
-    return 0 if doc["verification"]["passed"] else _verification_failure()
+    verification = _verify([records], args.tol_res)
+    return _finish(
+        args, p, spec, {"count": len(sols), "solutions": records, "verification": verification},
+        passed=verification["passed"],
+    )
 
 
 def cmd_enumerate(args) -> int:
@@ -298,9 +302,7 @@ def cmd_enumerate(args) -> int:
             records.append(fdoc["samples"])
         family_docs.append(fdoc)
     verification = _verify(records, args.tol_res)
-    doc = {
-        "params": p.describe(),
-        "spectrum": spec.describe(),
+    return _finish(args, p, spec, {
         "counts": {
             "unimodal": len(unimodal),
             "ee_families": len(families),
@@ -311,9 +313,7 @@ def cmd_enumerate(args) -> int:
         "general_bimodal": general_records,
         "verification": verification,
         "notes": _partition_notes(part, spec),
-    }
-    _write(doc, args.out)
-    return 0 if verification["passed"] else _verification_failure()
+    }, passed=verification["passed"])
 
 
 def cmd_single(args) -> int:
@@ -325,13 +325,7 @@ def cmd_single(args) -> int:
         if args.model == "plain"
         else enumerate_foundation(p, spec, args.tol_cond)
     )
-    doc = {
-        "params": p.describe(),
-        "spectrum": spec.describe(),
-        "result": result.describe(),
-    }
-    _write(doc, args.out)
-    return 0
+    return _finish(args, p, spec, {"result": result.describe()})
 
 
 def cmd_oracle(args) -> int:
@@ -345,17 +339,11 @@ def cmd_oracle(args) -> int:
     closed.sort(key=solution_sort_key)
     families = enumerate_ee_families(p, truncated, args.tol_cond)
     report = match_against(closed, families, result.found)
-    doc = {
-        "params": p.describe(),
-        "spectrum": spec.describe(),
+    return _finish(args, p, spec, {
         "oracle": result.describe(p, spec, report),
         "matching": report.describe(),
         "closed_form_count": len(closed),
-    }
-    _write(doc, args.out)
-    if report.unmatched:
-        return _verification_failure()
-    return 0
+    }, passed=not report.unmatched)
 
 
 def _pair_lines(beta_text: str, tail: str, pair_rows) -> str:
@@ -514,16 +502,8 @@ def _gnuplot_script(csv_path: Path, header: list[str]) -> str:
 def cmd_convert(args) -> int:
     from .convert import PhysicalParams, dimensionless_params
 
-    phys = PhysicalParams(
-        ell=args.ell,
-        h=args.h,
-        E_mod=args.E_mod,
-        nu_poisson=args.nu_poisson,
-        D_axial=args.D_axial,
-        kappa_core=args.kappa_core,
-        omega_area=args.omega_area,
-        rho_density=args.rho_density,
-    )
+    # the options' dests are the field names
+    phys = PhysicalParams(**{f.name: getattr(args, f.name) for f in dataclasses.fields(PhysicalParams)})
     try:
         params, diag = dimensionless_params(phys)
     except ZeroDivisionError as exc:
@@ -532,11 +512,6 @@ def cmd_convert(args) -> int:
     doc = {"params": params.describe(), "diagnostics": diag.describe()}
     _write(doc, args.out)
     return 0
-
-
-def _verification_failure() -> int:
-    print("beamforge: verification failed (internal inconsistency)", file=sys.stderr)
-    return 3
 
 
 _COMMANDS = {
@@ -595,15 +570,12 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, IndexError, OSError) as exc:
         print(f"beamforge: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:
         print(f"beamforge: {exc}", file=sys.stderr)
         return 3
-    except (IndexError, OSError) as exc:
-        print(f"beamforge: {exc}", file=sys.stderr)
-        return 2
     except MemoryError as exc:
         print(f"beamforge: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2

@@ -88,8 +88,10 @@ class SolutionRecords:
 
     def check(self) -> None:
         """Raise the error that writing the records would raise on a
-        non-finite float, for all of them at once."""
-        check_floats(self._values(slice(None), int(self.inventory.width.max(initial=0))))
+        non-finite float, reading them in :meth:`write`'s blocks."""
+        used = int(self.inventory.width.max(initial=0))
+        for start in range(0, len(self.inventory), _BLOCK_ROWS):
+            check_floats(self._values(slice(start, start + _BLOCK_ROWS), used))
 
     def write(self, write, level: int) -> None:
         """Send the list, as :func:`_emit` writes it at nesting ``level``,

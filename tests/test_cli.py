@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beamforge
 from beamforge.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -102,11 +109,38 @@ def test_enumerate_family_with_samples(capsys):
     assert doc["verification"]["passed"] is True
 
 
+# the argv of enumerate_scaled.json with a residual bound no solution meets
+FAILED_VERIFICATION = ("enumerate", "--spectrum", "scaled", "--k", "3", "--beta=-15.5", "--tol-res", "1e-30")
+VERIFICATION_FAILED = "beamforge: verification failed (internal inconsistency)\n"
+
+
 def test_enumerate_verification_failure_exit_code(capsys):
-    code, out = run_cli(capsys, "enumerate", *COMMON, "--tol-res", "1e-30")
+    code = main(list(FAILED_VERIFICATION))
+    captured = capsys.readouterr()
     assert code == 3
+    assert captured.err == VERIFICATION_FAILED
     # the whole document is written, its failed verification block too
-    assert json.loads(out)["verification"]["passed"] is False
+    expected = json.loads((GOLDEN / "enumerate_scaled.json").read_text())
+    expected["verification"].update(residual_tolerance=1e-30, passed=False)
+    assert json.loads(captured.out) == expected
+
+
+def test_python_m_beamforge_runs_main():
+    # the package is imported from where the tests import it
+    path = [str(Path(beamforge.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "beamforge", *argv], capture_output=True, env=env, timeout=120)
+
+    done = run("sets", "--spectrum", "scaled", "--k", "3", "--beta=-15.5")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / "sets_scaled.json").read_bytes()
+    rejected = run("sweep", "--beta=-10", "--grid", "0:10:3")
+    assert (rejected.returncode, rejected.stdout) == (2, b"")
+    failed = run(*FAILED_VERIFICATION)
+    assert (failed.returncode, failed.stderr) == (3, VERIFICATION_FAILED.encode())
+    assert json.loads(failed.stdout)["verification"]["passed"] is False
 
 
 @pytest.mark.parametrize(
@@ -585,6 +619,24 @@ def test_oracle_nonpositive_starts_exit_code(capsys, starts):
     code, out = run_cli(capsys, "oracle", *COMMON, "--modes", "1", f"--starts={starts}")
     assert code == 2
     assert out == ""
+
+
+def test_oracle_unmatched_roots_exit_code(capsys, monkeypatch):
+    # with no closed forms, the two in-phase states are unmatched: the
+    # whole document is written, then the verification failure
+    from beamforge import cli
+    from beamforge.core import Inventory
+
+    monkeypatch.setattr(cli, "unimodal_inventory", lambda *args: Inventory.from_rows([], []))
+    monkeypatch.setattr(cli, "general_bimodal_inventory", lambda *args: Inventory.from_rows([], []))
+    monkeypatch.setattr(cli, "enumerate_ee_families", lambda *args: [])
+    code = main(["oracle", "--spectrum", "scaled", "--k", "3", "--beta", "-5", "--modes", "1", "--starts", "150"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == VERIFICATION_FAILED
+    doc = json.loads(captured.out)
+    assert doc["closed_form_count"] == 0
+    assert doc["matching"]["unmatched_count"] == 2
 
 
 def test_oracle_root_with_four_modes_exit_code(capsys, monkeypatch):

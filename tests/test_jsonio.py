@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,3 +151,27 @@ def test_solution_records_blocks_join_to_the_recursive_emitters(records, level):
     assert [block.count('"tag": ') for block in blocks] == [
         min(BLOCK, len(rows) - start) for start in range(0, len(rows), BLOCK)
     ]
+
+
+def test_solution_records_check_is_bounded_by_a_block():
+    # the floats of 60,000 three-mode records take 3.8 MB as one array,
+    # 66 kB for a block of them
+    size = 60_000
+    coeffs = np.ones((size, 3))
+    inv = Inventory(np.tile([1, 2, 3], (size, 1)), coeffs, coeffs, np.full(size, 3), ["b"] * size)
+    checks = InventoryChecks(np.ones(size), np.ones(size), np.zeros(size), np.zeros(size))
+    records = SolutionRecords(inv, checks)
+    tracemalloc.start()
+    try:
+        records.check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 500_000
+    # the first non-finite value raises, as writing raises it, in whatever
+    # block it is
+    checks.C_v[2 * BLOCK + 7] = -math.inf
+    checks.C_u[5 * BLOCK] = math.nan
+    for run in (records.check, lambda: records.write(lambda text: None, 0)):
+        with pytest.raises(ValidationError, match="^non-finite float in output: -inf;"):
+            run()
