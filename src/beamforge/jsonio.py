@@ -42,7 +42,7 @@ from .errors import ValidationError
 
 INDENT = 2
 
-# Solution records per block, written here and verified in
+# Solution records per block, checked and written here and verified in
 # ``core.check_inventory``; ``sweep`` takes as many mode-table rows per
 # block of compressions.  A block's temporaries, texts, fields and ``%``
 # result live only while it is checked or written, so the memory a list
