@@ -35,14 +35,12 @@ from .ee_families import enumerate_ee_families, sample_family
 from .errors import ValidationError, VerificationError
 from .modesets import (
     ModeSetPartition,
-    bimodal_ee_pairs,
     count_ee_families,
     ee_family_thresholds,
     _check_mode_count,
     _mode_states,
     _mode_table,
     effective_modes,
-    trimodal_ee_triples,
 )
 from .spectrum import Spectrum
 from .unimodal import _GAMMA_SIGN, _PARTNER, unimodal_inventory
@@ -238,13 +236,11 @@ def cmd_sets(args) -> int:
     p, spec = _context(args)
     part = effective_modes(p, spec)
     boundaries = dict(zip(("lambda", "mu", "nu"), _mode_table(spec.eigenvalues(part.n_star), p.k).tolist()))
-    ee_pairs = bimodal_ee_pairs(p, spec, args.tol_cond)
+    families = enumerate_ee_families(p, spec, args.tol_cond)
     return _finish(args, p, spec, {
         "sets": part.describe(),
         "boundaries": boundaries,
-        "B1": [list(pair) for pair, kind in ee_pairs if kind == "B1"],
-        "B2": [list(pair) for pair, kind in ee_pairs if kind == "B2"],
-        "T": [list(t) for t in trimodal_ee_triples(p, spec, args.tol_cond)],
+        **{kind: [list(f.modes) for f in families if f.kind == kind] for kind in ("B1", "B2", "T")},
         "Bstar": [{"pair": list(pair), "kind": kind} for pair, kind in bstar_pairs(p, spec)],
         "notes": _partition_notes(part, spec),
     })

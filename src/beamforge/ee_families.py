@@ -4,7 +4,9 @@ At resonant index pairs/triples the coupled system carries whole
 ellipses (or ellipsoids) of solutions: the u-coefficients range over the
 quadric ``sum(varrho * lam_i * x_i^2) + c = 0`` and the v-coefficients
 are the u-coefficients flipped by a fixed sign pattern.  The family is
-nonempty exactly when the constant ``c`` is negative.
+nonempty exactly when the constant ``c`` is negative.  Which index sets
+carry a family, from which compression, is read from the one EE scan of
+:mod:`beamforge.modesets`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .core import ModalSolution, Params
 from .errors import ValidationError
-from .modesets import bimodal_ee_pairs, trimodal_ee_triples
+from .modesets import _ee_scan
 from .spectrum import Spectrum
 
 NONZERO_MARGIN = 1e-6
@@ -43,20 +45,27 @@ class EEFamily:
         }
 
 
-def _family(p: Params, spec: Spectrum, kind: str, indices: tuple[int, ...]) -> EEFamily:
-    """The family of a given kind on indices already known to carry it."""
-    lams = [spec.eigenvalue(n) for n in indices]
-    constant = (lams[0] + lams[1] if kind == "B1" else lams[-1]) + p.beta
-    coeffs = tuple(p.varrho * lam for lam in lams)
-    return EEFamily(kind, indices, coeffs, constant, _SIGNS[kind])
-
-
 def enumerate_ee_families(p: Params, spec: Spectrum, tol: float = 1e-9) -> list[EEFamily]:
-    """All EE families at these parameters (pairs then triples), built
-    from the kinds the membership scans decided."""
-    out = [_family(p, spec, kind, pair) for pair, kind in bimodal_ee_pairs(p, spec, tol)]
-    out += [_family(p, spec, "T", triple) for triple in trimodal_ee_triples(p, spec, tol)]
-    return out
+    """All EE families at these parameters, pairs then triples, each in
+    lexicographic order: those of the EE scan whose threshold is below
+    ``-beta``.  A pair on B1 carries a B1 family once ``lam1 + lam2 <
+    -beta``, else a B2 one."""
+    scan = _ee_scan(p, spec, tol)
+    mb = -p.beta
+    b1 = scan.on_b1 & (scan.sums < mb)
+    # kind, modes, threshold and the quadric constant less beta
+    rows = [
+        *zip(
+            np.where(b1, "B1", "B2").tolist(), scan.pairs.T.tolist(), scan.thresholds.tolist(),
+            np.where(b1, scan.sums, scan.thresholds).tolist(),
+        ),
+        *(("T", triple, lam3, lam3) for triple, lam3 in zip(scan.triples.T.tolist(), scan.lam3.tolist())),
+    ]
+    return [
+        EEFamily(kind, tuple(modes), tuple(p.varrho * spec.eigenvalue(n) for n in modes), level + p.beta, _SIGNS[kind])
+        for kind, modes, threshold, level in rows
+        if threshold < mb
+    ]
 
 
 def _tag(kind: str) -> str:

@@ -13,11 +13,14 @@ evaluated in one place, :func:`_mode_states`, on a mode table: the rows
 
 The resonance equalities depend on the spectrum and ``k`` only, never on
 ``beta``.  They are evaluated in one place, :func:`_resonance`, on the
-eigenvalue columns of a list of pairs; the EE pair and triple scans and
-their thresholds are views of it.  Each EE family then exists
-exactly above one compression threshold, so a sweep over compressions
-collects the thresholds once (:func:`ee_family_thresholds`) and counts
-the families at each compression by bisection.
+eigenvalue columns of a list of pairs.  For the EE families one scan,
+:func:`_ee_scan`, evaluates them once on the pairs of the effective
+modes: it holds the pairs on B1 or B2, the triples their B2 pairs make
+(:func:`trimodal_ee_triples`), and the one compression above which each
+family exists.  ``enumerate_ee_families`` and the thresholds are views
+of it, so a sweep over compressions collects the thresholds once
+(:func:`ee_family_thresholds`) and counts the families at each
+compression by bisection.
 """
 
 from __future__ import annotations
@@ -204,39 +207,28 @@ def _resonance(lam1, lam2, k: float, tol: float) -> tuple[np.ndarray, np.ndarray
         return _rel_eqs(lam1 * lam2, 2.0 * k, tol), _rel_eqs(lam1 * (lam2 - lam1), 2.0 * k, tol)
 
 
-def _ee_kinds(lam1, lam2, beta: float, k: float, tol: float) -> np.ndarray:
-    """The EE kind of each pair with eigenvalues ``lam1 < lam2`` at
-    ``beta``: 1 for B1, which wins when ``lam1 + lam2 < -beta``, else 2 for
-    B2 when ``lam2 < -beta``, else 0."""
-    on_b1, on_b2 = _resonance(lam1, lam2, k, tol)
-    mb = -beta
-    with np.errstate(over="ignore"):
-        b1 = on_b1 & (lam1 + lam2 < mb)
-    return np.where(b1, 1, np.where(on_b2 & (lam2 < mb), 2, 0))
-
-
-def _ee_triples(lam, k: float, tol: float) -> np.ndarray:
-    """The index triples ``i < j < m`` into the increasing eigenvalues
-    ``lam`` whose pairs ``(i, m)`` and ``(j, m)`` are both on B2, the rows
-    of a ``(3, T)`` array in lexicographic order.  A member must also
-    satisfy ``lam_i + lam_j == lam_m``; one that does not raises
+def trimodal_ee_triples(lam: np.ndarray, n1: np.ndarray, n3: np.ndarray, tol: float) -> np.ndarray:
+    """The triples ``n1 < n2 < n3`` made of the B2 pairs ``(n1, n3)``
+    (index arrays, in lexicographic order): those whose pairs ``(n1, n3)``
+    and ``(n2, n3)`` are both among them, as the columns of a ``(3, T)``
+    array in lexicographic order; ``lam[n - 1]`` is ``lam_n``.  A member
+    must also satisfy ``lam1 + lam2 == lam3``; one that does not raises
     :class:`VerificationError`."""
-    m, i = np.tril_indices(len(lam), -1)
-    on_b2 = _resonance(lam[i], lam[m], k, tol)[1]
-    # the B2 pairs in (m, i) order; each pairs up with the later ones of
-    # its top mode m, the next `later` entries
-    i, m = i[on_b2], m[on_b2]
-    later = np.searchsorted(m, m, "right") - np.arange(len(m)) - 1
-    first = np.repeat(np.arange(len(m)), later)
+    # the B2 pairs by top mode; each pairs up with the later ones of its
+    # top mode, the next `later` entries
+    order = np.argsort(n3, kind="stable")
+    low, top = n1[order], n3[order]
+    later = np.searchsorted(top, top, "right") - np.arange(len(top)) - 1
+    first = np.repeat(np.arange(len(top)), later)
     second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    triples = np.array([i[first], i[second], m[first]])
+    triples = np.array([low[first], low[second], top[first]])
     triples = triples[:, np.lexsort(triples[::-1])]
-    lam1, lam2, lam3 = lam[triples]
+    lam1, lam2, lam3 = lam[triples - 1]
     with np.errstate(over="ignore"):
         bad = ~_rel_eqs(lam1 + lam2, lam3, tol)
     if bad.any():
         # the first one a scan by (n1, n3, n2) meets
-        n1, n3, n2 = min(zip(*(triples[:, bad] + 1)[[0, 2, 1]].tolist()))
+        n1, n3, n2 = min(zip(*triples[:, bad][[0, 2, 1]].tolist()))
         raise VerificationError(
             f"triple {(n1, n2, n3)} passes the membership equalities but violates lam1 + lam2 == lam3"
         )
@@ -249,48 +241,43 @@ def _pairs_of(n_star: int) -> np.ndarray:
     return np.array(np.triu_indices(n_star, 1)) + 1
 
 
-def _effective_pairs(p: Params, spec: Spectrum):
-    """The pairs ``n1 < n2`` of the effective modes in lexicographic
-    order, as index arrays, and their eigenvalues."""
-    n_star = effective_modes(p, spec).n_star
-    n1, n2 = _pairs_of(n_star)
-    lam = spec.eigenvalues(n_star)
-    return n1, n2, lam[n1 - 1], lam[n2 - 1]
+class _EEScan(NamedTuple):
+    """The pairs and triples of effective modes that carry EE families,
+    each with the compression above which its family exists."""
+
+    pairs: np.ndarray  # (2, P): the pairs n1 < n2 on B1 or B2, in lexicographic order
+    on_b1: np.ndarray  # the pair is on B1
+    sums: np.ndarray  # lam1 + lam2
+    thresholds: np.ndarray  # lam2 on B2, else lam1 + lam2
+    triples: np.ndarray  # (3, T): the member triples n1 < n2 < n3, in lexicographic order
+    lam3: np.ndarray  # the triple's threshold
 
 
-def bimodal_ee_pairs(p: Params, spec: Spectrum, tol: float = 1e-9):
-    """All B1/B2 pairs with both indices effective, as (pair, kind)."""
-    n1, n2, lam1, lam2 = _effective_pairs(p, spec)
-    kind = _ee_kinds(lam1, lam2, p.beta, p.k, tol)
-    hit = np.flatnonzero(kind)
-    return [((a, b), f"B{c}") for a, b, c in zip(*(x[hit].tolist() for x in (n1, n2, kind)))]
-
-
-def trimodal_ee_triples(p: Params, spec: Spectrum, tol: float = 1e-9):
-    """All triples carrying a trimodal EE family at these parameters:
-    the triples of effective modes whose two pairs with the top mode both
-    pass the B2 equality, in lexicographic order."""
+def _ee_scan(p: Params, spec: Spectrum, tol: float) -> _EEScan:
+    """The EE equalities of every pair of effective modes at ``p``,
+    evaluated once: the pairs on B1 or B2, and the triples their B2
+    pairs make.  A family exists exactly when its threshold is strictly
+    below ``-beta``; a pair on both equalities is a member once ``lam2 <
+    -beta``."""
     lam = spec.eigenvalues(effective_modes(p, spec).n_star)
-    return list(map(tuple, (_ee_triples(lam, p.k, tol) + 1).T.tolist()))
+    n1, n2 = _pairs_of(len(lam))
+    on_b1, on_b2 = _resonance(lam[n1 - 1], lam[n2 - 1], p.k, tol)
+    on = on_b1 | on_b2
+    n1, n2, on_b1, on_b2 = n1[on], n2[on], on_b1[on], on_b2[on]
+    lam1, lam2 = lam[n1 - 1], lam[n2 - 1]
+    with np.errstate(over="ignore"):
+        sums = lam1 + lam2
+    triples = trimodal_ee_triples(lam, n1[on_b2], n2[on_b2], tol)
+    return _EEScan(np.array([n1, n2]), on_b1, sums, np.where(on_b2, lam2, sums), triples, lam[triples[2] - 1])
 
 
 def ee_family_thresholds(p: Params, spec: Spectrum, tol: float = 1e-9) -> np.ndarray:
     """Sorted compressions above which each EE family exists, for every
-    family whose modes are effective at ``p``.
-
-    A family exists at ``-beta`` exactly when its threshold is strictly
-    below ``-beta``: ``lam2`` for a B2 pair, else ``lam1 + lam2`` for a
-    B1 pair (a pair on both equalities is a member once ``lam2 < -beta``),
-    and ``lam3`` for a triple.  These are the floats the pair and triple
-    scans compare, so :func:`count_ee_families` equals the length of
-    ``enumerate_ee_families`` at any ``beta >= p.beta``.
-    """
-    _, _, lam1, lam2 = _effective_pairs(p, spec)
-    on_b1, on_b2 = _resonance(lam1, lam2, p.k, tol)
-    with np.errstate(over="ignore"):
-        pairs = np.where(on_b2, lam2, lam1 + lam2)[on_b1 | on_b2]
-    triples = [spec.eigenvalue(n3) for _, _, n3 in trimodal_ee_triples(p, spec, tol)]
-    return np.sort(np.concatenate([pairs, triples]))
+    family whose modes are effective at ``p``: the thresholds of the EE
+    scan, so :func:`count_ee_families` equals the length of
+    ``enumerate_ee_families`` at any ``beta >= p.beta``."""
+    scan = _ee_scan(p, spec, tol)
+    return np.sort(np.concatenate([scan.thresholds, scan.lam3]))
 
 
 def count_ee_families(thresholds: np.ndarray, beta: float) -> int:

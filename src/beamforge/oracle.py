@@ -352,7 +352,7 @@ def match_against(
     for fam in families:
         m = len(fam.modes)
         x, v = coeffs[:, :m], coeffs[:, MAX_ACTIVE_MODES : MAX_ACTIVE_MODES + m]
-        quadric = sum(c * x[:, j] * x[:, j] for j, c in enumerate(fam.coeffs)) + fam.constant
+        quadric = fam.quadric_residual(x.T)
         on_family |= (
             (n == fam.modes + (0,) * (MAX_ACTIVE_MODES - m)).all(axis=1)
             & ~(np.abs(quadric) > tol * max(1.0, abs(fam.constant)))

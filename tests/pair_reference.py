@@ -7,7 +7,8 @@ pair) and the window kind, one pair at a time, with Python floats.  The
 program evaluates the same float expressions on arrays, in
 ``modesets._resonance`` and ``bimodal._invariants``; the tests hold it to
 this reference bit for bit, and read the program's invariants of one
-pair through :func:`program_invariants`.  The relative comparison and
+pair through :func:`program_invariants` and its EE pairs and triples
+through :func:`program_ee`.  The relative comparison and
 ``2.0 * k`` are written out here rather than imported, so that a change
 to the program's arithmetic cannot move the reference with it.
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from beamforge import ValidationError, axial_coefficients
+from beamforge import ValidationError, axial_coefficients, enumerate_ee_families
 from beamforge.bimodal import SEAM_RTOL, _invariants
 from beamforge.errors import VerificationError
 
@@ -227,6 +228,14 @@ def program_invariants(p, spec, pair):
     if not has[0]:
         return None
     return BimodalInvariants(tuple(pair), **{name: column[0].item() for name, column in columns.items()})
+
+
+def program_ee(p, spec, tol=1e-9):
+    """The program's EE pairs, as (pair, kind), and triples: the families
+    of ``enumerate_ee_families`` in the format of :func:`bimodal_ee_pairs`
+    and :func:`trimodal_ee_triples`."""
+    families = enumerate_ee_families(p, spec, tol)
+    return [(f.modes, f.kind) for f in families if f.kind != "T"], [f.modes for f in families if f.kind == "T"]
 
 
 def required_k(spec, indices, family):

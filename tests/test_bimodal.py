@@ -19,7 +19,6 @@ from beamforge.bimodal import (
     pair_table,
 )
 from beamforge.modesets import (
-    bimodal_ee_pairs,
     count_ee_families,
     ee_family_thresholds,
     effective_modes,
@@ -208,7 +207,7 @@ def test_ee_seam_reported(scaled):
     assert program_invariants(p, scaled, (1, 2)) is not None
     assert branch_rows(_pair_table(p, scaled, [(1, 2)]), p.beta) == []
     assert (1, 2) not in [pair for pair, _kind in bstar_pairs(p, scaled)]
-    assert ((1, 2), "B1") in bimodal_ee_pairs(p, scaled)
+    assert [f.kind for f in enumerate_ee_families(p, scaled) if f.modes == (1, 2)] == ["B1"]
 
 
 def test_enumerate_first_example(scaled):
@@ -386,8 +385,15 @@ def test_branch_rows_match_scalar_reference(case):
 
 @pytest.mark.parametrize(
     "spec,k",
-    [(Spectrum.scaled(12), 72.0), (Spectrum.scaled(12), 2.0), (Spectrum.dirichlet(8), 300.0)],
-    ids=["scaled-k72", "scaled-k2", "dirichlet-k300"],
+    [
+        (Spectrum.scaled(12), 72.0),
+        (Spectrum.scaled(12), 2.0),
+        (Spectrum.dirichlet(8), 300.0),
+        # lam1 lam2 = 2 and lam1 (lam2 - lam1) = 2 - 2e-12: (1, 2) is on
+        # both equalities, B2 above lam2 and B1 above lam1 + lam2
+        (Spectrum.explicit([1e-6, 2e6]), 1.0),
+    ],
+    ids=["scaled-k72", "scaled-k2", "dirichlet-k300", "explicit-both-k1"],
 )
 def test_count_matches_enumeration_at_every_edge(spec, k):
     # within a few ulps of a window edge the scalar path drops systems by

@@ -841,20 +841,50 @@ def test_sweep_honours_tol_cond(capsys, tmp_path):
     assert ee_counts("--tol-cond", "1e-6") == {"1"}
 
 
-def test_sets_scans_ee_pairs_once(capsys, monkeypatch):
-    from beamforge import cli
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sets", "--spectrum", "scaled", "--k", "72", "--beta=-40"),
+        ("enumerate", "--spectrum", "scaled", "--k", "72", "--beta=-40"),
+        ("sweep", "--spectrum", "scaled", "--k", "72", "--grid", "0:60:13"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_ee_equalities_evaluated_once_per_command(capsys, monkeypatch, argv):
+    # the EE pairs, triples, families and thresholds read one scan; the
+    # pair table's seam flag evaluates the equalities at its own tolerance
+    from beamforge import bimodal, modesets
 
-    calls = []
-    real = cli.bimodal_ee_pairs
+    tols = []
+    real = modesets._resonance
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(lam1, lam2, k, tol):
+        tols.append(tol)
+        return real(lam1, lam2, k, tol)
 
-    monkeypatch.setattr(cli, "bimodal_ee_pairs", counted)
-    doc = run_json(capsys, "sets", "--spectrum", "scaled", "--k", "2", "--beta", "-10")
-    assert doc["B1"] == [[1, 2]]
-    assert len(calls) == 1
+    for module in (modesets, bimodal):
+        monkeypatch.setattr(module, "_resonance", counted)
+    code, out = run_cli(capsys, *argv, "--tol-cond", "1e-8")
+    assert code == 0 and out
+    assert tols.count(1e-8) == 1
+
+
+def test_sets_lists_a_pair_on_both_equalities_by_compression(capsys, monkeypatch, tmp_path):
+    # lam1 lam2 = 2 and lam1 (lam2 - lam1) = 2 - 2e-12: at k = 1 the pair
+    # (1, 2) is on both equalities, a B2 member once lam2 < -beta and a B1
+    # member once lam1 + lam2 < -beta
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "both.txt").write_text("1e-6\n2e6\n")
+    lam1, lam2 = 1e-6, 2e6
+
+    def kinds(mb):
+        doc = run_json(capsys, "sets", "--spectrum", "file:both.txt", "--k", "1", f"--beta={-mb!r}")
+        return doc["B1"], doc["B2"]
+
+    assert kinds(lam2) == ([], [])
+    assert kinds(math.nextafter(lam2, math.inf)) == ([], [[1, 2]])
+    assert kinds(lam1 + lam2) == ([], [[1, 2]])
+    assert kinds(math.nextafter(lam1 + lam2, math.inf)) == ([[1, 2]], [])
 
 
 def assert_rejected(capsys, tmp_path, argv):

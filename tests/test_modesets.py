@@ -11,14 +11,10 @@ from beamforge import (
     VerificationError,
     dirichlet_mode_count,
     effective_modes,
+    enumerate_ee_families,
 )
 from beamforge import modesets
-from beamforge.modesets import (
-    bimodal_ee_pairs,
-    mu_value,
-    nu_value,
-    trimodal_ee_triples,
-)
+from beamforge.modesets import mu_value, nu_value
 from pair_reference import required_k, trimodal_candidates
 
 
@@ -64,18 +60,23 @@ def test_partition_boundary_exactness(scaled):
     assert 1 in effective_modes(p, scaled).E2
 
 
+def ee_kinds(p, spec):
+    """The kind of each EE family at ``p``, by its modes."""
+    return {f.modes: f.kind for f in enumerate_ee_families(p, spec)}
+
+
 def test_ee_bimodal_membership_examples(scaled):
-    assert dict(bimodal_ee_pairs(Params(-10.0, 1.0, 2.0), scaled)).get((1, 2)) == "B1"
-    assert dict(bimodal_ee_pairs(Params(-10.0, 1.0, 1.5), scaled)).get((1, 2)) == "B2"
-    assert dict(bimodal_ee_pairs(Params(-10.0, 1.0, 3.0), scaled)).get((1, 2)) is None
+    assert ee_kinds(Params(-10.0, 1.0, 2.0), scaled).get((1, 2)) == "B1"
+    assert ee_kinds(Params(-10.0, 1.0, 1.5), scaled).get((1, 2)) == "B2"
+    assert ee_kinds(Params(-10.0, 1.0, 3.0), scaled).get((1, 2)) is None
     # B1 also needs lam1 + lam2 < -beta
-    assert dict(bimodal_ee_pairs(Params(-4.5, 1.0, 2.0), scaled)).get((1, 2)) is None
+    assert ee_kinds(Params(-4.5, 1.0, 2.0), scaled).get((1, 2)) is None
 
 
 def test_ee_trimodal_membership_examples(scaled):
-    assert (3, 4, 5) in trimodal_ee_triples(Params(-30.0, 1.0, 72.0), scaled)
-    assert (3, 4, 5) not in trimodal_ee_triples(Params(-20.0, 1.0, 72.0), scaled)
-    assert (3, 4, 5) not in trimodal_ee_triples(Params(-30.0, 1.0, 71.0), scaled)
+    assert ee_kinds(Params(-30.0, 1.0, 72.0), scaled).get((3, 4, 5)) == "T"
+    assert (3, 4, 5) not in ee_kinds(Params(-20.0, 1.0, 72.0), scaled)
+    assert (3, 4, 5) not in ee_kinds(Params(-30.0, 1.0, 71.0), scaled)
 
 
 def test_power_spectrum_has_no_trimodal_triples():
@@ -104,10 +105,10 @@ def test_required_k(scaled):
 
 def test_scan_helpers(scaled):
     p = Params(beta=-10.0, varrho=1.0, k=2.0)
-    assert bimodal_ee_pairs(p, scaled) == [((1, 2), "B1")]
+    assert [(f.modes, f.kind) for f in enumerate_ee_families(p, scaled)] == [((1, 2), "B1")]
     p = Params(beta=-30.0, varrho=1.0, k=72.0)
     spec = Spectrum.scaled(n_max=8)
-    assert trimodal_ee_triples(p, spec) == [(3, 4, 5)]
+    assert [f.modes for f in enumerate_ee_families(p, spec) if f.kind == "T"] == [(3, 4, 5)]
 
 
 @given(
@@ -223,5 +224,5 @@ def test_trimodal_scan_matches_brute_force(k, beta, tol):
     brute = _outcome(
         lambda: [t for t in itertools.combinations(E, 3) if reference.ee_trimodal_membership(p, SCALED30, t, tol)]
     )
-    assert _outcome(lambda: trimodal_ee_triples(p, SCALED30, tol)) == brute
+    assert _outcome(lambda: reference.program_ee(p, SCALED30, tol)[1]) == brute
 
