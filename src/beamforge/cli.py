@@ -65,7 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="relative tolerance for resonance equalities")
     tol_res.add_argument("--tol-res", type=float, default=1e-10, dest="tol_res",
                          help="relative residual bound for verification")
-    seed.add_argument("--seed", type=int, default=0, help="random seed for sampling")
+    seed.add_argument("--seed", type=int, default=0,
+                      help="nonnegative seed of the random.Random stream that draws oracle starts and family "
+                      "samples; a seed gives the same draws on every Python version")
     out.add_argument("--out", type=Path, default=None, help="write output here instead of stdout")
 
     parser = argparse.ArgumentParser(

@@ -12,6 +12,8 @@ carry a family, from which compression, is read from the one EE scan of
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,25 +80,34 @@ def sample_family(fam: EEFamily, count: int, seed: int = 0) -> list[ModalSolutio
     Coordinates are kept away from the axes (all ``|x_i|`` at least
     ``1e-6`` of the per-axis radius) so every sample is a genuine
     bimodal/trimodal solution; offending draws are rejected and redrawn.
+    The angles come from ``random.Random(seed)``, whose ``random()``
+    sequence for a given seed Python keeps the same across versions:
+    ``theta = 2 pi u``, then for a triple ``phi = pi u`` with the next
+    ``u = rng.random()``.  ``seed`` is any nonnegative integer that
+    ``operator.index`` accepts; a negative one raises
+    :class:`ValidationError`.
     """
     if count < 0:
         raise ValidationError("count must be nonnegative")
+    seed = operator.index(seed)
+    if seed < 0:  # Random(-n) would draw the stream of Random(n)
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     if not fam.constant < 0.0:
         raise ValidationError("degenerate family: quadric constant must be negative")
     radii = [math.sqrt(-fam.constant / c) for c in fam.coeffs]
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out: list[ModalSolution] = []
     attempts = 0
     while len(out) < count:
         attempts += 1
         if attempts > 1000 * max(count, 1):
             raise RuntimeError("rejection sampling failed to stay off the axes")
+        # low + (high - low) * u with low = 0
+        theta = 2.0 * math.pi * rng.random()
         if len(fam.modes) == 2:
-            theta = rng.uniform(0.0, 2.0 * math.pi)
             units = (math.cos(theta), math.sin(theta))
         else:
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            phi = rng.uniform(0.0, math.pi)
+            phi = math.pi * rng.random()
             units = (
                 math.sin(phi) * math.cos(theta),
                 math.sin(phi) * math.sin(theta),

@@ -2,7 +2,10 @@
 random starts and reconcile the roots with the closed-form inventory.
 
 The oracle knows nothing about branch structure.  It draws starts
-uniformly from the amplitude box, runs damped Newton (see
+uniformly from the amplitude box with the standard library's
+``random.Random(seed)``, whose ``random()`` sequence for a given seed
+Python keeps the same across versions (NumPy promises no such thing for
+its generators), runs damped Newton (see
 :mod:`beamforge.kernels`), deduplicates converged roots, polishes them
 and reports every distinct solution found.  The polish is one loop of
 rank-cut Newton steps (a pseudo-inverse that drops singular values below
@@ -44,8 +47,10 @@ search does not use it.
 
 from __future__ import annotations
 
+import operator
+import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -249,6 +254,12 @@ def galerkin_solve(
     ``found`` is each one with its exact images under the sign flips of
     its active mode pairs and the beam swap, deduplicated once more.
 
+    The starts come from ``random.Random(seed)``: block by block and row
+    by row, each coordinate is ``-R + 2R u`` for the next ``u =
+    rng.random()``.  ``seed`` is any nonnegative integer that
+    ``operator.index`` accepts, NumPy integers included; a negative one
+    raises :class:`ValidationError`.
+
     Convergence demands a max-abs residual below ``1e-11`` times the
     system scale.  Starts that stall are discarded (counted via
     ``converged_count``), and so are polished representatives whose
@@ -259,6 +270,9 @@ def galerkin_solve(
     """
     if starts < 1:
         raise ValidationError(f"starts must be positive, got {starts}")
+    seed = operator.index(seed)
+    if seed < 0:  # Random(-n) would draw the stream of Random(n)
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     lams = spec.eigenvalues(n_modes)
     tol = NEWTON_TOL_FACTOR * newton_scale(p, spec, n_modes)
     radius = start_box_radius(p, spec)
@@ -268,7 +282,7 @@ def galerkin_solve(
         x0 = np.zeros((starts, 2 * n_modes))
     except ValueError as exc:  # more bytes than an array can address
         raise MemoryError(str(exc)) from None
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     proper = 2**n_modes - 2
     share = (starts // 2) // proper if proper else 0
     # the 2^N - 1 subsets are listed only when each proper one gets starts
@@ -277,7 +291,10 @@ def galerkin_solve(
     row = 0
     for subset, budget in zip(subsets, budgets):
         cols = _columns_for(subset, n_modes)
-        x0[row : row + budget, cols] = rng.uniform(-radius, radius, size=(budget, cols.size))
+        # low + (high - low) * u on [-R, R), u the next rng.random() values, row-major
+        size = budget * cols.size
+        u = np.fromiter(map(random.Random.random, repeat(rng, size)), float, size)
+        x0[row : row + budget, cols] = -radius + 2.0 * radius * u.reshape(budget, cols.size)
         row += budget
     roots, converged, _ = kernels.newton_batch(lams, p.beta, p.varrho, p.k, x0, tol)
     reps = roots[converged]

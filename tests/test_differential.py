@@ -78,3 +78,14 @@ def test_oracle_exactly_on_mu_2_with_five_modes(seed):
 )
 def test_oracle_exactly_on_nu_1():
     assert_finds_every_state_and_nothing_else(("scaled", 3.0, 1.0, -10.0), "--modes", "3")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="at k = 1e-160 sigma = (k - lam1 lam2) / k squares to inf in bimodal._invariants, so "
+    "enumerate drops the 8 general-bimodal states (it lists them at k = 1e-150) and the oracle's "
+    "roots there are unmatched",
+)
+def test_oracle_at_a_tiny_coupling():
+    assert_finds_every_state_and_nothing_else(("dirichlet", 1e-160, 1.0, -50.0))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from beamforge import (
@@ -95,6 +96,10 @@ def test_sampling_edge_cases(scaled):
     degenerate = EEFamily("B1", (1, 2), (1.0, 4.0), 0.5, (-1, -1))
     with pytest.raises(ValidationError):
         sample_family(degenerate, 3)
+    # random.Random(-1) would silently draw the stream of Random(1)
+    with pytest.raises(ValidationError, match="seed"):
+        sample_family(fam, 3, seed=-1)
+    assert sample_family(fam, 3, seed=np.int64(3)) == sample_family(fam, 3, seed=3)
 
 
 def test_perturbation_off_quadric_breaks_residual(scaled):

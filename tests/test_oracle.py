@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import sys
 from itertools import product
 
@@ -182,6 +183,16 @@ def test_starts_validation(scaled):
             galerkin_solve(p, scaled, 1, starts)
 
 
+def test_seed_is_a_nonnegative_integer(scaled):
+    # random.Random(-1) would silently draw the stream of Random(1), and
+    # random.Random(np.int64(3)) raises TypeError on Python 3.11
+    p = Params(beta=-15.5, varrho=1.0, k=3.0)
+    with pytest.raises(ValidationError, match="seed"):
+        galerkin_solve(p, scaled, 3, 100, seed=-1)
+    want = galerkin_solve(p, scaled, 3, 1000, seed=3).found
+    assert galerkin_solve(p, scaled, 3, 1000, seed=np.int64(3)).found == want
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_trimodal_case_full_inventory_every_seed(seed):
     # near the junctions of the EE continua the Jacobian is nearly rank
@@ -256,7 +267,7 @@ def _per_block_search(newton_batch, p, spec, n_modes, starts, seed):
     lams = spec.eigenvalues(n_modes)
     tol = oracle.NEWTON_TOL_FACTOR * oracle.newton_scale(p, spec, n_modes)
     radius = oracle.start_box_radius(p, spec)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     subsets = oracle._mode_subsets(n_modes)
     proper = subsets[:-1]
     share = (starts // 2) // len(proper) if proper else 0
@@ -271,7 +282,10 @@ def _per_block_search(newton_batch, p, spec, n_modes, starts, seed):
             continue
         cols = oracle._columns_for(subset, n_modes)
         block = slice(row, row + budget)
-        x0[block, cols] = rng.uniform(-radius, radius, size=(budget, 2 * len(subset)))
+        low, high = -radius, radius
+        for i in range(budget):
+            for j in range(2 * len(subset)):
+                x0[row + i, cols[j]] = low + (high - low) * rng.random()
         roots[block, cols], converged[block], iterations[block] = newton_batch(
             lams[[n - 1 for n in subset]], p.beta, p.varrho, p.k, x0[block, cols], tol
         )

@@ -78,19 +78,29 @@ def test_unknown_name_raises_attribute_error():
 
 SRC = Path(beamforge.__file__).resolve().parents[1]
 
-# each command writes to --out, so stdout holds the list of loaded modules alone
-CLOSED_FORM_COMMANDS = """
+
+def commands(*argvs):
+    """A script that runs each argv through ``cli.main``; each writes to
+    --out, so stdout holds the list of loaded modules alone."""
+    return f"""
 from beamforge import cli
-for argv in (
+for argv in {argvs!r}:
+    if cli.main([*argv, "--out", "out.txt"]) != 0:
+        raise SystemExit(f"{{argv}} failed")
+"""
+
+
+CLOSED_FORM_COMMANDS = commands(
     ["enumerate", "--spectrum", "scaled", "--k", "3", "--beta=-15.5"],
     ["sweep", "--spectrum", "scaled", "--k", "3", "--grid", "0:40:5", "--pairs", "1,2"],
     ["sets", "--spectrum", "scaled", "--k", "72", "--beta=-600", "--nmax", "24"],
     ["unimodal", "--spectrum", "scaled", "--k", "3", "--beta=-15.5"],
     ["unimodal", "--spectrum", "scaled", "--k", "3", "--csv", "--mode", "1", "--grid", "0:20:5"],
-):
-    if cli.main([*argv, "--out", "out.txt"]) != 0:
-        raise SystemExit(f"{argv} failed")
-"""
+)
+SEEDED_COMMANDS = commands(
+    ["oracle", "--starts", "50"],
+    ["enumerate", "--spectrum", "scaled", "--k", "72", "--beta=-40", "--samples", "3"],
+)
 
 
 @pytest.mark.parametrize(
@@ -100,22 +110,32 @@ for argv in (
         ("import beamforge", None),
         # the closed-form commands load neither the oracle nor the converter
         # nor the single-beam models
-        (CLOSED_FORM_COMMANDS, ("oracle", "kernels", "convert", "single_beam")),
+        (
+            CLOSED_FORM_COMMANDS,
+            ("beamforge.oracle", "beamforge.kernels", "beamforge.convert", "beamforge.single_beam"),
+        ),
         # the oracle checks the closed forms, so it loads none of them
-        ("import beamforge.oracle", ("unimodal", "bimodal", "modesets", "ee_families")),
+        (
+            "import beamforge.oracle",
+            ("beamforge.unimodal", "beamforge.bimodal", "beamforge.modesets", "beamforge.ee_families"),
+        ),
+        # oracle starts and family samples come from the standard library's
+        # random.Random, so numpy.random (about 6 MB) is never imported
+        (SEEDED_COMMANDS, ("numpy.random",)),
     ],
-    ids=["package", "closed-form commands", "oracle"],
+    ids=["package", "closed-form commands", "oracle", "seeded commands"],
 )
 def test_a_fresh_interpreter_loads_only_what_it_runs(tmp_path, code, absent):
-    script = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('beamforge.')))\n"
+    script = code + "\nimport sys\nprint(*sorted(sys.modules))\n"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
+    submodules = {name for name in loaded if name.startswith("beamforge.")}
     if absent is None:
-        assert loaded == set()
+        assert submodules == set()
     else:
-        assert loaded, "the case loaded no submodule at all"
-        assert loaded.isdisjoint(f"beamforge.{name}" for name in absent)
+        assert submodules, "the case loaded no submodule at all"
+        assert loaded.isdisjoint(absent)
